@@ -3,8 +3,9 @@
 Matrices are tuples of tuples of Python ints (rows).  Everything here is
 pure and deterministic: the Hermite normal form fixes a unique echelon
 representative for every row lattice, kernels and saturations are returned
-HNF-normalized, and signatures are computed by rational congruence
-diagonalization, so no floating point ever enters.
+HNF-normalized, and signatures are computed by fraction-free (Bareiss)
+symmetric elimination, so neither floating point nor ``Fraction`` ever
+enters.
 
 Conventions:
 
@@ -18,7 +19,6 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -73,18 +73,12 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def hnf(m, ncols: int | None = None) -> tuple[IntMat, IntMat]:
-    """Row-style Hermite normal form.
-
-    Returns (h, u) with h = u @ m, u unimodular.  Pivots are positive,
-    entries above a pivot are reduced into [0, pivot), zero rows sink to
-    the bottom.
-    """
-    rows = [list(map(int, r)) for r in m]
+def _hnf_reduce(rows: list[list[int]], ncols: int | None = None) -> None:
+    """Row-reduce ``rows`` in place to Hermite normal form in their first
+    ``ncols`` columns; any later columns (a transform, say) ride along."""
     n = len(rows)
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
     pr = 0
     for col in range(ncols):
         piv = None
@@ -96,41 +90,55 @@ def hnf(m, ncols: int | None = None) -> tuple[IntMat, IntMat]:
             continue
         if piv != pr:
             rows[pr], rows[piv] = rows[piv], rows[pr]
-            u[pr], u[piv] = u[piv], u[pr]
         for i in range(pr + 1, n):
             b = rows[i][col]
             if b == 0:
                 continue
             a = rows[pr][col]
+            if b % a == 0:  # one row operation clears b
+                q = b // a
+                rows[i] = [y - q * x for x, y in zip(rows[pr], rows[i])]
+                continue
             g, s, t = _egcd(a, b)
             p, q = a // g, b // g
             rows[pr], rows[i] = (
                 [s * x + t * y for x, y in zip(rows[pr], rows[i])],
                 [-q * x + p * y for x, y in zip(rows[pr], rows[i])],
             )
-            u[pr], u[i] = (
-                [s * x + t * y for x, y in zip(u[pr], u[i])],
-                [-q * x + p * y for x, y in zip(u[pr], u[i])],
-            )
         if rows[pr][col] < 0:
             rows[pr] = [-x for x in rows[pr]]
-            u[pr] = [-x for x in u[pr]]
         a = rows[pr][col]
         for i in range(pr):
             q = rows[i][col] // a
             if q:
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[pr])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[pr])]
         pr += 1
         if pr == n:
             break
-    return freeze(rows), freeze(u)
+
+
+def hnf(m, ncols: int | None = None) -> tuple[IntMat, IntMat]:
+    """Row-style Hermite normal form.
+
+    Returns (h, u) with h = u @ m, u unimodular.  Pivots are positive,
+    entries above a pivot are reduced into [0, pivot), zero rows sink to
+    the bottom.  The transform is carried as extra columns [m | I].
+    """
+    rows = [list(map(int, r)) for r in m]
+    n = len(rows)
+    width = len(rows[0]) if rows else 0
+    for i, row in enumerate(rows):
+        row.extend(int(i == j) for j in range(n))
+    _hnf_reduce(rows, width if ncols is None else ncols)
+    return freeze(r[:width] for r in rows), freeze(r[width:] for r in rows)
 
 
 def hnf_basis(m, ncols: int | None = None) -> IntMat:
-    """Nonzero rows of the Hermite normal form (a canonical row-lattice basis)."""
-    h, _ = hnf(m, ncols)
-    return tuple(row for row in h if any(row))
+    """Nonzero rows of the Hermite normal form (a canonical row-lattice basis),
+    from the same elimination as ``hnf`` without the transform."""
+    rows = [list(map(int, r)) for r in m]
+    _hnf_reduce(rows, ncols)
+    return tuple(tuple(row) for row in rows if any(row))
 
 
 def int_kernel(m, ncols: int | None = None) -> IntMat:
@@ -290,64 +298,71 @@ class SymDiagResult:
         return (self.n_plus, self.n_minus, self.n_zero)
 
 
+def _sym_zero_pivot(t: list[list[int]]) -> bool:
+    """Make the leading diagonal entry of a symmetric block nonzero by a
+    congruence; False when its whole row is zero.
+
+    ``t`` holds the upper triangle, ``t[j][l - j]`` being entry ``(j, l)``.
+    """
+    m = len(t)
+    swap = next((j for j in range(1, m) if t[j][0]), None)
+    if swap is not None:
+        a = [[t[min(j, l)][abs(l - j)] for l in range(m)] for j in range(m)]
+        a[0], a[swap] = a[swap], a[0]
+        for row in a:
+            row[0], row[swap] = row[swap], row[0]
+        t[:] = [row[j:] for j, row in enumerate(a)]
+        return True
+    off = next((l for l in range(1, m) if t[0][l]), None)
+    if off is None:
+        return False
+    # fold row/column `off` into 0; with a zero diagonal the new leading
+    # entry is 2*a[0][off] != 0
+    t[0][0] = 2 * t[0][off]
+    for l in range(1, m):
+        t[0][l] += t[min(off, l)][abs(l - off)]
+    return True
+
+
 def sym_signature(g) -> SymDiagResult:
     """Signature of a symmetric integer matrix via exact congruence.
 
-    Symmetric Gaussian elimination over Q; a zero diagonal with a nonzero
-    off-diagonal entry is resolved by folding the partner row/column in,
-    which is the standard split of a hyperbolic 2x2 block.
+    Fraction-free symmetric (Bareiss) elimination over Z on the upper
+    triangle of the trailing block.  With pivot ``p`` and previous pivot
+    ``prev`` each step sets ``a[j][l] = (a[j][l]*p - a[j][0]*a[0][l]) // prev``,
+    which always divides exactly; the rational pivot is ``p / prev``, so its
+    sign is ``sign(p) * sign(prev)``.  A zero pivot is resolved by a
+    symmetric swap with a later nonzero diagonal entry or, when the trailing
+    diagonal is all zero, by folding a partner row/column in, which is the
+    standard split of a hyperbolic 2x2 block.  Both are congruences of the
+    trailing block alone, so exact division still holds.
     """
     if not is_symmetric(g):
         raise ValidationError("matrix not symmetric")
-    n = len(g)
-    a = [[Fraction(x) for x in row] for row in g]
+    t = [[int(x) for x in row[i:]] for i, row in enumerate(g)]
     n_plus = n_minus = n_zero = 0
-    for i in range(n):
-        if a[i][i] == 0:
-            swap = None
-            for j in range(i + 1, n):
-                if a[j][j] != 0:
-                    swap = j
-                    break
-            if swap is not None:
-                a[i], a[swap] = a[swap], a[i]
-                for row in a:
-                    row[i], row[swap] = row[swap], row[i]
-            else:
-                off = None
-                for j in range(i + 1, n):
-                    if a[i][j] != 0:
-                        off = j
-                        break
-                if off is None:
-                    n_zero += 1
-                    continue
-                # fold row/column `off` into i: new a[i][i] = 2*a[i][off] != 0
-                a[i] = [x + y for x, y in zip(a[i], a[off])]
-                for row in a:
-                    row[i] += row[off]
-        pivot = a[i][i]
-        if pivot > 0:
+    prev = 1
+    while t:
+        if t[0][0] == 0 and not _sym_zero_pivot(t):
+            n_zero += 1
+            del t[0]
+            continue
+        top = t.pop(0)
+        p = top[0]
+        if (p > 0) == (prev > 0):
             n_plus += 1
         else:
             n_minus += 1
-        for j in range(i + 1, n):
-            f = a[j][i] / pivot
-            if f:
-                a[j] = [x - f * y for x, y in zip(a[j], a[i])]
-                for row in a:
-                    row[j] -= f * row[i]
+        for j, row in enumerate(t, 1):
+            c = top[j]
+            t[j - 1] = [(x * p - c * y) // prev for x, y in zip(row, top[j:])]
+        prev = p
     return SymDiagResult(n_plus, n_minus, n_zero)
 
 
 @lru_cache(maxsize=None)
 def cached_signature(gram: IntMat) -> SymDiagResult:
     return sym_signature(gram)
-
-
-@lru_cache(maxsize=None)
-def cached_det(gram: IntMat) -> int:
-    return det(gram)
 
 
 def in_row_lattice(basis_hnf, x) -> bool:
@@ -378,6 +393,5 @@ def in_q_span(rows, x) -> bool:
 
 def clear_denominators(vec) -> IntVec:
     """Scale a rational vector by the lcm of denominators to an integer one."""
-    fracs = [v if isinstance(v, Fraction) else Fraction(v) for v in vec]
-    scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return tuple(int(f * scale) for f in fracs)
+    scale = lcm(*(v.denominator for v in vec))
+    return tuple(v.numerator * (scale // v.denominator) for v in vec)

@@ -23,9 +23,9 @@ from .intlinalg import (
     IntMat,
     IntVec,
     _egcd,
-    cached_det,
     cached_signature,
     SymDiagResult,
+    det,
     freeze,
     hnf_basis,
     identity,
@@ -66,7 +66,7 @@ class IntegralLattice:
         return cached_signature(self.gram)
 
     def det(self) -> int:
-        return cached_det(self.gram)
+        return det(self.gram)
 
     @property
     def is_degenerate(self) -> bool:

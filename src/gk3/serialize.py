@@ -14,6 +14,7 @@ bytes.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from .mukai import (
 from .pairs import GeneralizedK3
 from .scalars import ComplexQuad, QuadScalar, check_field_tag
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 BODY_KINDS = ("lattice", "sublattice", "class", "pair", "polarization", "family")
 
 
@@ -67,12 +69,13 @@ def parse_rational(node, path: str) -> Fraction:
         _fail(path, "floats are not exact; use a \"p/q\" string")
     if not isinstance(node, str):
         _fail(path, f"expected a rational, got {type(node).__name__}")
-    text = node.strip()
-    num, sep, den = text.partition("/")
+    if not _RATIONAL.fullmatch(node):
+        _fail(path, f"not a rational: {node!r}")
+    num, sep, den = node.partition("/")
     try:
         p = int(num)
         q = int(den) if sep else 1
-    except ValueError:
+    except ValueError:  # beyond int()'s digit limit
         _fail(path, f"not a rational: {node!r}")
     if q == 0:
         _fail(path, "zero denominator")
@@ -258,6 +261,8 @@ def parse_document(text: str) -> Document:
         root = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nesting too deep") from None
     _expect_object(root, "document", ("sqrt_d", "bfield") + BODY_KINDS)
     sqrt_d = None
     if root.get("sqrt_d") is not None:

@@ -243,6 +243,21 @@ def test_schema_error_paths(tmp_path, capsys):
     assert "cannot read" in out2["error"]
 
 
+def test_underscored_integer_is_a_schema_error(tmp_path, capsys):
+    doc = {"lattice": {"gram": [["1_0", "0"], ["0", "1"]]}}
+    code, out = _run(capsys, ["lattice", "info", _write(tmp_path, "u.json", doc)])
+    assert code == 2
+    assert out == {"error": "at document.lattice.gram[0][0]: not a rational: '1_0'"}
+
+
+def test_deeply_nested_json_is_a_schema_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    code, out = _run(capsys, ["lattice", "info", str(path)])
+    assert code == 2
+    assert out == {"error": "invalid JSON: nesting too deep"}
+
+
 def test_stdin_dash(tmp_path, capsys, monkeypatch):
     import io
 
@@ -265,6 +280,15 @@ def test_output_is_byte_deterministic(tmp_path):
     assert runs[0].returncode == 0
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.endswith("\n")
+
+
+def test_python_dash_m_gk3(tmp_path):
+    path = _write(tmp_path, "u.json", {"lattice": {"named": "U"}})
+    proc = subprocess.run(
+        [sys.executable, "-m", "gk3", "lattice", "info", path], capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["rank"] == 2
 
 
 def test_console_script_entry_point(tmp_path):

@@ -51,6 +51,10 @@ def test_rational_rejections():
         parse_rational(True, "x")
     with pytest.raises(SchemaError):
         parse_rational("3/4/5", "x")
+    # only -?[0-9]+(/[0-9]+)? is a rational; int() alone would take these
+    for text in ("1_0", "1/1_0", " 1", "+1", "1/-2", "\u0663", "1/", ""):
+        with pytest.raises(SchemaError, match="not a rational"):
+            parse_rational(text, "x")
 
 
 def test_quad_roundtrip():
