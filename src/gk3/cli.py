@@ -41,6 +41,7 @@ from .pairs import (
 )
 from .rigidity import (
     SurveyConfig,
+    check_forms_det,
     enumerate_reduced_forms,
     is_complex_rigid,
     is_kahler_rigid,
@@ -315,6 +316,7 @@ def cmd_rigid_survey(args) -> dict:
 
 
 def cmd_rigid_forms(args) -> dict:
+    check_forms_det(args.max_det)
     return {"forms": [int_matrix_json(g) for g in enumerate_reduced_forms(args.max_det)]}
 
 

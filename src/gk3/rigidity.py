@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import ValidationError
-from .intlinalg import IntMat
+from .intlinalg import IntMat, hnf_basis, matmul, matvec, saturate, transpose
 from .lattices import (
+    IntegralLattice,
     Sublattice,
     enumerate_reduced_forms,
     gauss_reduce2,
@@ -31,18 +32,18 @@ from .lattices import (
 from .mukai import (
     DEG2_RANK,
     K3,
+    MUKAI,
+    MUKAI_RANK,
     GCYClass,
     GenericClass,
     decompose_type_a,
     deg2_vector,
-    exponential_class,
-    check_gcy,
     member_support,
     pair_real,
     support_in,
 )
 from .pairs import GeneralizedK3
-from .scalars import QuadScalar, as_quad
+from .scalars import ComplexQuad, QuadScalar, as_quad
 
 K3_GRAM = K3.gram
 
@@ -164,6 +165,11 @@ def is_kahler_rigid(x: GeneralizedK3) -> RigidityReport:
 DEFAULT_H1 = deg2_vector({0: 1, 1: 1})  # e1 + f1, square 2
 DEFAULT_H2 = deg2_vector({2: 1, 3: 1})  # e2 + f2, square 2
 
+# Work limits of `rigid forms` and `rigid survey`, sized so that the
+# largest accepted call ends in well under a minute on 2 CPUs.
+MAX_FORMS_DET = 10_000  # determinant bound of the enumerated forms
+MAX_SURVEY_SAMPLES = 100_000  # grid points of one survey (survey_samples)
+
 
 @dataclass(frozen=True)
 class SurveyConfig:
@@ -201,11 +207,118 @@ class SurveyReport:
     witnesses: tuple[tuple[IntMat, SurveyWitness], ...]  # parallel to achieved
 
 
-def _survey_kappas(sqrt_d) -> tuple[QuadScalar, ...]:
-    kappas = [as_quad(1)]
+def _survey_kappas(sqrt_d) -> tuple[tuple[int, QuadScalar], ...]:
+    """(kappa^2, kappa) for kappa = 1 and each sqrt(d), in sorted order."""
+    kappas = [(1, as_quad(1))]
     for d in sorted(set(sqrt_d)):
-        kappas.append(QuadScalar(0, 1, d))
+        kappas.append((d, QuadScalar(0, 1, d)))
     return tuple(kappas)
+
+
+def _pair(gram: IntMat, x, y) -> int:
+    return sum(u * v for u, v in zip(x, matvec(gram, y)))
+
+
+def _plane_gram(h1, h2) -> tuple[int, int, int]:
+    """(H1^2, H1.H2, H2^2) in the K3 lattice."""
+    return _pair(K3_GRAM, h1, h1), _pair(K3_GRAM, h1, h2), _pair(K3_GRAM, h2, h2)
+
+
+def _positive_omegas(config: SurveyConfig) -> list[tuple[int, int]]:
+    """(a, b) with omega_0 = a H1 + b H2 of positive square, in grid order."""
+    g11, g12, g22 = _plane_gram(config.h1, config.h2)
+    amax = isqrt(config.max_det)
+    return [
+        (a, b)
+        for a in range(amax + 1)
+        for b in range(amax + 1)
+        if (a or b) and a * a * g11 + 2 * a * b * g12 + b * b * g22 > 0
+    ]
+
+
+def survey_samples(config: SurveyConfig) -> int:
+    """Grid points a survey covers: kappas x positive omega_0 x sum of D^2."""
+    grid = sum(d * d for d in range(1, config.denominator_bound + 1))
+    return (1 + len(set(config.sqrt_d))) * len(_positive_omegas(config)) * grid
+
+
+def check_forms_det(max_det: int) -> None:
+    """Refuse a determinant bound above MAX_FORMS_DET before any enumeration."""
+    if max_det > MAX_FORMS_DET:
+        raise ValidationError(
+            f"max_det {max_det} is above the limit MAX_FORMS_DET = {MAX_FORMS_DET}"
+        )
+
+
+def _hnf_coords(basis: IntMat, x) -> tuple[int, ...]:
+    """Integer coordinates of x in an HNF row basis whose lattice contains x."""
+    rem = list(x)
+    coords = []
+    for row in basis:
+        piv = next(j for j, v in enumerate(row) if v)
+        q = rem[piv] // row[piv]
+        coords.append(q)
+        rem = [u - q * v for u, v in zip(rem, row)]
+    if any(rem):
+        raise ValidationError("vector outside the lattice")
+    return tuple(coords)
+
+
+@dataclass(frozen=True)
+class _SatCoords:
+    """S = Sat(P) for P = <deg0, deg4, H1, H2>: the Gram of the four
+    generators, their integer coordinates in S's HNF basis, and S's Gram."""
+
+    gram_p: IntMat
+    to_s: IntMat
+    gram_s: IntMat
+
+
+def _sat_coords(h1, h2) -> _SatCoords:
+    g11, g12, g22 = _plane_gram(h1, h2)
+    gram_p = ((0, -1, 0, 0), (-1, 0, 0, 0), (0, 0, g11, g12), (0, 0, g12, g22))
+    zeros = (0,) * DEG2_RANK
+    gens = ((1, 0) + zeros, (0, 1) + zeros, (0, 0) + tuple(h1), (0, 0) + tuple(h2))
+    sat = saturate(hnf_basis(gens, MUKAI_RANK), MUKAI_RANK)
+    to_s = tuple(_hnf_coords(sat, g) for g in gens)
+    return _SatCoords(gram_p, to_s, Sublattice(MUKAI, sat).induced_gram)
+
+
+def _check_exp_rows(gram_p: IntMat, r1, r2, k: int, kappa: QuadScalar, denom: int) -> None:
+    """check_gcy for exp(B + i omega) = r1 / (2D^2) + i kappa r2 / D, in integers.
+
+    Isotropy is <r1,r1> = 4 D^2 kappa^2 <r2,r2> and <r1,r2> = 0; positivity
+    is <r2,r2> > 0.  The error messages are those of ``check_gcy``.
+    """
+    d2 = denom * denom
+    r11, r12, r22 = _pair(gram_p, r1, r1), _pair(gram_p, r1, r2), _pair(gram_p, r2, r2)
+    if r11 != 4 * d2 * k * r22 or r12:
+        self_pairing = ComplexQuad(
+            Fraction(r11 - 4 * d2 * k * r22, 4 * d2 * d2), kappa * Fraction(r12, d2 * denom)
+        )
+        raise ValidationError(f"not isotropic: <phi,phi> = {self_pairing}")
+    if r22 <= 0:
+        raise ValidationError(f"not positive: <phi,conj phi> = {as_quad(Fraction(2 * k * r22, d2))}")
+
+
+def _grid_invariant(sc: _SatCoords, k: int, kappa: QuadScalar, a, b, p, q, denom) -> IntMat:
+    """Reduced Gram of the support of exp(B + i omega) for
+    B = (p/D) H1 + (q/D) H2 and omega = kappa (a H1 + b H2), kappa^2 = k."""
+    (g11, g12), (_, g22) = sc.gram_p[2][2:], sc.gram_p[3][2:]
+    d2 = denom * denom
+    w2 = a * a * g11 + 2 * a * b * g12 + b * b * g22  # omega_0^2
+    b2 = p * p * g11 + 2 * p * q * g12 + q * q * g22  # D^2 B^2
+    bw = p * (a * g11 + b * g12) + q * (a * g12 + b * g22)  # D B.omega_0
+    r1 = (2 * d2, b2 - k * w2 * d2, 2 * p * denom, 2 * q * denom)
+    r2 = (0, bw, a * denom, b * denom)
+    _check_exp_rows(sc.gram_p, r1, r2, k, kappa, denom)
+    rank = len(sc.gram_s)
+    rows = tuple(
+        tuple(sum(x * c[j] for x, c in zip(r, sc.to_s)) for j in range(rank)) for r in (r1, r2)
+    )
+    support = saturate(rows, rank)
+    gram = matmul(matmul(support, sc.gram_s), transpose(support))
+    return gauss_reduce2(IntegralLattice(gram)).lattice.gram
 
 
 def kahler_rigid_survey(config: SurveyConfig) -> SurveyReport:
@@ -218,43 +331,55 @@ def kahler_rigid_survey(config: SurveyConfig) -> SurveyReport:
     a rank-2 even positive definite reduced form.  Enumeration order is
     fixed, so the report is deterministic; a missing form is a statement
     about this grid only.
+
+    Every class lies in P = <deg0, deg4, H1, H2>, so the work is done in
+    the coordinates of S = Sat(P), the saturation of P in the Mukai
+    lattice (rank <= 4; H1 and H2 may be non-primitive or dependent).
+    2D^2 Re(exp(B + i omega)) and (D / kappa) Im(exp(B + i omega)) are the
+    integer rows (2D^2, D^2 B^2 - kappa^2 omega_0^2 D^2, 2pD, 2qD) and
+    (0, D B.omega_0, aD, bD) on the generators (deg0, deg4, H1, H2), with
+    omega_0 = a H1 + b H2.  They are checked isotropic and positive as in
+    ``check_gcy``, mapped to S-coordinates and saturated there; since S is
+    saturated, that is the class's support in the Mukai lattice, and its
+    Gram goes to ``gauss_reduce2``.
+
+    ``samples`` counts the grid points covered.  A point with
+    gcd(p, q, D) > 1 repeats a B of smaller D already visited with the
+    same omega, so it is counted but its invariant is not recomputed.
+    Calls above MAX_FORMS_DET or MAX_SURVEY_SAMPLES are refused before
+    any enumeration.
     """
+    kappas = _survey_kappas(config.sqrt_d)
+    check_forms_det(config.max_det)
+    samples = survey_samples(config)
+    if samples > MAX_SURVEY_SAMPLES:
+        raise ValidationError(
+            f"survey covers {samples} grid points, above the limit "
+            f"MAX_SURVEY_SAMPLES = {MAX_SURVEY_SAMPLES}"
+        )
     targets = enumerate_reduced_forms(config.max_det)
     target_set = set(targets)
     found: dict[IntMat, SurveyWitness] = {}
-    samples = 0
-    amax = isqrt(config.max_det)
-    kappas = _survey_kappas(config.sqrt_d)
-    h1 = tuple(as_quad(v) for v in config.h1)
-    h2 = tuple(as_quad(v) for v in config.h2)
-    for kappa in kappas:
-        for a in range(amax + 1):
-            for b in range(amax + 1):
-                if a == 0 and b == 0:
-                    continue
-                omega = tuple(kappa * (a * u + b * v) for u, v in zip(h1, h2))
-                if pair_real(K3_GRAM, omega, omega).sign() <= 0:
-                    continue
-                for denom in range(1, config.denominator_bound + 1):
-                    for p in range(denom):
-                        for q in range(denom):
+    sc = _sat_coords(config.h1, config.h2)
+    h1q = tuple(as_quad(v) for v in config.h1)
+    h2q = tuple(as_quad(v) for v in config.h2)
+    omegas = _positive_omegas(config)
+    for k, kappa in kappas:
+        for a, b in omegas:
+            for denom in range(1, config.denominator_bound + 1):
+                for p in range(denom):
+                    for q in range(denom):
+                        if gcd(p, q, denom) > 1:
+                            continue
+                        gram = _grid_invariant(sc, k, kappa, a, b, p, q, denom)
+                        if gram in target_set and gram not in found:
                             bfield = tuple(
                                 Fraction(p, denom) * u + Fraction(q, denom) * v
-                                for u, v in zip(h1, h2)
+                                for u, v in zip(h1q, h2q)
                             )
-                            samples += 1
-                            gram = _invariant_of(bfield, omega)
-                            if gram in target_set and gram not in found:
-                                found[gram] = SurveyWitness(bfield, omega)
+                            omega = tuple(kappa * (a * u + b * v) for u, v in zip(h1q, h2q))
+                            found[gram] = SurveyWitness(bfield, omega)
     achieved = tuple(g for g in targets if g in found)
     missing = tuple(g for g in targets if g not in found)
     witnesses = tuple((g, found[g]) for g in achieved)
     return SurveyReport(config, achieved, missing, samples, witnesses)
-
-
-def _invariant_of(bfield, omega) -> IntMat | None:
-    cls = check_gcy(exponential_class(bfield, omega))
-    support = member_support(cls)
-    if support.rank != 2:
-        return None
-    return gauss_reduce2(support.induced_lattice()).lattice.gram

@@ -30,8 +30,17 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
+# Largest accepted field tag d.  The squarefree test is trial division up
+# to sqrt(d), so the bound keeps one tag check to at most 1,000 divisions.
+MAX_FIELD_TAG = 10**6
+
+
 def check_field_tag(d: int) -> int:
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2 or not is_squarefree(d):
+    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
+        raise ValidationError(f"field tag must be a squarefree integer >= 2, got {d!r}")
+    if d > MAX_FIELD_TAG:
+        raise ValidationError(f"field tag {d} is above the limit MAX_FIELD_TAG = {MAX_FIELD_TAG}")
+    if not is_squarefree(d):
         raise ValidationError(f"field tag must be a squarefree integer >= 2, got {d!r}")
     return d
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,10 @@ import pytest
 
 from gk3.cli import main
 from gk3.mukai import check_gcy, deg2_vector, exponential_class, two_form_class
+from gk3.rigidity import MAX_FORMS_DET, MAX_SURVEY_SAMPLES
 from gk3.serialize import class_json, dumps_canonical
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _write(tmp_path, name: str, body: dict) -> str:
@@ -205,6 +209,67 @@ def test_rigid_forms(capsys):
     assert out["forms"] == [[[2, 0], [0, 2]], [[2, 1], [1, 2]]]
 
 
+# sha256 of the canonical stdout of
+# `gk3 rigid survey --max-det 40 --denom-bound 6 --sqrt-d 2`, as printed by
+# the 24-wide survey that the Sat(P) survey replaced
+SURVEY_40_6_SHA256 = "406c0e7eebbfd44b78459010a6cd6e96c709f158d7c88557a6bb3b9db6e3fb79"
+
+
+def test_rigid_survey_output_is_pinned(capsys):
+    code = main(["rigid", "survey", "--max-det", "40", "--denom-bound", "6", "--sqrt-d", "2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SURVEY_40_6_SHA256
+
+
+def test_rigid_forms_and_survey_caps(capsys):
+    too_big = str(MAX_FORMS_DET + 1)
+    code, out = _run(capsys, ["rigid", "forms", "--max-det", too_big])
+    assert code == 1
+    assert "MAX_FORMS_DET" in out["error"]
+    # refused before the sample count, which would loop over isqrt(max_det)^2 points
+    code, out = _run(capsys, ["rigid", "survey", "--max-det", str(10**18), "--denom-bound", "1"])
+    assert code == 1
+    assert "MAX_FORMS_DET" in out["error"]
+    code, out = _run(capsys, ["rigid", "survey", "--max-det", "100", "--denom-bound", "100"])
+    assert code == 1
+    assert "MAX_SURVEY_SAMPLES" in out["error"]
+    code, out = _run(capsys, ["rigid", "forms", "--max-det", str(MAX_FORMS_DET)])
+    assert code == 0
+    code, out = _run(capsys, ["rigid", "survey", "--max-det", "16", "--denom-bound", "4", "--sqrt-d", "2"])
+    assert code == 0
+    assert out["samples"] == 1440 <= MAX_SURVEY_SAMPLES
+
+
+HUGE_FIELD_TAG = 1000000000000000003  # trial division to its square root never ends
+
+
+def _gk3(args) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "gk3", *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def test_huge_sqrt_d_header_is_a_schema_error(tmp_path):
+    path = _write(tmp_path, "d.json", {"sqrt_d": HUGE_FIELD_TAG, "lattice": {"named": "U"}})
+    proc = _gk3(["lattice", "info", path])
+    assert proc.returncode == 2
+    error = json.loads(proc.stdout)["error"]
+    assert error.startswith("at document.sqrt_d:")
+    assert "MAX_FIELD_TAG" in error
+
+
+def test_huge_sqrt_d_flag_is_a_field_tag_error():
+    proc = _gk3(["rigid", "survey", "--max-det", "4", "--denom-bound", "1", "--sqrt-d", str(HUGE_FIELD_TAG)])
+    assert proc.returncode == 1
+    assert "MAX_FIELD_TAG" in json.loads(proc.stdout)["error"]
+    proc = _gk3(["rigid", "survey", "--max-det", "4", "--denom-bound", "1", "--sqrt-d", "4"])
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"] == "field tag must be a squarefree integer >= 2, got 4"
+
+
 def test_mirror_shioda_inose_and_check(tmp_path, capsys):
     code, out = _run(capsys, ["mirror", "shioda-inose", "--n", "1"])
     assert code == 0
@@ -292,8 +357,6 @@ def test_python_dash_m_gk3(tmp_path):
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rank"] == 2
 
-
-REPO = Path(__file__).resolve().parents[1]
 
 
 def _console_script(bin_dir: Path, name: str) -> None:

@@ -8,6 +8,7 @@ import pytest
 
 from gk3.errors import ValidationError
 from gk3.scalars import (
+    MAX_FIELD_TAG,
     ComplexQuad,
     QuadScalar,
     as_complex,
@@ -35,6 +36,14 @@ def test_field_tag_rejects_bad_values():
     for bad in (4, 1, 0, -2, "2", 2.0):
         with pytest.raises(ValidationError):
             check_field_tag(bad)
+
+
+def test_field_tag_bound_comes_before_trial_division():
+    assert check_field_tag(999983) == 999983  # prime, just under the bound
+    with pytest.raises(ValidationError, match="MAX_FIELD_TAG"):
+        check_field_tag(MAX_FIELD_TAG + 1)  # 101 * 9901, squarefree
+    with pytest.raises(ValidationError, match="MAX_FIELD_TAG"):
+        check_field_tag(1000000000000000003)
 
 
 def test_rational_values_drop_the_tag():
