@@ -19,7 +19,6 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import ValidationError
@@ -49,6 +48,15 @@ def matmul(a, b) -> IntMat:
 
 def matvec(m, v) -> IntVec:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+
+
+def bilinear(gram, x, y) -> int:
+    """<x, y> = x @ gram @ y^T for integer vectors, skipping zero terms."""
+    total = 0
+    for xi, row in zip(x, gram):
+        if xi:
+            total += xi * sum(g * yj for g, yj in zip(row, y) if g and yj)
+    return total
 
 
 def is_symmetric(m) -> bool:
@@ -360,25 +368,25 @@ def sym_signature(g) -> SymDiagResult:
     return SymDiagResult(n_plus, n_minus, n_zero)
 
 
-@lru_cache(maxsize=None)
-def cached_signature(gram: IntMat) -> SymDiagResult:
-    return sym_signature(gram)
+def hnf_coords(basis_hnf, x) -> IntVec | None:
+    """Integer coordinates of x in an HNF basis (independent echelon rows
+    with positive pivots), or None when x is outside its row lattice."""
+    rem = list(map(int, x))
+    coords = []
+    for row in basis_hnf:
+        piv = next(j for j, v in enumerate(row) if v)
+        q, r = divmod(rem[piv], row[piv])
+        if r:
+            return None
+        coords.append(q)
+        if q:
+            rem = [a - q * b for a, b in zip(rem, row)]
+    return None if any(rem) else tuple(coords)
 
 
 def in_row_lattice(basis_hnf, x) -> bool:
-    """Membership of an integer vector in the row lattice spanned by an
-    HNF basis (independent echelon rows with positive pivots)."""
-    rem = list(map(int, x))
-    for row in basis_hnf:
-        piv = next((j for j, v in enumerate(row) if v), None)
-        if piv is None:
-            continue
-        q, r = divmod(rem[piv], row[piv])
-        if r:
-            return False
-        if q:
-            rem = [a - q * b for a, b in zip(rem, row)]
-    return not any(rem)
+    """Membership of an integer vector in the row lattice of an HNF basis."""
+    return hnf_coords(basis_hnf, x) is not None
 
 
 def in_q_span(rows, x) -> bool:

@@ -14,7 +14,7 @@ comparison, and a search for hyperbolic-plane direct summands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations, product
 from math import gcd
 
@@ -23,8 +23,8 @@ from .intlinalg import (
     IntMat,
     IntVec,
     _egcd,
-    cached_signature,
     SymDiagResult,
+    bilinear,
     det,
     freeze,
     hnf_basis,
@@ -37,6 +37,7 @@ from .intlinalg import (
     q_rank,
     saturate,
     snf_divisors,
+    sym_signature,
     transpose,
 )
 
@@ -62,8 +63,12 @@ class IntegralLattice:
         # recomputed from the Gram, never stored
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
+    @cached_property
+    def _signature(self) -> SymDiagResult:
+        return sym_signature(self.gram)
+
     def signature(self) -> SymDiagResult:
-        return cached_signature(self.gram)
+        return self._signature
 
     def det(self) -> int:
         return det(self.gram)
@@ -159,23 +164,29 @@ class Sublattice:
     def rank(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _induced(self) -> IntegralLattice:
+        return IntegralLattice(
+            matmul(matmul(self.basis, self.ambient.gram), transpose(self.basis))
+        )
+
     @property
     def induced_gram(self) -> IntMat:
-        return matmul(matmul(self.basis, self.ambient.gram), transpose(self.basis))
+        return self._induced.gram
 
     def induced_lattice(self) -> IntegralLattice:
-        return IntegralLattice(self.induced_gram)
+        return self._induced
 
     def contains_vector(self, v) -> bool:
         """Integral membership of an ambient-coordinate vector."""
-        if not self.basis:
-            return not any(v)
-        return in_row_lattice(hnf_basis(self.basis), v)
+        return in_row_lattice(hnf_basis(self.basis, self.ambient.rank), v)
 
     def contains(self, other: "Sublattice") -> bool:
+        """Whether every basis row of ``other`` lies in this lattice."""
         if other.ambient.gram != self.ambient.gram:
             raise ValidationError("containment needs a common ambient lattice")
-        return all(self.contains_vector(row) for row in other.basis)
+        basis = hnf_basis(self.basis, self.ambient.rank)
+        return all(in_row_lattice(basis, row) for row in other.basis)
 
 
 def ortho_complement(s: Sublattice) -> Sublattice:
@@ -345,16 +356,6 @@ class SplitNotFound:
     reason: str
 
 
-def _norm(gram: IntMat, v) -> int:
-    total = 0
-    for i, vi in enumerate(v):
-        if not vi:
-            continue
-        row = gram[i]
-        total += vi * sum(g * vj for g, vj in zip(row, v) if g and vj)
-    return total
-
-
 def _solve_pairing_one(w) -> list[int] | None:
     """x with sum(w_i x_i) = 1, or None when gcd(w) != 1."""
     n = len(w)
@@ -402,17 +403,34 @@ def _candidate_vectors(rank: int, radius: int, max_support: int):
                     yield tuple(vec)
 
 
+# Largest accepted search radius.  The search grows with the cube of the
+# radius: on U(2) + E8(-2)^2 + U(2), which has no split, radius 8 takes
+# about 16 s and radius 10 about 31 s (2 CPUs, Python 3.11).
+MAX_SPLIT_RADIUS = 8
+
+
+def check_split_radius(radius: int) -> None:
+    """Refuse a search radius below 1 or above MAX_SPLIT_RADIUS."""
+    if radius < 1:
+        raise ValidationError(f"radius must be >= 1, got {radius}")
+    if radius > MAX_SPLIT_RADIUS:
+        raise ValidationError(
+            f"radius {radius} is above the limit MAX_SPLIT_RADIUS = {MAX_SPLIT_RADIUS}"
+        )
+
+
 def find_hyperbolic_split(
     l: IntegralLattice, radius: int = 3, max_support: int = 3
 ) -> HyperbolicSplit | SplitNotFound:
     """Search for a hyperbolic plane summand of an even lattice.
 
     Looks for a primitive isotropic vector e of divisibility 1 with
-    coordinates bounded by ``radius`` and support bounded by
-    ``max_support``, completes it to a hyperbolic pair via
+    coordinates bounded by ``radius`` (1 to MAX_SPLIT_RADIUS) and support
+    bounded by ``max_support``, completes it to a hyperbolic pair via
     f = f0 - (f0^2/2) e, and returns the orthogonal complement.  Definite
     lattices are rejected up front without any search.
     """
+    check_split_radius(radius)
     if not l.is_even:
         raise ValidationError("odd lattice: hyperbolic split needs an even lattice")
     if l.is_definite:
@@ -420,13 +438,13 @@ def find_hyperbolic_split(
     gram = l.gram
     n = l.rank
     for e in _candidate_vectors(n, radius, max_support):
-        if _norm(gram, e) != 0:
+        if bilinear(gram, e, e) != 0:
             continue
         w = matvec(gram, e)
         f0 = _solve_pairing_one(w)
         if f0 is None:
             continue  # divisibility > 1
-        t = _norm(gram, f0) // 2  # even lattice, so f0^2 is even
+        t = bilinear(gram, f0, f0) // 2  # even lattice, so f0^2 is even
         f = tuple(a - t * b for a, b in zip(f0, e))
         plane = (e, f)
         conditions = matmul(plane, gram)
@@ -441,17 +459,11 @@ def find_hyperbolic_split(
     return SplitNotFound(f"no isotropic vector within radius {radius}")
 
 
-@lru_cache(maxsize=None)
-def _named(name: str) -> IntegralLattice:
-    if name == "U":
-        return hyperbolic_plane()
-    if name == "E8minus":
-        return e8_minus()
-    if name == "K3":
-        return k3_lattice()
-    raise ValidationError(f"unknown named lattice {name!r}")
+_NAMED = {"U": hyperbolic_plane(), "E8minus": e8_minus(), "K3": k3_lattice()}
 
 
 def named_lattice(name: str) -> IntegralLattice:
     """Look up a named lattice: U, E8minus or K3 (Mukai lives in gk3.mukai)."""
-    return _named(name)
+    if name not in _NAMED:
+        raise ValidationError(f"unknown named lattice {name!r}")
+    return _NAMED[name]

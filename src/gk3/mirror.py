@@ -21,31 +21,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .intlinalg import (
-    IntMat,
-    det,
-    hnf_basis,
-    in_q_span,
-    in_row_lattice,
-    matmul,
-    q_rank,
-    transpose,
-)
+from .intlinalg import IntMat, det, in_q_span, matmul, q_rank, transpose
 from .lattices import (
     IntegralLattice,
     MatchResult,
     Sublattice,
     SplitNotFound,
+    check_split_radius,
     direct_sum,
     find_hyperbolic_split,
     gauss_reduce2,
     hyperbolic_plane,
     invariants_match,
     is_primitive,
-    k3_lattice,
     ortho_complement,
 )
 from .mukai import (
+    K3,
     GenericClass,
     MUKAI_GRAM,
     Member,
@@ -100,13 +92,6 @@ class PolarizationReport:
 
 def _span_contains(outer: Sublattice, inner: Sublattice) -> bool:
     return all(in_q_span(outer.basis, row) for row in inner.basis)
-
-
-def _sublattice_contains(outer: Sublattice, inner: Sublattice) -> bool:
-    if not inner.basis:
-        return True
-    outer_h = hnf_basis(outer.basis, outer.ambient.rank) if outer.basis else ()
-    return all(in_row_lattice(outer_h, row) for row in inner.basis)
 
 
 def check_polarization(p: PolarizationData, x: GeneralizedK3) -> PolarizationReport:
@@ -172,10 +157,10 @@ def check_polarization(p: PolarizationData, x: GeneralizedK3) -> PolarizationRep
     ns = neron_severi(x)
     t = transcendental(x)
     clauses.append(
-        Clause("K inside the Neron-Severi lattice", _sublattice_contains(ns, p.k_emb))
+        Clause("K inside the Neron-Severi lattice", ns.contains(p.k_emb))
     )
     clauses.append(
-        Clause("L inside the transcendental lattice", _sublattice_contains(t, p.l_emb))
+        Clause("L inside the transcendental lattice", t.contains(p.l_emb))
     )
     joint_index = abs(det(stack)) if (independent and rank_sum == 24) else None
     kl = matmul(matmul(p.k_emb.basis, MUKAI_GRAM), transpose(p.l_emb.basis))
@@ -279,11 +264,12 @@ def dolgachev_mirror(kp: Sublattice, radius: int = 3) -> DolgachevMirror | Failu
     (1, t).  The search for the hyperbolic summand is bounded; a definite
     complement (the rank-20 attractive case) is a hard obstruction, while
     exhausting the radius only means no split was found at this bound.
+    A radius outside 1..MAX_SPLIT_RADIUS is refused before any work.
     On success the duality invariant check compares kp + U with the
     complement of the embedded mirror lattice.
     """
-    k3 = k3_lattice()
-    if kp.ambient.gram != k3.gram:
+    check_split_radius(radius)
+    if kp.ambient.gram != K3.gram:
         raise ValidationError("mirror construction lives in the K3 lattice")
     if not is_primitive(kp):
         raise ValidationError("polarization sublattice must be primitive")
@@ -300,11 +286,10 @@ def dolgachev_mirror(kp: Sublattice, radius: int = 3) -> DolgachevMirror | Failu
     if isinstance(split, SplitNotFound):
         return Failure(split.reason)
     n_basis = matmul(split.complement_basis, perp.basis)
-    n_amb = Sublattice(k3, n_basis)
+    n_amb = Sublattice(K3, n_basis)
     dual_side = ortho_complement(n_amb).induced_lattice()
     expected = direct_sum(kp.induced_lattice(), hyperbolic_plane())
-    e_amb = tuple(matvec_row(split.e, perp.basis))
-    f_amb = tuple(matvec_row(split.f, perp.basis))
+    e_amb, f_amb = matmul((split.e, split.f), perp.basis)
     return DolgachevMirror(
         n=split.complement,
         n_basis=n_basis,
@@ -312,19 +297,6 @@ def dolgachev_mirror(kp: Sublattice, radius: int = 3) -> DolgachevMirror | Failu
         f=f_amb,
         duality=invariants_match(expected, dual_side),
     )
-
-
-def matvec_row(coeffs, rows) -> tuple[int, ...]:
-    """Integer combination sum(c_i * rows_i) of basis rows."""
-    if not rows:
-        return ()
-    out = [0] * len(rows[0])
-    for c, row in zip(coeffs, rows):
-        if not c:
-            continue
-        for j, v in enumerate(row):
-            out[j] += c * v
-    return tuple(out)
 
 
 def build_si_mirror(n: int) -> tuple[FamilySpec, FamilySpec]:

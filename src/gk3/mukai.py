@@ -22,19 +22,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from .errors import ValidationError
-from .intlinalg import IntMat, clear_denominators, freeze, hnf_basis, matmul, saturate
-from .lattices import IntegralLattice, Sublattice, k3_lattice
+from .intlinalg import IntMat, bilinear, clear_denominators, freeze, hnf_basis, matvec, saturate
+from .lattices import IntegralLattice, Sublattice, named_lattice
 from .scalars import (
     CQ_ZERO,
     ComplexQuad,
-    QS_ZERO,
     QuadScalar,
     as_complex,
     as_quad,
     field_tag_of,
+    is_positive_definite,
 )
 
 DEG2_RANK = 22
@@ -44,7 +44,7 @@ MUKAI_RANK = 24
 # unit, indices 2..23 = degree-2 block in K3-lattice order.
 DEG0, DEG4, DEG2_START = 0, 1, 2
 
-K3 = k3_lattice()
+K3 = named_lattice("K3")
 K3_GRAM = K3.gram
 
 
@@ -64,41 +64,28 @@ MUKAI_GRAM = MUKAI.gram
 U_BLOCKS = ((0, 1), (2, 3), (4, 5))
 
 
-@lru_cache(maxsize=None)
-def _sparse_rows(gram: IntMat) -> tuple[tuple[tuple[int, int], ...], ...]:
-    return tuple(
-        tuple((j, v) for j, v in enumerate(row) if v) for row in gram
-    )
+# nonzero entries (j, g) of each row of the K3 Gram matrix
+_K3_ROWS = tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in K3_GRAM)
 
 
-def pair_complex(gram: IntMat, x, y) -> ComplexQuad:
-    """<x, y> for complex coordinate vectors, using only nonzero Gram entries."""
-    rows = _sparse_rows(gram)
-    acc = CQ_ZERO
-    for i, xi in enumerate(x):
+def k3_pairing(x, y):
+    """<x, y> in the K3 lattice for degree-2 vectors of QuadScalar or
+    ComplexQuad entries, using only nonzero Gram entries.
+
+    The result has the type of the entries' products, also when every
+    term vanishes.
+    """
+    acc = None
+    for xi, row in zip(x, _K3_ROWS):
         if xi.is_zero:
             continue
-        for j, g in rows[i]:
+        for j, g in row:
             yj = y[j]
             if yj.is_zero:
                 continue
-            acc = acc + xi * yj * g
-    return acc
-
-
-def pair_real(gram: IntMat, x, y) -> QuadScalar:
-    """<x, y> for real (QuadScalar) coordinate vectors."""
-    rows = _sparse_rows(gram)
-    acc = QS_ZERO
-    for i, xi in enumerate(x):
-        if xi.is_zero:
-            continue
-        for j, g in rows[i]:
-            yj = y[j]
-            if yj.is_zero:
-                continue
-            acc = acc + xi * yj * g
-    return acc
+            term = xi * yj * g
+            acc = term if acc is None else acc + term
+    return x[0] * y[0] * 0 if acc is None else acc
 
 
 def _coerce_vec22(entries, kind) -> tuple:
@@ -156,18 +143,16 @@ def coh_class(deg0, deg2, deg4) -> CohClass:
     return CohClass(as_complex(deg0), tuple(as_complex(v) for v in deg2), as_complex(deg4))
 
 
-def mukai_pairing(x: CohClass, y: CohClass) -> ComplexQuad:
-    """The Mukai pairing <x, y> = x2.y2 - x0*y4 - x4*y0 (symmetric, bilinear)."""
-    acc = pair_complex(K3_GRAM, x.deg2, y.deg2)
-    acc = acc - x.deg0 * y.deg4 - x.deg4 * y.deg0
-    return acc
+def mukai_pairing(x, y):
+    """The Mukai pairing <x, y> = x2.y2 - x0*y4 - x4*y0 (symmetric, bilinear).
 
-
-def mukai_pairing_real(u, v) -> QuadScalar:
-    """Mukai pairing of two real 24-coordinate vectors (layout deg0, deg4, deg2)."""
-    acc = pair_real(K3_GRAM, u[DEG2_START:], v[DEG2_START:])
-    acc = acc - u[DEG0] * v[DEG4] - u[DEG4] * v[DEG0]
-    return acc
+    x and y are classes or 24-coordinate vectors (layout deg0, deg4, deg2)
+    of QuadScalar or ComplexQuad entries; the result has the entries' type.
+    """
+    u = x.coords24() if isinstance(x, CohClass) else x
+    v = y.coords24() if isinstance(y, CohClass) else y
+    acc = k3_pairing(u[DEG2_START:], v[DEG2_START:])
+    return acc - u[DEG0] * v[DEG4] - u[DEG4] * v[DEG0]
 
 
 def _coerce_real22(b) -> tuple[QuadScalar, ...]:
@@ -188,11 +173,11 @@ def bfield_transform(b, x: CohClass) -> CohClass:
     and fixes the degree-0 component, and exp(B) exp(B') = exp(B + B').
     """
     b = _coerce_real22(b)
-    bsq = pair_real(K3_GRAM, b, b)
+    bsq = k3_pairing(b, b)
     bc = tuple(ComplexQuad(v) for v in b)
     r = x.deg0
     new_deg2 = tuple(d + r * bv for d, bv in zip(x.deg2, bc))
-    pairing_bd = pair_complex(K3_GRAM, bc, x.deg2)
+    pairing_bd = k3_pairing(bc, x.deg2)
     new_deg4 = x.deg4 + pairing_bd + r * (bsq * Fraction(1, 2))
     return CohClass(r, new_deg2, new_deg4)
 
@@ -207,7 +192,8 @@ def bfield_matrix(b_int) -> IntMat:
     b = tuple(int(v) for v in b_int)
     if len(b) != DEG2_RANK:
         raise ValidationError(f"b-field must have {DEG2_RANK} integer coordinates")
-    bsq = sum(b[i] * K3_GRAM[i][j] * b[j] for i in range(DEG2_RANK) for j in range(DEG2_RANK))
+    bsq = bilinear(K3_GRAM, b, b)
+    bk = matvec(K3_GRAM, b)  # <B, v> for each generator v (symmetric Gram)
     m = [[0] * MUKAI_RANK for _ in range(MUKAI_RANK)]
     # degree-0 unit -> (1, B, B^2/2)
     m[DEG0][DEG0] = 1
@@ -219,7 +205,7 @@ def bfield_matrix(b_int) -> IntMat:
     # degree-2 generator v -> (0, v, <B, v>)
     for i in range(DEG2_RANK):
         m[DEG2_START + i][DEG2_START + i] = 1
-        m[DEG2_START + i][DEG4] = sum(b[j] * K3_GRAM[j][i] for j in range(DEG2_RANK))
+        m[DEG2_START + i][DEG4] = bk[i]
     return freeze(m)
 
 
@@ -230,6 +216,11 @@ class GCYClass:
     coh: CohClass
     type_tag: str  # "A" | "B"
     norm: QuadScalar  # <phi, conj phi>, positive
+
+    @cached_property
+    def support(self) -> Sublattice:
+        """Smallest saturated sublattice of the Mukai lattice containing coh."""
+        return support_in(MUKAI, self.coh.coords24())
 
 
 def check_gcy(x: CohClass) -> GCYClass:
@@ -305,23 +296,17 @@ def support_in(ambient: IntegralLattice, coords) -> Sublattice:
     return Sublattice(ambient, saturate(independent, n))
 
 
-@lru_cache(maxsize=None)
-def _support_cached(x: CohClass) -> Sublattice:
-    return support_in(MUKAI, x.coords24())
-
-
 def support_lattice(x: CohClass | GCYClass) -> Sublattice:
-    """Smallest saturated sublattice of the Mukai lattice containing x."""
+    """Smallest saturated sublattice of the Mukai lattice containing x;
+    a GCYClass computes it once and keeps it."""
     if isinstance(x, GCYClass):
-        x = x.coh
-    return _support_cached(x)
+        return x.support
+    return support_in(MUKAI, x.coords24())
 
 
 def member_support(m: Member) -> Sublattice:
     """The support of an explicit class, or the declared support of a generic one."""
-    if isinstance(m, GenericClass):
-        return m.support
-    return support_lattice(m)
+    return m.support
 
 
 def member_type(m: Member) -> str:
@@ -343,12 +328,13 @@ def period_plane(g: GCYClass) -> PeriodPlane:
     re, im = g.coh.real_vector(), g.coh.imag_vector()
     if _real_dependent(re, im):
         raise ValidationError("degenerate plane: Re and Im are linearly dependent")
-    aa = mukai_pairing_real(re, re)
-    ab = mukai_pairing_real(re, im)
-    bb = mukai_pairing_real(im, im)
-    if not (aa.sign() > 0 and (aa * bb - ab * ab).sign() > 0):
+    aa = mukai_pairing(re, re)
+    ab = mukai_pairing(re, im)
+    bb = mukai_pairing(im, im)
+    gram = ((aa, ab), (ab, bb))
+    if not is_positive_definite(gram):
         raise ValidationError("period plane is not positive definite")
-    return PeriodPlane(re, im, ((aa, ab), (ab, bb)))
+    return PeriodPlane(re, im, gram)
 
 
 def _real_dependent(u, v) -> bool:
@@ -372,9 +358,9 @@ def exponential_class(b, omega, scale=1) -> CohClass:
     b = _coerce_real22(b)
     w = _coerce_real22(omega)
     half = Fraction(1, 2)
-    bsq = pair_real(K3_GRAM, b, b)
-    wsq = pair_real(K3_GRAM, w, w)
-    bw = pair_real(K3_GRAM, b, w)
+    bsq = k3_pairing(b, b)
+    wsq = k3_pairing(w, w)
+    bw = k3_pairing(b, w)
     deg2 = tuple(ComplexQuad(bv, wv) for bv, wv in zip(b, w))
     deg4 = ComplexQuad((bsq - wsq) * half, bw)
     out = CohClass(ComplexQuad(1), deg2, deg4)

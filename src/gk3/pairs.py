@@ -24,18 +24,17 @@ from .mukai import (
     MUKAI,
     GCYClass,
     GenericClass,
-    K3_GRAM,
     Member,
     CohClass,
     bfield_matrix,
     bfield_transform,
     check_gcy,
     decompose_type_a,
+    k3_pairing,
     member_support,
-    mukai_pairing_real,
-    pair_real,
+    mukai_pairing,
 )
-from .scalars import QuadScalar
+from .scalars import QuadScalar, is_positive_definite
 
 
 def _coerce_member(x) -> Member:
@@ -77,10 +76,10 @@ def cross_pairings(a: GCYClass, b: GCYClass) -> tuple[QuadScalar, ...]:
     ra, ia = a.coh.real_vector(), a.coh.imag_vector()
     rb, ib = b.coh.real_vector(), b.coh.imag_vector()
     return (
-        mukai_pairing_real(ra, rb),
-        mukai_pairing_real(ra, ib),
-        mukai_pairing_real(ia, rb),
-        mukai_pairing_real(ia, ib),
+        mukai_pairing(ra, rb),
+        mukai_pairing(ra, ib),
+        mukai_pairing(ia, rb),
+        mukai_pairing(ia, ib),
     )
 
 
@@ -92,32 +91,9 @@ def _pi_space(a: GCYClass, b: GCYClass) -> PiSpace:
         b.coh.imag_vector(),
     )
     gram = tuple(
-        tuple(mukai_pairing_real(u, v) for v in vectors) for u in vectors
+        tuple(mukai_pairing(u, v) for v in vectors) for u in vectors
     )
     return PiSpace(vectors, gram)
-
-
-def _is_positive_definite_quad(gram) -> bool:
-    """Sylvester criterion with exact QuadScalar leading minors."""
-    n = len(gram)
-    for k in range(1, n + 1):
-        sub = [row[:k] for row in gram[:k]]
-        if _quad_det(sub).sign() <= 0:
-            return False
-    return True
-
-
-def _quad_det(m) -> QuadScalar:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    acc = QuadScalar(0)
-    sign = 1
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        acc = acc + sign * m[0][j] * _quad_det(minor)
-        sign = -sign
-    return acc
 
 
 def validate_gk3(phi_a, phi_b) -> GeneralizedK3:
@@ -141,7 +117,7 @@ def validate_gk3(phi_a, phi_b) -> GeneralizedK3:
     if a.norm != b.norm:
         raise ValidationError(f"norm mismatch: {a.norm} vs {b.norm}")
     pi = _pi_space(a, b)
-    if not _is_positive_definite_quad(pi.gram):
+    if not is_positive_definite(pi.gram):
         raise ValidationError("positive 4-space is degenerate")
     return GeneralizedK3(a, b, "Verified", pi)
 
@@ -241,13 +217,13 @@ def classify_hk_pair(x, phi_b=None) -> HKClassification:
         _, b_base, w_base = decompose_type_a(b)
         _, b_part, w_part = decompose_type_a(a)
         b_rel = tuple(u - v for u, v in zip(b_part, b_base))
-        w_w = pair_real(K3_GRAM, w_base, w_part)
-        w_brel = pair_real(K3_GRAM, w_base, b_rel)
-        wp_brel = pair_real(K3_GRAM, w_part, b_rel)
+        w_w = k3_pairing(w_base, w_part)
+        w_brel = k3_pairing(w_base, b_rel)
+        wp_brel = k3_pairing(w_part, b_rel)
         residual = (
-            pair_real(K3_GRAM, b_rel, b_rel)
-            - pair_real(K3_GRAM, w_base, w_base)
-            - pair_real(K3_GRAM, w_part, w_part)
+            k3_pairing(b_rel, b_rel)
+            - k3_pairing(w_base, w_base)
+            - k3_pairing(w_part, w_part)
         )
         identities.append(Identity("omega wedge omega'", w_w.is_zero, w_w))
         identities.append(Identity("omega wedge B_rel", w_brel.is_zero, w_brel))

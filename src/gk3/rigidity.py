@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import ValidationError
-from .intlinalg import IntMat, hnf_basis, matmul, matvec, saturate, transpose
+from .intlinalg import IntMat, bilinear, hnf_basis, hnf_coords, matmul, saturate, transpose
 from .lattices import (
     IntegralLattice,
     Sublattice,
@@ -38,8 +38,8 @@ from .mukai import (
     GenericClass,
     decompose_type_a,
     deg2_vector,
+    k3_pairing,
     member_support,
-    pair_real,
     support_in,
 )
 from .pairs import GeneralizedK3
@@ -124,9 +124,9 @@ def _tail_b_rational(b: GCYClass) -> bool:
     """
     re = tuple(c.re for c in b.coh.deg2)
     im = tuple(c.im for c in b.coh.deg2)
-    g11 = pair_real(K3_GRAM, re, re)
-    g12 = pair_real(K3_GRAM, re, im)
-    g22 = pair_real(K3_GRAM, im, im)
+    g11 = k3_pairing(re, re)
+    g12 = k3_pairing(re, im)
+    g22 = k3_pairing(im, im)
     det = g11 * g22 - g12 * g12
     if det.is_zero:
         return False
@@ -152,7 +152,7 @@ def is_kahler_rigid(x: GeneralizedK3) -> RigidityReport:
         return verdict
     reduced = gauss_reduce2(support.induced_lattice())
     _, bfield, omega = decompose_type_a(a)
-    omega_sq = pair_real(K3_GRAM, omega, omega)
+    omega_sq = k3_pairing(omega, omega)
     return RigidityReport(
         "KahlerRigid",
         invariant=reduced.lattice.gram,
@@ -215,13 +215,9 @@ def _survey_kappas(sqrt_d) -> tuple[tuple[int, QuadScalar], ...]:
     return tuple(kappas)
 
 
-def _pair(gram: IntMat, x, y) -> int:
-    return sum(u * v for u, v in zip(x, matvec(gram, y)))
-
-
 def _plane_gram(h1, h2) -> tuple[int, int, int]:
     """(H1^2, H1.H2, H2^2) in the K3 lattice."""
-    return _pair(K3_GRAM, h1, h1), _pair(K3_GRAM, h1, h2), _pair(K3_GRAM, h2, h2)
+    return bilinear(K3_GRAM, h1, h1), bilinear(K3_GRAM, h1, h2), bilinear(K3_GRAM, h2, h2)
 
 
 def _positive_omegas(config: SurveyConfig) -> list[tuple[int, int]]:
@@ -250,20 +246,6 @@ def check_forms_det(max_det: int) -> None:
         )
 
 
-def _hnf_coords(basis: IntMat, x) -> tuple[int, ...]:
-    """Integer coordinates of x in an HNF row basis whose lattice contains x."""
-    rem = list(x)
-    coords = []
-    for row in basis:
-        piv = next(j for j, v in enumerate(row) if v)
-        q = rem[piv] // row[piv]
-        coords.append(q)
-        rem = [u - q * v for u, v in zip(rem, row)]
-    if any(rem):
-        raise ValidationError("vector outside the lattice")
-    return tuple(coords)
-
-
 @dataclass(frozen=True)
 class _SatCoords:
     """S = Sat(P) for P = <deg0, deg4, H1, H2>: the Gram of the four
@@ -280,7 +262,7 @@ def _sat_coords(h1, h2) -> _SatCoords:
     zeros = (0,) * DEG2_RANK
     gens = ((1, 0) + zeros, (0, 1) + zeros, (0, 0) + tuple(h1), (0, 0) + tuple(h2))
     sat = saturate(hnf_basis(gens, MUKAI_RANK), MUKAI_RANK)
-    to_s = tuple(_hnf_coords(sat, g) for g in gens)
+    to_s = tuple(hnf_coords(sat, g) for g in gens)  # gens lie in their saturation
     return _SatCoords(gram_p, to_s, Sublattice(MUKAI, sat).induced_gram)
 
 
@@ -291,7 +273,7 @@ def _check_exp_rows(gram_p: IntMat, r1, r2, k: int, kappa: QuadScalar, denom: in
     is <r2,r2> > 0.  The error messages are those of ``check_gcy``.
     """
     d2 = denom * denom
-    r11, r12, r22 = _pair(gram_p, r1, r1), _pair(gram_p, r1, r2), _pair(gram_p, r2, r2)
+    r11, r12, r22 = bilinear(gram_p, r1, r1), bilinear(gram_p, r1, r2), bilinear(gram_p, r2, r2)
     if r11 != 4 * d2 * k * r22 or r12:
         self_pairing = ComplexQuad(
             Fraction(r11 - 4 * d2 * k * r22, 4 * d2 * d2), kappa * Fraction(r12, d2 * denom)

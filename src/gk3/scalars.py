@@ -253,6 +253,25 @@ QS_ZERO = QuadScalar(0)
 QS_ONE = QuadScalar(1)
 
 
+def is_positive_definite(gram) -> bool:
+    """Exact positive definiteness of a symmetric matrix of QuadScalars.
+
+    Symmetric Gaussian elimination without pivoting: the k-th pivot is the
+    ratio of the k-th and (k-1)-th leading principal minors, so every pivot
+    is positive exactly when Sylvester's criterion holds.
+    """
+    a = [list(row) for row in gram]
+    for k, top in enumerate(a):
+        p = top[k]
+        if p.sign() <= 0:
+            return False
+        for row in a[k + 1 :]:
+            f = row[k] / p
+            for j in range(k + 1, len(top)):
+                row[j] = row[j] - f * top[j]
+    return True
+
+
 def as_quad(x) -> QuadScalar:
     """Coerce an int, Fraction or QuadScalar to a QuadScalar."""
     q = QuadScalar._coerce(x)

@@ -330,10 +330,6 @@ def class_json(x: CohClass | GCYClass) -> dict:
     }
 
 
-def lattice_json(l: IntegralLattice) -> dict:
-    return {"gram": int_matrix_json(l.gram)}
-
-
 def sublattice_json(s: Sublattice, *, named_ambient: str | None = None) -> dict:
     ambient = (
         {"named": named_ambient}
@@ -357,10 +353,6 @@ def pair_json(x: GeneralizedK3, *, named_ambient: str | None = None) -> dict:
         "phiA": member_json(x.phi_a, named_ambient=named_ambient),
         "phiB": member_json(x.phi_b, named_ambient=named_ambient),
     }
-
-
-def field_tag_json(d: int | None):
-    return d
 
 
 def dumps_canonical(obj) -> str:

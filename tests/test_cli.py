@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from gk3.cli import main
+from gk3.lattices import MAX_SPLIT_RADIUS
 from gk3.mukai import check_gcy, deg2_vector, exponential_class, two_form_class
 from gk3.rigidity import MAX_FORMS_DET, MAX_SURVEY_SAMPLES
 from gk3.serialize import class_json, dumps_canonical
@@ -288,6 +289,38 @@ def test_mirror_shioda_inose_and_check(tmp_path, capsys):
     assert code2 == 0
     assert out2["verified"] is True
     assert out2["dims"] == [[20, 0], [0, 20]]
+
+
+def test_family_over_a_foreign_ambient_is_refused(tmp_path, capsys):
+    code, out = _run(capsys, ["mirror", "shioda-inose", "--n", "1"])
+    assert code == 0
+    family = out["family1"]
+    family["polarization"]["K"]["ambient"] = {"named": {"rescale": {"of": "Mukai", "by": 2}}}
+    f1 = _write(tmp_path, "f1.json", {"family": family})
+    f2 = _write(tmp_path, "f2.json", {"family": out["family2"]})
+    code, out = _run(capsys, ["mirror", "check", f1, f2])
+    assert code == 1
+    assert out == {"error": "containment needs a common ambient lattice"}
+
+
+def test_split_radius_is_capped(tmp_path):
+    k3 = _write(tmp_path, "k3.json", {"lattice": {"named": "K3"}})
+    kp = _write(
+        tmp_path, "kp.json", {"sublattice": {"ambient": {"named": "K3"}, "basis": [[1, 1] + [0] * 20]}}
+    )
+    # both searches find a split at once, so an unchecked radius exits 0
+    for argv in (["lattice", "split-u", k3], ["mirror", "dolgachev", kp]):
+        for big in (MAX_SPLIT_RADIUS + 1, 1000):
+            proc = _gk3([*argv, "--radius", str(big)])
+            assert proc.returncode == 1
+            assert json.loads(proc.stdout) == {
+                "error": f"radius {big} is above the limit MAX_SPLIT_RADIUS = {MAX_SPLIT_RADIUS}"
+            }
+        for bad in ("0", "-5"):
+            proc = _gk3([*argv, "--radius", bad])
+            assert proc.returncode == 1
+            assert json.loads(proc.stdout) == {"error": f"radius must be >= 1, got {bad}"}
+        assert _gk3([*argv, "--radius", str(MAX_SPLIT_RADIUS)]).returncode == 0
 
 
 def test_mirror_dolgachev(tmp_path, capsys):

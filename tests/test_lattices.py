@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import gk3.lattices
 from gk3.errors import ValidationError
 from gk3.intlinalg import matmul, transpose
 from gk3.lattices import (
@@ -91,6 +92,23 @@ def test_induced_gram_and_membership():
     assert s.induced_lattice().gram == ((2,),)
     assert s.contains_vector((2, 2))
     assert not s.contains_vector((1, 0))
+
+
+def test_signature_and_induced_lattice_are_computed_once(monkeypatch):
+    calls = []
+    sym_signature = gk3.lattices.sym_signature
+    monkeypatch.setattr(
+        gk3.lattices, "sym_signature", lambda g: calls.append(g) or sym_signature(g)
+    )
+    l = direct_sum(hyperbolic_plane(), diag_lattice((2, -6)))
+    assert l.signature().as_tuple() == (2, 2, 0)
+    assert (l.is_definite, l.is_degenerate, l.is_positive_definite) == (False, False, False)
+    assert l.signature().as_tuple() == (2, 2, 0)
+    assert len(calls) == 1
+    s = Sublattice(l, ((1, 1, 0, 0), (0, 0, 1, 0)))
+    assert s.induced_lattice() is s.induced_lattice()
+    assert s.induced_lattice().is_positive_definite and s.induced_lattice().is_definite
+    assert len(calls) == 2
 
 
 def test_complement_of_isotropic_span_in_u():

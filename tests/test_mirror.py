@@ -86,6 +86,22 @@ def test_polarization_detects_overlapping_spans():
     assert report.joint_index is None
 
 
+def test_containment_clauses_on_the_mukai_ambient():
+    fam_x, _ = build_si_mirror(1)
+    p = fam_x.polarization
+    doubled = Sublattice(p.l_emb.ambient, tuple(tuple(2 * v for v in row) for row in p.l_emb.basis))
+    cases = (
+        (p.k_emb, p.l_emb, True, True),
+        (p.l_emb, p.k_emb, False, False),
+        (p.k_emb, doubled, True, True),
+    )
+    for k, l, k_in_ns, l_in_t in cases:
+        report = check_polarization(PolarizationData(k, l, p.witness_a, p.witness_b), fam_x.member)
+        verdicts = {c.name: c.ok for c in report.clauses}
+        assert verdicts["K inside the Neron-Severi lattice"] is k_in_ns
+        assert verdicts["L inside the transcendental lattice"] is l_in_t
+
+
 def test_moduli_dimensions():
     fam_x, fam_dual = build_si_mirror(1)
     assert moduli_dims(fam_x.polarization) == (20, 0)

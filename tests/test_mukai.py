@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gk3.mukai
 from gk3.errors import ValidationError
 from gk3.intlinalg import det, matmul
 from gk3.lattices import IntegralLattice, Sublattice, gauss_reduce2
@@ -22,6 +25,7 @@ from gk3.mukai import (
     decompose_type_a,
     deg2_vector,
     exponential_class,
+    k3_pairing,
     member_support,
     member_type,
     mukai_pairing,
@@ -80,6 +84,67 @@ def test_pairing_matches_dense_gram_expansion():
         y = _random_class(rng, d=2)
         assert mukai_pairing(x, y) == _brute_pairing(x, y)
         assert mukai_pairing(x, y) == mukai_pairing(y, x)
+
+
+def _dense_pairing(gram, u, v):
+    """Double sum over every entry of the Gram matrix, seeded with a zero
+    of the entries' type."""
+    acc = u[0] * v[0] * 0
+    for i, row in enumerate(gram):
+        for j, g in enumerate(row):
+            if g:
+                acc = acc + u[i] * v[j] * g
+    return acc
+
+
+@st.composite
+def _vector_pairs(draw):
+    """Two real or complex Q(sqrt d) 24-vectors, sparse, sometimes all zero."""
+    d = draw(st.sampled_from((2, 3, 7)))
+    is_complex = draw(st.booleans())
+    parts = 4 if is_complex else 2  # rational and sqrt(d) parts of Re (and Im)
+
+    def vector():
+        if draw(st.integers(0, 4)) == 0:
+            nums = [0] * (24 * parts)
+        else:
+            nums = draw(st.lists(st.integers(-2, 2), min_size=24 * parts, max_size=24 * parts))
+        denom = draw(st.integers(1, 3))
+        quads = [
+            QuadScalar(Fraction(a, denom), Fraction(b, denom), d)
+            for a, b in zip(nums[::2], nums[1::2])
+        ]
+        if is_complex:
+            return tuple(ComplexQuad(re, im) for re, im in zip(quads[::2], quads[1::2]))
+        return tuple(quads)
+
+    return vector(), vector(), ComplexQuad if is_complex else QuadScalar
+
+
+@settings(max_examples=100, deadline=None)
+@given(_vector_pairs())
+def test_pairing_matches_dense_double_sum(pair):
+    u, v, kind = pair
+    k3_gram = tuple(row[2:] for row in MUKAI_GRAM[2:])
+    for got, expected in (
+        (mukai_pairing(u, v), _dense_pairing(MUKAI_GRAM, u, v)),
+        (k3_pairing(u[2:], v[2:]), _dense_pairing(k3_gram, u[2:], v[2:])),
+    ):
+        assert got == expected
+        assert type(got) is kind
+
+
+def test_support_is_computed_once_per_gcy_class(monkeypatch):
+    calls = []
+    support_in = gk3.mukai.support_in
+    monkeypatch.setattr(
+        gk3.mukai, "support_in", lambda amb, coords: calls.append(1) or support_in(amb, coords)
+    )
+    g = check_gcy(exponential_class(deg2_vector({0: 1}), deg2_vector({0: 1, 1: 2})))
+    first = support_lattice(g)
+    assert support_lattice(g) is first
+    assert member_support(g) is first
+    assert len(calls) == 1
 
 
 def test_bfield_zero_is_identity():

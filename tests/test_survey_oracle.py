@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from gk3.lattices import enumerate_reduced_forms, gauss_reduce2
 from gk3.errors import ValidationError
+from gk3.intlinalg import bilinear as _pair
 from gk3.mukai import K3_GRAM, check_gcy, coh_class, deg2_vector, exponential_class, support_lattice
 from gk3.rigidity import (
     MAX_FORMS_DET,
@@ -27,7 +28,6 @@ from gk3.rigidity import (
     SurveyWitness,
     _check_exp_rows,
     _grid_invariant,
-    _pair,
     _sat_coords,
     _survey_kappas,
     kahler_rigid_survey,
