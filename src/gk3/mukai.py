@@ -10,12 +10,13 @@ order (degree-0 unit, degree-4 unit, then the 22 degree-2 generators
 U, U, U, E8(-1), E8(-1)) it is an even unimodular lattice of signature
 (4, 20).
 
-A cohomology class here has one exact complex coordinate per basis vector;
-a generalized Calabi-Yau class is one with <phi, phi> = 0 and
-<phi, conj phi> > 0, of type A when its degree-0 part is nonzero and type
-B otherwise.  A real degree-2 class B acts by the exponential transform
-(r, D, s) -> (r, D + rB, s + <B,D> + r B^2/2), an isometry that fixes
-degree 0.
+A class is four integer rows (rational and sqrt(d) parts of Re and Im)
+over one denominator, with one field tag d; all class arithmetic is
+integer arithmetic on the rows.  A generalized Calabi-Yau class is
+one with <phi, phi> = 0 and <phi, conj phi> > 0, of type A when its
+degree-0 part is nonzero and type B otherwise.  A real degree-2 class B
+acts by the exponential transform (r, D, s) -> (r, D + rB, s + <B,D> +
+r B^2/2), an isometry that fixes degree 0.
 """
 
 from __future__ import annotations
@@ -23,19 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 
 from .errors import ValidationError
-from .intlinalg import IntMat, bilinear, clear_denominators, freeze, hnf_basis, matvec, saturate
+from .intlinalg import IntMat, bilinear, freeze, hnf_basis, matvec, saturate
 from .lattices import IntegralLattice, Sublattice, named_lattice
-from .scalars import (
-    CQ_ZERO,
-    ComplexQuad,
-    QuadScalar,
-    as_complex,
-    as_quad,
-    field_tag_of,
-    is_positive_definite,
-)
+from .scalars import ComplexQuad, QuadScalar, as_quad, is_positive_definite, join_tags, quad_sign
 
 DEG2_RANK = 22
 MUKAI_RANK = 24
@@ -60,110 +55,226 @@ def _mukai_gram() -> IntMat:
 MUKAI = IntegralLattice(_mukai_gram(), name="Mukai")
 MUKAI_GRAM = MUKAI.gram
 
-# degree-2 index of the i-th basis vector of the three U blocks
-U_BLOCKS = ((0, 1), (2, 3), (4, 5))
+
+def gram_entries(gram) -> tuple:
+    """The nonzero entries (j, g) of each row of a symmetric Gram matrix."""
+    return tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in gram)
 
 
-# nonzero entries (j, g) of each row of the K3 Gram matrix
-_K3_ROWS = tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in K3_GRAM)
+_MUKAI_ENTRIES = gram_entries(MUKAI_GRAM)
+_ZERO_ROW = (0,) * MUKAI_RANK
 
 
-def k3_pairing(x, y):
-    """<x, y> in the K3 lattice for degree-2 vectors of QuadScalar or
-    ComplexQuad entries, using only nonzero Gram entries.
-
-    The result has the type of the entries' products, also when every
-    term vanishes.
-    """
-    acc = None
-    for xi, row in zip(x, _K3_ROWS):
-        if xi.is_zero:
-            continue
-        for j, g in row:
-            yj = y[j]
-            if yj.is_zero:
-                continue
-            term = xi * yj * g
-            acc = term if acc is None else acc + term
-    return x[0] * y[0] * 0 if acc is None else acc
+# Component t of a class is the coefficient row of the unit c_t, for
+# c = 1, sqrt d, i, i sqrt d; then c_j c_k = _unit(j, k, d) c_(j ^ k).
+def _unit(j: int, k: int, d: int | None) -> int:
+    return (-1 if j & k & 2 else 1) * (d if j & k & 1 else 1)
 
 
-def _coerce_vec22(entries, kind) -> tuple:
-    entries = tuple(entries)
-    if len(entries) != DEG2_RANK:
-        raise ValidationError(
-            f"degree-2 vectors have {DEG2_RANK} coordinates, got {len(entries)}"
-        )
-    return tuple(kind(v) for v in entries)
+def _row_products(entries, xrows, yrows) -> list[tuple[int, int, int]]:
+    """(j, k, <x_j, y_k>) for the nonzero integer pairings of component rows."""
+    gy = []
+    for k, v in enumerate(yrows):
+        if any(v):
+            w = [0] * len(v)
+            for vj, row in zip(v, entries):
+                if vj:
+                    for i, g in row:
+                        w[i] += g * vj
+            gy.append((k, w))
+    out = []
+    for j, u in enumerate(xrows):
+        if any(u):
+            for k, w in gy:
+                p = sum(map(mul, u, w))
+                if p:
+                    out.append((j, k, p))
+    return out
 
 
-@dataclass(frozen=True)
+def _numerators(products, d: int | None, conj: bool = False) -> list[int]:
+    """The four unit coefficients of sum p c_j c_k, with c_k conjugated when conj."""
+    out = [0, 0, 0, 0]
+    for j, k, p in products:
+        c = _unit(j, k, d) * p
+        out[j ^ k] += -c if conj and k & 2 else c
+    return out
+
+
+def _times(rows, c, d: int | None) -> list[list[int]]:
+    """Component rows of rows * (c_0 + c_1 sqrt d + c_2 i + c_3 i sqrt d)."""
+    out = [[0] * len(rows[0]) for _ in range(4)]
+    for j, row in enumerate(rows):
+        if any(row):
+            for k, ck in enumerate(c):
+                if ck:
+                    f = _unit(j, k, d) * ck
+                    out[j ^ k] = [a + f * v for a, v in zip(out[j ^ k], row)]
+    return out
+
+
+def _quad(a: int, b: int, den: int, d: int | None) -> QuadScalar:
+    return QuadScalar.tagged(Fraction(a, den), Fraction(b, den), d)
+
+
+def _complex(nums, den: int, d: int | None) -> ComplexQuad:
+    return ComplexQuad(_quad(nums[0], nums[1], den, d), _quad(nums[2], nums[3], den, d))
+
+
+def _rows_of(coords) -> tuple[int, int | None, tuple[tuple[int, ...], ...]]:
+    """(den, d, rows) of a sequence of exact scalars: the rational and sqrt(d)
+    parts of the real and imaginary parts as four integer rows over one
+    denominator.  Mixed square-root tags are rejected."""
+    parts, d = [], None
+    for c in coords:
+        if isinstance(c, ComplexQuad):
+            re, im = c.re, c.im
+            d = join_tags(join_tags(d, re.d), im.d)
+            parts += (re.a, re.b, im.a, im.b)
+        elif isinstance(c, (int, Fraction)) and not isinstance(c, bool):
+            parts += (c, 0, 0, 0)  # ints and Fractions both have numerator/denominator
+        else:
+            q = as_quad(c)
+            d = join_tags(d, q.d)
+            parts += (q.a, q.b, 0, 0)
+    den = lcm(*{f.denominator for f in parts})
+    flat = [f.numerator * (den // f.denominator) for f in parts]
+    return den, d, tuple(tuple(flat[t::4]) for t in range(4))
+
+
+@dataclass(frozen=True, init=False)
 class CohClass:
-    """A total cohomology class with exact complex coordinates."""
+    """A total cohomology class, stored exactly as four integer rows in the
+    Mukai layout (rational and sqrt(d) parts of Re, then of Im) over one
+    positive denominator, with the field tag d.
 
-    deg0: ComplexQuad
-    deg2: tuple[ComplexQuad, ...]
-    deg4: ComplexQuad
+    In normal form the gcd of den and all entries is 1 and d is None
+    exactly when both sqrt(d) rows vanish, so == and hash are value
+    equality.  ``CohClass(deg0, deg2, deg4)`` converts exact coordinates;
+    deg0, deg2, deg4 and ``coords24()`` are views built from the rows.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "deg0", as_complex(self.deg0))
-        object.__setattr__(self, "deg2", _coerce_vec22(self.deg2, as_complex))
-        object.__setattr__(self, "deg4", as_complex(self.deg4))
-        field_tag_of(self.coords24())  # reject mixed square-root tags
+    den: int
+    d: int | None
+    rows: tuple[tuple[int, ...], ...]
+
+    def __init__(self, deg0, deg2, deg4):
+        deg2 = tuple(deg2)
+        if len(deg2) != DEG2_RANK:
+            raise ValidationError(
+                f"degree-2 vectors have {DEG2_RANK} coordinates, got {len(deg2)}"
+            )
+        self._normalize(*_rows_of((deg0, deg4) + deg2))
+
+    @classmethod
+    def from_rows(cls, den: int, d: int | None, rows) -> "CohClass":
+        x = object.__new__(cls)
+        x._normalize(den, d, rows)
+        return x
+
+    def _normalize(self, den, d, rows) -> None:
+        g = gcd(den, *rows[0], *rows[1], *rows[2], *rows[3])
+        rows = tuple(tuple(v // g for v in row) if g > 1 else tuple(row) for row in rows)
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "d", d if any(rows[1]) or any(rows[3]) else None)
+        object.__setattr__(self, "rows", rows)
+
+    def _coord(self, i: int) -> ComplexQuad:
+        return _complex([row[i] for row in self.rows], self.den, self.d)
+
+    @property
+    def deg0(self) -> ComplexQuad:
+        return self._coord(DEG0)
+
+    @property
+    def deg2(self) -> tuple[ComplexQuad, ...]:
+        return tuple(self._coord(i) for i in range(DEG2_START, MUKAI_RANK))
+
+    @property
+    def deg4(self) -> ComplexQuad:
+        return self._coord(DEG4)
 
     def coords24(self) -> tuple[ComplexQuad, ...]:
-        return (self.deg0, self.deg4) + self.deg2
+        return tuple(self._coord(i) for i in range(MUKAI_RANK))
 
     @property
     def field_tag(self) -> int | None:
-        return field_tag_of(self.coords24())
-
-    def real_vector(self) -> tuple[QuadScalar, ...]:
-        return tuple(c.re for c in self.coords24())
-
-    def imag_vector(self) -> tuple[QuadScalar, ...]:
-        return tuple(c.im for c in self.coords24())
+        return self.d
 
     def conjugate(self) -> "CohClass":
-        return CohClass(
-            self.deg0.conjugate(),
-            tuple(c.conjugate() for c in self.deg2),
-            self.deg4.conjugate(),
-        )
+        ra, rb, ia, ib = self.rows
+        return CohClass.from_rows(self.den, self.d, (ra, rb, [-v for v in ia], [-v for v in ib]))
+
+    def real_part(self) -> "CohClass":
+        return CohClass.from_rows(self.den, self.d, self.rows[:2] + (_ZERO_ROW, _ZERO_ROW))
+
+    def imag_part(self) -> "CohClass":
+        """Im as a real class."""
+        return CohClass.from_rows(self.den, self.d, self.rows[2:] + (_ZERO_ROW, _ZERO_ROW))
+
+    def deg2_part(self) -> "CohClass":
+        rows = tuple((0, 0) + row[DEG2_START:] for row in self.rows)
+        return CohClass.from_rows(self.den, self.d, rows)
 
     def scale(self, k) -> "CohClass":
-        k = as_complex(k)
-        return CohClass(
-            self.deg0 * k, tuple(c * k for c in self.deg2), self.deg4 * k
-        )
+        kden, kd, krows = _rows_of((k,))
+        d = join_tags(self.d, kd)
+        return CohClass.from_rows(self.den * kden, d, _times(self.rows, [r[0] for r in krows], d))
 
 
-def coh_class(deg0, deg2, deg4) -> CohClass:
-    """Build a class from anything coercible to exact complex scalars."""
-    return CohClass(as_complex(deg0), tuple(as_complex(v) for v in deg2), as_complex(deg4))
+coh_class = CohClass  # a class from anything coercible to exact complex scalars
 
 
 def mukai_pairing(x, y):
     """The Mukai pairing <x, y> = x2.y2 - x0*y4 - x4*y0 (symmetric, bilinear).
 
     x and y are classes or 24-coordinate vectors (layout deg0, deg4, deg2)
-    of QuadScalar or ComplexQuad entries; the result has the entries' type.
+    of QuadScalar or ComplexQuad entries, converted to component rows at
+    entry; the 16 integer pairings of the rows sum to a ComplexQuad over
+    den * den', which is returned as a QuadScalar for two QuadScalar vectors.
     """
-    u = x.coords24() if isinstance(x, CohClass) else x
-    v = y.coords24() if isinstance(y, CohClass) else y
-    acc = k3_pairing(u[DEG2_START:], v[DEG2_START:])
-    return acc - u[DEG0] * v[DEG4] - u[DEG4] * v[DEG0]
+    u, v = (z if isinstance(z, CohClass) else CohClass.from_rows(*_rows_of(z)) for z in (x, y))
+    d = join_tags(u.d, v.d)
+    nums = _numerators(_row_products(_MUKAI_ENTRIES, u.rows, v.rows), d)
+    value = _complex(nums, u.den * v.den, d)
+    if isinstance(x, CohClass) or isinstance(y, CohClass):
+        return value
+    return value if any(isinstance(c, ComplexQuad) for c in (*x, *y)) else value.re
 
 
-def _coerce_real22(b) -> tuple[QuadScalar, ...]:
-    out = []
-    for v in b:
-        if isinstance(v, ComplexQuad):
-            if not v.is_real:
-                raise ValidationError("b-field must be real")
-            v = v.re
-        out.append(as_quad(v))
-    return _coerce_vec22(out, as_quad)
+def k3_pairing(x, y):
+    """<x, y> in the K3 lattice for degree-2 vectors of QuadScalar or
+    ComplexQuad entries: the Mukai pairing of (0, x, 0) and (0, y, 0)."""
+    return mukai_pairing((0, 0, *x), (0, 0, *y))
+
+
+def real_gram(vectors) -> tuple[tuple[QuadScalar, ...], ...]:
+    """Gram matrix of real classes, one pairing per upper-triangle entry."""
+    n = len(vectors)
+    gram = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = mukai_pairing(vectors[i], vectors[j]).re
+    return tuple(map(tuple, gram))
+
+
+def _real_deg2(vec) -> CohClass:
+    """A real degree-2 vector (a b-field or a Kaehler class) as the class (0, vec, 0)."""
+    vec = tuple(vec)
+    den, d, rows = _rows_of((0, 0) + vec)
+    if any(rows[2]) or any(rows[3]):
+        raise ValidationError("b-field must be real")
+    if len(vec) != DEG2_RANK:
+        raise ValidationError(f"degree-2 vectors have {DEG2_RANK} coordinates, got {len(vec)}")
+    return CohClass.from_rows(den, d, rows)
+
+
+def _complexify(re: CohClass, im: CohClass) -> tuple[int, int | None, list[list[int]]]:
+    """(den, d, rows) of re + i im for real classes re and im."""
+    den = lcm(re.den, im.den)
+    fr, fi = den // re.den, den // im.den
+    rows = [[f * v for v in row] for f, row in zip((fr, fr, fi, fi), re.rows[:2] + im.rows[:2])]
+    return den, join_tags(re.d, im.d), rows
 
 
 def bfield_transform(b, x: CohClass) -> CohClass:
@@ -171,15 +282,22 @@ def bfield_transform(b, x: CohClass) -> CohClass:
 
     B is a real degree-2 vector; the transform preserves the Mukai pairing
     and fixes the degree-0 component, and exp(B) exp(B') = exp(B + B').
+    With B over the denominator e, the image is taken over 2 e^2 den.
     """
-    b = _coerce_real22(b)
-    bsq = k3_pairing(b, b)
-    bc = tuple(ComplexQuad(v) for v in b)
-    r = x.deg0
-    new_deg2 = tuple(d + r * bv for d, bv in zip(x.deg2, bc))
-    pairing_bd = k3_pairing(bc, x.deg2)
-    new_deg4 = x.deg4 + pairing_bd + r * (bsq * Fraction(1, 2))
-    return CohClass(r, new_deg2, new_deg4)
+    bc = _real_deg2(b)
+    d = join_tags(x.d, bc.d)
+    e = bc.den
+    r = [row[DEG0] for row in x.rows]
+    rb = _times(bc.rows, r, d)
+    b_x = _numerators(_row_products(_MUKAI_ENTRIES, bc.rows, x.rows), d)
+    bsq = _numerators(_row_products(_MUKAI_ENTRIES, bc.rows, bc.rows), d)
+    r_bsq = _times([[v] for v in bsq], r, d)
+    rows = []
+    for t, (row, rbt) in enumerate(zip(x.rows, rb)):
+        out = [2 * e * (e * v + w) for v, w in zip(row, rbt)]
+        out[DEG4] += 2 * e * b_x[t] + r_bsq[t][0]
+        rows.append(out)
+    return CohClass.from_rows(2 * e * e * x.den, d, rows)
 
 
 def bfield_matrix(b_int) -> IntMat:
@@ -220,21 +338,31 @@ class GCYClass:
     @cached_property
     def support(self) -> Sublattice:
         """Smallest saturated sublattice of the Mukai lattice containing coh."""
-        return support_in(MUKAI, self.coh.coords24())
+        return support_in(MUKAI, self.coh)
+
+
+def gcy_norm(entries, den: int, d: int | None, rows) -> tuple[int, int]:
+    """Numerators (a, b) of <phi, conj phi> = (a + b sqrt d) / den^2 for
+    phi = sum_t rows[t] c_t / den, after checking <phi, phi> = 0 and
+    <phi, conj phi> > 0 as integer identities.
+
+    The Gram matrix is given by its ``gram_entries``; the imaginary part of
+    <phi, conj phi> vanishes because the Gram matrix is symmetric.
+    """
+    products = _row_products(entries, rows, rows)
+    iso = _numerators(products, d)
+    if any(iso):
+        raise ValidationError(f"not isotropic: <phi,phi> = {_complex(iso, den * den, d)}")
+    a, b = _numerators(products, d, conj=True)[:2]
+    if quad_sign(a, b, d) <= 0:
+        raise ValidationError(f"not positive: <phi,conj phi> = {_quad(a, b, den * den, d)}")
+    return a, b
 
 
 def check_gcy(x: CohClass) -> GCYClass:
     """Validate <x,x> = 0 and <x, conj x> > 0; classify as type A or B."""
-    self_pairing = mukai_pairing(x, x)
-    if not self_pairing.is_zero:
-        raise ValidationError(f"not isotropic: <phi,phi> = {self_pairing}")
-    norm = mukai_pairing(x, x.conjugate())
-    if not norm.is_real:
-        raise ValidationError("pairing with the conjugate must be real")
-    if norm.re.sign() <= 0:
-        raise ValidationError(f"not positive: <phi,conj phi> = {norm.re}")
-    tag = "A" if not x.deg0.is_zero else "B"
-    return GCYClass(x, tag, norm.re)
+    norm = _quad(*gcy_norm(_MUKAI_ENTRIES, x.den, x.d, x.rows), x.den * x.den, x.d)
+    return GCYClass(x, "A" if any(row[DEG0] for row in x.rows) else "B", norm)
 
 
 @dataclass(frozen=True)
@@ -270,30 +398,18 @@ Member = GCYClass | GenericClass
 
 def support_in(ambient: IntegralLattice, coords) -> Sublattice:
     """Smallest saturated sublattice of ``ambient`` whose complexification
-    contains the given complex coordinate vector.
+    contains a class or a complex coordinate vector.
 
-    Each coordinate splits into four rational components (rational and
-    sqrt-d parts of the real and imaginary parts); their integer spans are
-    saturated, so the rank is at most 4 and can drop when components are
+    The nonzero component rows span it over Q; their integer span is
+    saturated, so the rank is at most 4 and can drop when rows are
     dependent.
     """
     n = ambient.rank
-    comps = {"ra": [], "rb": [], "ia": [], "ib": []}
-    for c in coords:
-        c = as_complex(c)
-        comps["ra"].append(c.re.a)
-        comps["rb"].append(c.re.b)
-        comps["ia"].append(c.im.a)
-        comps["ib"].append(c.im.b)
-    rows = []
-    for key in ("ra", "rb", "ia", "ib"):
-        vec = clear_denominators(comps[key])
-        if any(vec):
-            rows.append(vec)
+    rows = coords.rows if isinstance(coords, CohClass) else _rows_of(coords)[2]
+    rows = [row for row in rows if any(row)]
     if not rows:
         return Sublattice(ambient, ())
-    independent = hnf_basis(rows, n)
-    return Sublattice(ambient, saturate(independent, n))
+    return Sublattice(ambient, saturate(hnf_basis(rows, n), n))
 
 
 def support_lattice(x: CohClass | GCYClass) -> Sublattice:
@@ -301,7 +417,7 @@ def support_lattice(x: CohClass | GCYClass) -> Sublattice:
     a GCYClass computes it once and keeps it."""
     if isinstance(x, GCYClass):
         return x.support
-    return support_in(MUKAI, x.coords24())
+    return support_in(MUKAI, x)
 
 
 def member_support(m: Member) -> Sublattice:
@@ -325,56 +441,33 @@ class PeriodPlane:
 def period_plane(g: GCYClass) -> PeriodPlane:
     """Real and imaginary parts of a generalized Calabi-Yau class with
     their 2x2 Gram matrix, which is positive definite."""
-    re, im = g.coh.real_vector(), g.coh.imag_vector()
-    if _real_dependent(re, im):
-        raise ValidationError("degenerate plane: Re and Im are linearly dependent")
-    aa = mukai_pairing(re, re)
-    ab = mukai_pairing(re, im)
-    bb = mukai_pairing(im, im)
-    gram = ((aa, ab), (ab, bb))
+    re, im = g.coh.real_part(), g.coh.imag_part()
+    gram = real_gram((re, im))  # singular when Re and Im are dependent
     if not is_positive_definite(gram):
         raise ValidationError("period plane is not positive definite")
-    return PeriodPlane(re, im, gram)
-
-
-def _real_dependent(u, v) -> bool:
-    """Dependence over the real quadratic field of two QuadScalar vectors."""
-    iu = next((i for i, x in enumerate(u) if not x.is_zero), None)
-    iv = next((i for i, x in enumerate(v) if not x.is_zero), None)
-    if iu is None or iv is None:
-        return True
-    if u[iv].is_zero:
-        return False
-    lam = v[iv] / u[iv]
-    return all((x * lam - y).is_zero for x, y in zip(u, v))
+    return PeriodPlane(*(tuple(c.re for c in v.coords24()) for v in (re, im)), gram)
 
 
 def exponential_class(b, omega, scale=1) -> CohClass:
     """scale * exp(B + i omega) = scale * (1, B + i omega, ((B+i omega)^2)/2).
 
     B and omega are real degree-2 vectors; the result is a valid type A
-    generalized Calabi-Yau class exactly when omega^2 > 0.
+    generalized Calabi-Yau class exactly when omega^2 > 0.  With
+    B + i omega = rows / e, the class is (2e^2, 2e rows, <rows, rows>) / 2e^2.
     """
-    b = _coerce_real22(b)
-    w = _coerce_real22(omega)
-    half = Fraction(1, 2)
-    bsq = k3_pairing(b, b)
-    wsq = k3_pairing(w, w)
-    bw = k3_pairing(b, w)
-    deg2 = tuple(ComplexQuad(bv, wv) for bv, wv in zip(b, w))
-    deg4 = ComplexQuad((bsq - wsq) * half, bw)
-    out = CohClass(ComplexQuad(1), deg2, deg4)
-    if scale != 1:
-        out = out.scale(scale)
-    return out
+    e, d, rows = _complexify(_real_deg2(b), _real_deg2(omega))
+    sq = _numerators(_row_products(_MUKAI_ENTRIES, rows, rows), d)
+    rows = [[2 * e * v for v in row] for row in rows]
+    rows[0][DEG0] = 2 * e * e
+    for row, v in zip(rows, sq):
+        row[DEG4] = v
+    out = CohClass.from_rows(2 * e * e, d, rows)
+    return out if scale == 1 else out.scale(scale)
 
 
-def two_form_class(re22, im22, deg4=0) -> CohClass:
-    """A degree-2 period sigma = Re + i Im (optionally with a degree-4 tail)."""
-    re = _coerce_real22(re22)
-    im = _coerce_real22(im22)
-    deg2 = tuple(ComplexQuad(a, b) for a, b in zip(re, im))
-    return CohClass(CQ_ZERO, deg2, as_complex(deg4))
+def two_form_class(re22, im22) -> CohClass:
+    """A degree-2 period sigma = Re + i Im."""
+    return CohClass.from_rows(*_complexify(_real_deg2(re22), _real_deg2(im22)))
 
 
 def deg2_vector(assignments: dict[int, object]) -> tuple:
@@ -391,11 +484,14 @@ def decompose_type_a(g: GCYClass) -> tuple[ComplexQuad, tuple[QuadScalar, ...], 
     Valid for every type A generalized Calabi-Yau class: isotropy forces
     the degree-4 part to equal (deg2/deg0)^2/2 times deg0.
     """
+    b, w = type_a_parts(g)
+    return g.coh.deg0, tuple(c.re for c in b.deg2), tuple(c.re for c in w.deg2)
+
+
+def type_a_parts(g: GCYClass) -> tuple[CohClass, CohClass]:
+    """B and omega of a type A class lambda * exp(B + i omega), as real
+    degree-2 classes."""
     if g.type_tag != "A":
         raise ValidationError("decomposition needs a type A class")
-    lam = g.coh.deg0
-    inv = lam.inverse()
-    e = tuple(d * inv for d in g.coh.deg2)
-    b = tuple(v.re for v in e)
-    w = tuple(v.im for v in e)
-    return lam, b, w
+    e = g.coh.scale(g.coh.deg0.inverse()).deg2_part()
+    return e.real_part(), e.imag_part()

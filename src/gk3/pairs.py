@@ -29,10 +29,9 @@ from .mukai import (
     bfield_matrix,
     bfield_transform,
     check_gcy,
-    decompose_type_a,
-    k3_pairing,
     member_support,
-    mukai_pairing,
+    real_gram,
+    type_a_parts,
 )
 from .scalars import QuadScalar, is_positive_definite
 
@@ -49,8 +48,14 @@ def _coerce_member(x) -> Member:
 class PiSpace:
     """The positive 4-space spanned by Re/Im of both classes, with Gram."""
 
-    vectors: tuple[tuple[QuadScalar, ...], ...]  # Re A, Im A, Re B, Im B
+    vectors: tuple[CohClass, ...]  # Re A, Im A, Re B, Im B as real classes
     gram: tuple[tuple[QuadScalar, ...], ...]
+
+    @property
+    def cross_pairings(self) -> tuple[QuadScalar, ...]:
+        """The off-diagonal block: Re/Im of phi_A against Re/Im of phi_B."""
+        g = self.gram
+        return (g[0][2], g[0][3], g[1][2], g[1][3])
 
 
 @dataclass(frozen=True)
@@ -71,52 +76,37 @@ _CROSS_NAMES = (
 )
 
 
+def _pi_space(a: GCYClass, b: GCYClass) -> PiSpace:
+    vectors = (a.coh.real_part(), a.coh.imag_part(), b.coh.real_part(), b.coh.imag_part())
+    return PiSpace(vectors, real_gram(vectors))
+
+
 def cross_pairings(a: GCYClass, b: GCYClass) -> tuple[QuadScalar, ...]:
     """The four pairings between Re/Im of phi_A and Re/Im of phi_B."""
-    ra, ia = a.coh.real_vector(), a.coh.imag_vector()
-    rb, ib = b.coh.real_vector(), b.coh.imag_vector()
-    return (
-        mukai_pairing(ra, rb),
-        mukai_pairing(ra, ib),
-        mukai_pairing(ia, rb),
-        mukai_pairing(ia, ib),
-    )
-
-
-def _pi_space(a: GCYClass, b: GCYClass) -> PiSpace:
-    vectors = (
-        a.coh.real_vector(),
-        a.coh.imag_vector(),
-        b.coh.real_vector(),
-        b.coh.imag_vector(),
-    )
-    gram = tuple(
-        tuple(mukai_pairing(u, v) for v in vectors) for u in vectors
-    )
-    return PiSpace(vectors, gram)
+    return _pi_space(a, b).cross_pairings
 
 
 def validate_gk3(phi_a, phi_b) -> GeneralizedK3:
     """Validate a pair of classes as a generalized K3 surface.
 
     Explicit/explicit pairs are checked exactly: the four cross pairings
-    must vanish and the norms must agree; the 4x4 Gram of Pi is built and
-    must be positive definite.  A pair with a generic member only gets
+    must vanish and the norms must agree; the 4x4 Gram of Pi, whose
+    off-diagonal block holds the cross pairings, is built once and must be
+    positive definite.  A pair with a generic member only gets
     support-level checks and is marked FormalGeneric.
     """
     a = _coerce_member(phi_a)
     b = _coerce_member(phi_b)
     if isinstance(a, GenericClass) or isinstance(b, GenericClass):
         return GeneralizedK3(a, b, "FormalGeneric", None)
-    crosses = cross_pairings(a, b)
-    for (name_u, name_v), value in zip(_CROSS_NAMES, crosses):
+    pi = _pi_space(a, b)
+    for (name_u, name_v), value in zip(_CROSS_NAMES, pi.cross_pairings):
         if not value.is_zero:
             raise ValidationError(
                 f"planes not orthogonal: <{name_u}, {name_v}> = {value}"
             )
     if a.norm != b.norm:
         raise ValidationError(f"norm mismatch: {a.norm} vs {b.norm}")
-    pi = _pi_space(a, b)
     if not is_positive_definite(pi.gram):
         raise ValidationError("positive 4-space is degenerate")
     return GeneralizedK3(a, b, "Verified", pi)
@@ -214,17 +204,13 @@ def classify_hk_pair(x, phi_b=None) -> HKClassification:
     norms_match = a.norm == b.norm
     identities: list[Identity] = []
     if case == "A-with-A":
-        _, b_base, w_base = decompose_type_a(b)
-        _, b_part, w_part = decompose_type_a(a)
-        b_rel = tuple(u - v for u, v in zip(b_part, b_base))
-        w_w = k3_pairing(w_base, w_part)
-        w_brel = k3_pairing(w_base, b_rel)
-        wp_brel = k3_pairing(w_part, b_rel)
-        residual = (
-            k3_pairing(b_rel, b_rel)
-            - k3_pairing(w_base, w_base)
-            - k3_pairing(w_part, w_part)
-        )
+        # Gram of B, omega (base phi_B) and B', omega' (partner phi_A);
+        # B_rel = B' - B enters through bilinearity
+        g = real_gram(type_a_parts(b) + type_a_parts(a))
+        w_w = g[1][3]
+        w_brel = g[1][2] - g[1][0]
+        wp_brel = g[3][2] - g[3][0]
+        residual = g[2][2] - 2 * g[0][2] + g[0][0] - g[1][1] - g[3][3]
         identities.append(Identity("omega wedge omega'", w_w.is_zero, w_w))
         identities.append(Identity("omega wedge B_rel", w_brel.is_zero, w_brel))
         identities.append(Identity("omega' wedge B_rel", wp_brel.is_zero, wp_brel))

@@ -31,21 +31,22 @@ from .lattices import (
 )
 from .mukai import (
     DEG2_RANK,
-    K3,
+    K3_GRAM,
     MUKAI,
     MUKAI_RANK,
     GCYClass,
     GenericClass,
-    decompose_type_a,
     deg2_vector,
-    k3_pairing,
+    gcy_norm,
+    gram_entries,
     member_support,
+    mukai_pairing,
+    real_gram,
     support_in,
+    type_a_parts,
 )
 from .pairs import GeneralizedK3
 from .scalars import ComplexQuad, QuadScalar, as_quad
-
-K3_GRAM = K3.gram
 
 FULL_RANK = 22  # rank of NS/T certifying rigidity (codimension-2 support)
 
@@ -100,8 +101,9 @@ def is_complex_rigid(x: GeneralizedK3) -> RigidityReport:
     support, verdict = _plane_rank_checks(b, "B")
     if verdict is not None:
         return verdict
-    sigma = b.coh.deg2
-    sigma_support = support_in(K3, sigma)
+    # degree 2 is an orthogonal summand of the Mukai lattice isometric to
+    # K3, so this support carries the K3 Gram of sigma's support
+    sigma_support = support_in(MUKAI, b.coh.deg2_part())
     if sigma_support.rank != 2:
         return RigidityReport(
             "NotRigid",
@@ -122,19 +124,16 @@ def _tail_b_rational(b: GCYClass) -> bool:
     Only the projection of B to the period plane acts, so the test solves
     the 2x2 system on the plane and asks for rational coordinates.
     """
-    re = tuple(c.re for c in b.coh.deg2)
-    im = tuple(c.im for c in b.coh.deg2)
-    g11 = k3_pairing(re, re)
-    g12 = k3_pairing(re, im)
-    g22 = k3_pairing(im, im)
+    sigma = b.coh.deg2_part()
+    (g11, g12), (_, g22) = real_gram((sigma.real_part(), sigma.imag_part()))
     det = g11 * g22 - g12 * g12
     if det.is_zero:
         return False
     t_re, t_im = b.coh.deg4.re, b.coh.deg4.im
     alpha = (g22 * t_re - g12 * t_im) / det
     beta = (g11 * t_im - g12 * t_re) / det
-    coords = tuple(alpha * u + beta * v for u, v in zip(re, im))
-    return all(c.is_rational for c in coords)
+    # alpha Re + beta Im is the real part of (alpha - i beta) sigma
+    return sigma.scale(ComplexQuad(alpha, -beta)).real_part().field_tag is None
 
 
 def is_kahler_rigid(x: GeneralizedK3) -> RigidityReport:
@@ -151,14 +150,13 @@ def is_kahler_rigid(x: GeneralizedK3) -> RigidityReport:
     if verdict is not None:
         return verdict
     reduced = gauss_reduce2(support.induced_lattice())
-    _, bfield, omega = decompose_type_a(a)
-    omega_sq = k3_pairing(omega, omega)
+    bfield, omega = type_a_parts(a)
     return RigidityReport(
         "KahlerRigid",
         invariant=reduced.lattice.gram,
-        b_rational=all(v.is_rational for v in bfield),
+        b_rational=bfield.field_tag is None,
         b_canonical=True,
-        omega_sq=omega_sq,
+        omega_sq=mukai_pairing(omega, omega).re,
     )
 
 
@@ -248,10 +246,11 @@ def check_forms_det(max_det: int) -> None:
 
 @dataclass(frozen=True)
 class _SatCoords:
-    """S = Sat(P) for P = <deg0, deg4, H1, H2>: the Gram of the four
-    generators, their integer coordinates in S's HNF basis, and S's Gram."""
+    """S = Sat(P) for P = <deg0, deg4, H1, H2>: the generators' Gram (with its
+    ``gram_entries``), their integer coordinates in S's HNF basis, S's Gram."""
 
     gram_p: IntMat
+    entries_p: tuple
     to_s: IntMat
     gram_s: IntMat
 
@@ -263,27 +262,18 @@ def _sat_coords(h1, h2) -> _SatCoords:
     gens = ((1, 0) + zeros, (0, 1) + zeros, (0, 0) + tuple(h1), (0, 0) + tuple(h2))
     sat = saturate(hnf_basis(gens, MUKAI_RANK), MUKAI_RANK)
     to_s = tuple(hnf_coords(sat, g) for g in gens)  # gens lie in their saturation
-    return _SatCoords(gram_p, to_s, Sublattice(MUKAI, sat).induced_gram)
+    return _SatCoords(gram_p, gram_entries(gram_p), to_s, Sublattice(MUKAI, sat).induced_gram)
 
 
-def _check_exp_rows(gram_p: IntMat, r1, r2, k: int, kappa: QuadScalar, denom: int) -> None:
-    """check_gcy for exp(B + i omega) = r1 / (2D^2) + i kappa r2 / D, in integers.
-
-    Isotropy is <r1,r1> = 4 D^2 kappa^2 <r2,r2> and <r1,r2> = 0; positivity
-    is <r2,r2> > 0.  The error messages are those of ``check_gcy``.
-    """
-    d2 = denom * denom
-    r11, r12, r22 = bilinear(gram_p, r1, r1), bilinear(gram_p, r1, r2), bilinear(gram_p, r2, r2)
-    if r11 != 4 * d2 * k * r22 or r12:
-        self_pairing = ComplexQuad(
-            Fraction(r11 - 4 * d2 * k * r22, 4 * d2 * d2), kappa * Fraction(r12, d2 * denom)
-        )
-        raise ValidationError(f"not isotropic: <phi,phi> = {self_pairing}")
-    if r22 <= 0:
-        raise ValidationError(f"not positive: <phi,conj phi> = {as_quad(Fraction(2 * k * r22, d2))}")
+def _exp_rows(r1, r2, k: int, denom: int) -> tuple:
+    """Component rows of exp(B + i omega) = (r1 + i kappa 2D r2) / (2D^2),
+    kappa^2 = k: Im sits in the rational row for k = 1, else in the sqrt(k) row."""
+    im = tuple(2 * denom * v for v in r2)
+    zero = (0,) * len(r1)
+    return (r1, zero, im, zero) if k == 1 else (r1, zero, zero, im)
 
 
-def _grid_invariant(sc: _SatCoords, k: int, kappa: QuadScalar, a, b, p, q, denom) -> IntMat:
+def _grid_invariant(sc: _SatCoords, k: int, a, b, p, q, denom) -> IntMat:
     """Reduced Gram of the support of exp(B + i omega) for
     B = (p/D) H1 + (q/D) H2 and omega = kappa (a H1 + b H2), kappa^2 = k."""
     (g11, g12), (_, g22) = sc.gram_p[2][2:], sc.gram_p[3][2:]
@@ -293,7 +283,7 @@ def _grid_invariant(sc: _SatCoords, k: int, kappa: QuadScalar, a, b, p, q, denom
     bw = p * (a * g11 + b * g12) + q * (a * g12 + b * g22)  # D B.omega_0
     r1 = (2 * d2, b2 - k * w2 * d2, 2 * p * denom, 2 * q * denom)
     r2 = (0, bw, a * denom, b * denom)
-    _check_exp_rows(sc.gram_p, r1, r2, k, kappa, denom)
+    gcy_norm(sc.entries_p, 2 * d2, None if k == 1 else k, _exp_rows(r1, r2, k, denom))
     rank = len(sc.gram_s)
     rows = tuple(
         tuple(sum(x * c[j] for x, c in zip(r, sc.to_s)) for j in range(rank)) for r in (r1, r2)
@@ -320,10 +310,11 @@ def kahler_rigid_survey(config: SurveyConfig) -> SurveyReport:
     2D^2 Re(exp(B + i omega)) and (D / kappa) Im(exp(B + i omega)) are the
     integer rows (2D^2, D^2 B^2 - kappa^2 omega_0^2 D^2, 2pD, 2qD) and
     (0, D B.omega_0, aD, bD) on the generators (deg0, deg4, H1, H2), with
-    omega_0 = a H1 + b H2.  They are checked isotropic and positive as in
-    ``check_gcy``, mapped to S-coordinates and saturated there; since S is
-    saturated, that is the class's support in the Mukai lattice, and its
-    Gram goes to ``gauss_reduce2``.
+    omega_0 = a H1 + b H2.  They are checked isotropic and positive by
+    ``check_gcy``'s routine on the Gram of the generators, mapped to
+    S-coordinates and saturated there; since S is saturated, that is the
+    class's support in the Mukai lattice, and its Gram goes to
+    ``gauss_reduce2``.
 
     ``samples`` counts the grid points covered.  A point with
     gcd(p, q, D) > 1 repeats a B of smaller D already visited with the
@@ -353,7 +344,7 @@ def kahler_rigid_survey(config: SurveyConfig) -> SurveyReport:
                     for q in range(denom):
                         if gcd(p, q, denom) > 1:
                             continue
-                        gram = _grid_invariant(sc, k, kappa, a, b, p, q, denom)
+                        gram = _grid_invariant(sc, k, a, b, p, q, denom)
                         if gram in target_set and gram not in found:
                             bfield = tuple(
                                 Fraction(p, denom) * u + Fraction(q, denom) * v

@@ -1,14 +1,16 @@
 """Exact scalars: rationals and elements of a real quadratic field Q(sqrt d).
 
-Every coordinate in this package is a ``QuadScalar`` a + b*sqrt(d) with
-rational a, b and a fixed squarefree integer d >= 2, or a ``ComplexQuad``
-built from two of them.  Purely rational values carry no field tag and
-combine with anything; combining values tagged with two different d is an
-error, so a computation never silently mixes sqrt(2) with sqrt(3).
+A ``QuadScalar`` is a + b*sqrt(d) with rational a, b and a squarefree
+integer tag d >= 2; a ``ComplexQuad`` is built from two of them.  They are
+the parse, print and result types; classes are integer rows (``mukai``).
+Rational values carry no tag and combine with anything; combining two
+different tags is an error, so a computation never mixes sqrt(2) with
+sqrt(3).  A tag is validated once, where a value is built from outside;
+arithmetic results inherit the tag of their operands.
 
-All comparisons are exact.  The sign of a + b*sqrt(d) is decided by case
-analysis on the signs of a and b, falling back to comparing a^2 against
-d*b^2 when they disagree; no floating point is involved anywhere.
+The sign of a + b*sqrt(d) is decided exactly by case analysis on the
+signs of a and b, falling back to comparing a^2 against d*b^2 when they
+disagree; no floating point is involved anywhere.
 """
 
 from __future__ import annotations
@@ -45,6 +47,31 @@ def check_field_tag(d: int) -> int:
     return d
 
 
+def join_tags(d1: int | None, d2: int | None) -> int | None:
+    """The common tag of two values; None stands for a rational value."""
+    if d1 is not None and d2 is not None and d1 != d2:
+        raise ValidationError(f"cannot mix sqrt({d1}) and sqrt({d2}) values")
+    return d1 if d1 is not None else d2
+
+
+def quad_sign(a, b, d: int | None) -> int:
+    """Exact sign in {-1, 0, 1} of a + b*sqrt(d) for rational or integer
+    a, b, decided by comparisons only."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # a and b have opposite signs; a^2 = d b^2 cannot happen since
+    # sqrt(d) is irrational, so the comparison below is never a tie.
+    if (a * a > d * b * b) == (a > 0):
+        return 1
+    return -1
+
+
 class QuadScalar:
     """An exact element a + b*sqrt(d) of Q or of a real quadratic field."""
 
@@ -63,6 +90,16 @@ class QuadScalar:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
 
+    @classmethod
+    def tagged(cls, a: Fraction, b: Fraction, d: int | None) -> QuadScalar:
+        """a + b*sqrt(d) for Fractions a, b and a tag d that was validated
+        before, as another value's tag or by ``check_field_tag``."""
+        q = object.__new__(cls)
+        object.__setattr__(q, "a", a)
+        object.__setattr__(q, "b", b)
+        object.__setattr__(q, "d", d if b else None)
+        return q
+
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("QuadScalar is immutable")
 
@@ -75,10 +112,6 @@ class QuadScalar:
     @property
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    @property
-    def is_integer(self) -> bool:
-        return self.b == 0 and self.a.denominator == 1
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -93,33 +126,24 @@ class QuadScalar:
             return QuadScalar(x)
         return None
 
-    def _join(self, other: QuadScalar) -> int | None:
-        if self.d is not None and other.d is not None and self.d != other.d:
-            raise ValidationError(
-                f"cannot mix sqrt({self.d}) and sqrt({other.d}) values"
-            )
-        return self.d if self.d is not None else other.d
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d = self._join(other)
-        return QuadScalar(self.a + other.a, self.b + other.b, d)
+        return QuadScalar.tagged(self.a + other.a, self.b + other.b, join_tags(self.d, other.d))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadScalar(-self.a, -self.b, self.d)
+        return QuadScalar.tagged(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d = self._join(other)
-        return QuadScalar(self.a - other.a, self.b - other.b, d)
+        return QuadScalar.tagged(self.a - other.a, self.b - other.b, join_tags(self.d, other.d))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -131,27 +155,19 @@ class QuadScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d = self._join(other)
+        d = join_tags(self.d, other.d)
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        if b1 == 0:
-            if b2 == 0:
-                return QuadScalar(a1 * a2)
-            return QuadScalar(a1 * a2, a1 * b2, d)
-        if b2 == 0:
-            return QuadScalar(a1 * a2, b1 * a2, d)
-        return QuadScalar(a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2, d)
+        return QuadScalar.tagged(a1 * a2 + (d or 0) * b1 * b2, a1 * b2 + b1 * a2, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> QuadScalar:
         if self.is_zero:
             raise ZeroDivisionError("division by zero QuadScalar")
-        if self.b == 0:
-            return QuadScalar(1 / self.a)
         # (a + b sqrt d)^-1 = (a - b sqrt d) / (a^2 - d b^2); the norm is
         # nonzero because sqrt(d) is irrational for squarefree d >= 2.
-        n = self.a * self.a - self.d * self.b * self.b
-        return QuadScalar(self.a / n, -self.b / n, self.d)
+        n = self.a * self.a - (self.d or 0) * self.b * self.b
+        return QuadScalar.tagged(self.a / n, -self.b / n, self.d)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -159,30 +175,10 @@ class QuadScalar:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
     # -- exact ordering --------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, 1}, decided by rational comparisons only."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # a and b have opposite signs; a^2 = d b^2 cannot happen since
-        # sqrt(d) is irrational, so the comparison below is never a tie.
-        if (a * a > self.d * b * b) == (a > 0):
-            return 1
-        return -1
+        return quad_sign(self.a, self.b, self.d)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -197,36 +193,7 @@ class QuadScalar:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
-    def __lt__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() >= 0
-
     # -- conversions -----------------------------------------------------
-
-    def __float__(self) -> float:
-        if self.b == 0:
-            return float(self.a)
-        return float(self.a) + float(self.b) * self.d ** 0.5
 
     def __repr__(self) -> str:
         if self.b == 0:
@@ -249,8 +216,6 @@ class QuadScalar:
         return f"{self.a} {sign} {irr.lstrip('-')}"
 
 
-QS_ZERO = QuadScalar(0)
-QS_ONE = QuadScalar(1)
 
 
 def is_positive_definite(gram) -> bool:
@@ -320,51 +285,20 @@ class ComplexQuad:
             return NotImplemented
         return ComplexQuad(self.re + other.re, self.im + other.im)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ComplexQuad(-self.re, -self.im)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return ComplexQuad(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.im.is_zero:
-            if other.im.is_zero:
-                return ComplexQuad(self.re * other.re)
-            return ComplexQuad(self.re * other.re, self.re * other.im)
-        if other.im.is_zero:
-            return ComplexQuad(self.re * other.re, self.im * other.re)
         return ComplexQuad(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
-
-    __rmul__ = __mul__
 
     def inverse(self) -> ComplexQuad:
         if self.is_zero:
             raise ZeroDivisionError("division by zero ComplexQuad")
         n = (self.re * self.re + self.im * self.im).inverse()
         return ComplexQuad(self.re * n, -self.im * n)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -387,7 +321,6 @@ class ComplexQuad:
 
 
 CQ_ZERO = ComplexQuad(0)
-CQ_ONE = ComplexQuad(1)
 
 
 def as_complex(x) -> ComplexQuad:
@@ -405,14 +338,6 @@ def field_tag_of(values) -> int | None:
     """
     tag: int | None = None
     for v in values:
-        parts = (v.re, v.im) if isinstance(v, ComplexQuad) else (v,)
-        for p in parts:
-            if p.d is None:
-                continue
-            if tag is None:
-                tag = p.d
-            elif tag != p.d:
-                raise ValidationError(
-                    f"cannot mix sqrt({tag}) and sqrt({p.d}) values"
-                )
+        for p in (v.re, v.im) if isinstance(v, ComplexQuad) else (v,):
+            tag = join_tags(tag, p.d)
     return tag

@@ -83,15 +83,15 @@ def parse_rational(node, path: str) -> Fraction:
 
 
 def parse_quad(node, path: str, sqrt_d: int | None) -> QuadScalar:
+    """An exact real scalar; sqrt_d is the header's tag, which
+    ``parse_document`` has already validated."""
     if isinstance(node, dict):
         _expect_object(node, path, ("a", "b"), ("a",))
         a = parse_rational(node["a"], f"{path}.a")
         b = parse_rational(node.get("b", 0), f"{path}.b")
-        if b == 0:
-            return QuadScalar(a)
-        if sqrt_d is None:
+        if b and sqrt_d is None:
             _fail(f"{path}.b", "irrational coefficient needs a sqrt_d header")
-        return QuadScalar(a, b, sqrt_d)
+        return QuadScalar.tagged(a, b, sqrt_d)
     return QuadScalar(parse_rational(node, path))
 
 

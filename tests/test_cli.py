@@ -242,6 +242,93 @@ def test_rigid_forms_and_survey_caps(capsys):
     assert out["samples"] == 1440 <= MAX_SURVEY_SAMPLES
 
 
+def _sparse_class(deg0, deg2: dict, deg4) -> dict:
+    return {"deg0": deg0, "deg2": [deg2.get(i, "0") for i in range(22)], "deg4": deg4}
+
+
+_R2 = {"a": "0", "b": "1"}  # sqrt(2)
+
+# exp(B + i sqrt2 H) with B = e1/2 + f1/3, H = e1 + f1, and the type B
+# period sqrt2 ((e2 + f2) + i (e3 + f3)); both norms are 8
+SQRT2_PHI_A = _sparse_class(
+    "1",
+    {0: {"re": "1/2", "im": _R2}, 1: {"re": "1/3", "im": _R2}},
+    {"re": "-11/6", "im": {"a": "0", "b": "5/6"}},
+)
+SQRT2_PHI_B = _sparse_class("0", {2: _R2, 3: _R2, 4: {"im": _R2}, 5: {"im": _R2}}, "0")
+SQRT2_BFIELD = {0: {"a": "1/2", "b": "1"}, 1: {"a": "0", "b": "-1/3"}, 7: "2", 9: {"a": "1", "b": "1"}}
+
+# exp(B + i (e1 + f1)) and exp(B + e3 + 2 f3 + i (e2 + f2)) for
+# B = e1/2 - f2/3 + (first E8 generator): an A-with-A pair
+RATIONAL_PHI_A = _sparse_class(
+    "1", {0: {"re": "1/2", "im": "1"}, 1: {"im": "1"}, 3: "-1/3", 6: "1"}, {"re": "-2", "im": "1/2"}
+)
+RATIONAL_PHI_B = _sparse_class(
+    "1", {0: "1/2", 2: {"im": "1"}, 3: {"re": "-1/3", "im": "1"}, 4: "1", 5: "2", 6: "1"}, {"im": "-1/3"}
+)
+RATIONAL_BFIELD = {0: "1/2", 5: "-2/3", 6: "1", 21: "3"}
+
+PIN_DOCUMENTS = {
+    "sqrt2": (
+        {"sqrt_d": 2, "pair": {"phiA": SQRT2_PHI_A, "phiB": SQRT2_PHI_B}},
+        {"sqrt_d": 2, "class": SQRT2_PHI_A, "bfield": [SQRT2_BFIELD.get(i, "0") for i in range(22)]},
+    ),
+    "rational": (
+        {"pair": {"phiA": RATIONAL_PHI_A, "phiB": RATIONAL_PHI_B}},
+        {"class": RATIONAL_PHI_A, "bfield": [RATIONAL_BFIELD.get(i, "0") for i in range(22)]},
+    ),
+}
+CLASS_COMMANDS = ("check", "pairing", "bfield", "lpsi", "plane")
+PAIR_COMMANDS = ("gk3 validate", "gk3 ns-t", "gk3 classify-hk", "gk3 profile", "rigid kahler", "rigid complex")
+
+# sha256 of the canonical stdout of each command on the documents above,
+# computed with the per-coordinate class representation
+PINNED_STDOUT_SHA256 = {
+    "rational": {
+        "class check": "f553e0ccb6565e95cfe53b21c158aa67b86826dead1e47b5ca8fa559f983f13e",
+        "class pairing": "fb185f6c44ccfd7380c9acb4b4aee9f25d5b66f6d33f53dd21968f3829f38612",
+        "class bfield": "a50519b051f5856b875f6909104ae772829ec6da6f93a419eac2b72542d5f0a8",
+        "class lpsi": "10d5080dec94932d9d9753972f4387cef003cc14071244be1b0960fccaef3c81",
+        "class plane": "10b7fb13708e20748a505e4612cae98ff738a0ee6b0a710f38c964f7e05aabae",
+        "gk3 validate": "f751f55031ebd8cd4653bd3a1468e4ce70810f370b192a96e1e52f99ba7010b5",
+        "gk3 ns-t": "f32db1ae7f7bf4fa7a49c64df5782437db4bf2706cd5956488fa2842f40e780b",
+        "gk3 classify-hk": "b8e9c964470a366404e9cd188fa8238ad3fac158fb07be12c138ecd26f82fbbb",
+        "gk3 profile": "fa634d983417ac3f63a168cf7d8c179a3df3c01eef63729799d5b52a3255c09f",
+        "rigid kahler": "bb1b3954aa48d375a327dfda40bfe95fa2744763d45e38eea09078ac888b618a",
+        "rigid complex": "6fd8b5b3cb8a6d9b36b34cdf4ffb25d64750c2708e20b072212cb5b0bdea5333",
+    },
+    "sqrt2": {
+        "class check": "83c5c63e33f296bb4a7a69aaf79f333f417a948c2ecbbf174a9cacea4ea830b7",
+        "class pairing": "fb185f6c44ccfd7380c9acb4b4aee9f25d5b66f6d33f53dd21968f3829f38612",
+        "class bfield": "acf1f5af9598f84cd33cbfdec21517d64e54f1c0f4481926e3cfa08ecf847704",
+        "class lpsi": "5136866d0ccb85f1956eebb5132d82eb85b5b8ad7e84a264b10d06ac371dfe6d",
+        "class plane": "27d876577cece80b4d72d78cf0cb59e6e464d49b623d41bad40b4a70feb49aab",
+        "gk3 validate": "13cff074cd1c5c7602cb6be0b461646287017b0bc0a49683b95edad00787c56e",
+        "gk3 ns-t": "7168113a20eb075060588fea6f4beb998a91b62461dd92f0d92e9691598ec223",
+        "gk3 classify-hk": "6d48b1bfdc956635bf43e305c3097218de4b1e96efd855fb7d08eeac21f72aab",
+        "gk3 profile": "fa634d983417ac3f63a168cf7d8c179a3df3c01eef63729799d5b52a3255c09f",
+        "rigid kahler": "30d72dcddf7775592a4eb2446448f14ef1cde508d369c37c173dee3ec2646c35",
+        "rigid complex": "261ebf95e19eeaa3c72b1ded658c156110b8870038be1e6e6aa227a1984ca690",
+    },
+}
+
+
+@pytest.mark.parametrize("doc_name", sorted(PIN_DOCUMENTS))
+def test_class_and_pair_commands_are_pinned(tmp_path, capsys, doc_name):
+    pair_doc, class_doc = PIN_DOCUMENTS[doc_name]
+    pair_path = _write(tmp_path, "pair.json", pair_doc)
+    class_path = _write(tmp_path, "class.json", class_doc)
+    runs = [(f"class {c}", ["class", c, pair_path if c == "pairing" else class_path]) for c in CLASS_COMMANDS]
+    runs += [(c, [*c.split(), pair_path]) for c in PAIR_COMMANDS]
+    got = {}
+    for label, argv in runs:
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0, (label, out)
+        got[label] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert got == PINNED_STDOUT_SHA256[doc_name]
+
+
 HUGE_FIELD_TAG = 1000000000000000003  # trial division to its square root never ends
 
 

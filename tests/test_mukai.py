@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from gk3.errors import ValidationError
 from gk3.intlinalg import det, matmul
 from gk3.lattices import IntegralLattice, Sublattice, gauss_reduce2
 from gk3.mukai import (
-    CQ_ZERO,
     DEG2_RANK,
     MUKAI,
     MUKAI_GRAM,
@@ -34,7 +34,7 @@ from gk3.mukai import (
     support_lattice,
     two_form_class,
 )
-from gk3.scalars import ComplexQuad, QuadScalar, as_complex, as_quad
+from gk3.scalars import CQ_ZERO, ComplexQuad, QuadScalar, as_complex, as_quad
 
 SQRT2 = QuadScalar(Fraction(0), Fraction(1), 2)
 
@@ -344,3 +344,129 @@ def test_member_helpers_on_explicit_classes():
     g = check_gcy(exponential_class([0] * 22, deg2_vector({0: 1, 1: 1})))
     assert member_type(g) == "A"
     assert member_support(g).basis == support_lattice(g).basis
+
+
+# --- the row form against the per-coordinate ComplexQuad algorithm ---------
+
+
+def _ref_pairing(xs, ys) -> ComplexQuad:
+    """Mukai pairing of two 24-coordinate vectors, one ComplexQuad term per
+    nonzero Gram entry."""
+    acc = CQ_ZERO
+    for i, row in enumerate(MUKAI_GRAM):
+        for j, g in enumerate(row):
+            if g and not xs[i].is_zero and not ys[j].is_zero:
+                acc = acc + xs[i] * ys[j] * g
+    return acc
+
+
+def _ref_bfield(b, xs) -> list:
+    """exp(B): (r, D, s) -> (r, D + rB, s + <B,D> + r B^2/2) on coordinates."""
+    bvec = [CQ_ZERO, CQ_ZERO] + [as_complex(v) for v in b]
+    r = xs[0]
+    deg4 = xs[1] + _ref_pairing(bvec, xs) + r * _ref_pairing(bvec, bvec) * Fraction(1, 2)
+    return [r, deg4] + [x + r * v for x, v in zip(xs[2:], bvec[2:])]
+
+
+def _ref_exponential(b, w) -> list:
+    """exp(B + i omega) = (1, B + i omega, (B + i omega)^2 / 2) on coordinates."""
+    z = [CQ_ZERO, CQ_ZERO] + [ComplexQuad(u, v) for u, v in zip(b, w)]
+    return [as_complex(1), _ref_pairing(z, z) * Fraction(1, 2)] + z[2:]
+
+
+def _ref_support_basis(xs) -> tuple:
+    """Saturated span of the four rational component vectors of the coordinates."""
+    from gk3.intlinalg import clear_denominators, hnf_basis, saturate
+
+    parts = [[c.re.a for c in xs], [c.re.b for c in xs], [c.im.a for c in xs], [c.im.b for c in xs]]
+    rows = [v for v in map(clear_denominators, parts) if any(v)]
+    return saturate(hnf_basis(rows, 24), 24) if rows else ()
+
+
+def _ref_check(xs):
+    """check_gcy's verdict on coordinates: (type, norm) or the error message."""
+    self_pairing = _ref_pairing(xs, xs)
+    if not self_pairing.is_zero:
+        return f"not isotropic: <phi,phi> = {self_pairing}"
+    norm = _ref_pairing(xs, [c.conjugate() for c in xs]).re
+    if norm.sign() <= 0:
+        return f"not positive: <phi,conj phi> = {norm}"
+    return ("A" if not xs[0].is_zero else "B", norm)
+
+
+def _class_of(xs) -> CohClass:
+    return CohClass(xs[0], xs[2:], xs[1])
+
+
+@st.composite
+def _scalars(draw, d, real=False):
+    den = draw(st.integers(1, 3))
+    ra, ia = draw(st.integers(-3, 3)), 0 if real else draw(st.integers(-3, 3))
+    rb, ib = (draw(st.integers(-2, 2)), 0 if real else draw(st.integers(-2, 2))) if d else (0, 0)
+    re = QuadScalar(Fraction(ra, den), Fraction(rb, den), d)
+    return re if real else ComplexQuad(re, QuadScalar(Fraction(ia, den), Fraction(ib, den), d))
+
+
+@st.composite
+def _vectors(draw, d, size, real=False):
+    """A sparse or dense vector over Q(sqrt d) (d None: rational)."""
+    zero = as_quad(0) if real else CQ_ZERO
+    if draw(st.booleans()):
+        return [draw(_scalars(d, real)) for _ in range(size)]
+    slots = draw(st.sets(st.integers(0, size - 1), max_size=6))
+    return [draw(_scalars(d, real)) if i in slots else zero for i in range(size)]
+
+
+@st.composite
+def _class_cases(draw):
+    d = draw(st.sampled_from((None, 2, 3, 7)))
+    xs, ys = draw(_vectors(d, 24)), draw(_vectors(d, 24))
+    b = draw(_vectors(draw(st.sampled_from((None, d))), 22, real=True))
+    k = draw(_scalars(d))
+    return xs, ys, b, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(_class_cases())
+def test_row_form_matches_the_per_coordinate_algorithm(case):
+    xs, ys, b, k = case
+    x, y = _class_of(xs), _class_of(ys)
+    assert x.coords24() == tuple(xs)
+    assert mukai_pairing(x, y) == _ref_pairing(xs, ys)
+    assert bfield_transform(b, x) == _class_of(_ref_bfield(b, xs))
+    assert x.conjugate() == _class_of([c.conjugate() for c in xs])
+    assert x.scale(k) == _class_of([c * k for c in xs])
+    assert support_in(MUKAI, x).basis == _ref_support_basis(xs)
+    w = [c.re for c in ys[2:]]
+    assert exponential_class(b, w) == _class_of(_ref_exponential(b, w))
+    for cls in (x, exponential_class(b, w), two_form_class(b, w)):
+        want = _ref_check(cls.coords24())
+        try:
+            g = check_gcy(cls)
+        except ValidationError as e:
+            assert str(e) == want
+        else:
+            assert (g.type_tag, g.norm) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(_class_cases())
+def test_row_form_is_a_normal_form(case):
+    xs, _, b, k = case
+    x = _class_of(xs)
+    if not k.is_zero:
+        # the same value through a common factor and back
+        again = x.scale(k).scale(k.inverse())
+        assert again == x and hash(again) == hash(x)
+        assert (again.den, again.d, again.rows) == (x.den, x.d, x.rows)
+    shifted = bfield_transform([-v for v in b], bfield_transform(b, x))
+    assert shifted == x and hash(shifted) == hash(x)
+    assert math.gcd(x.den, *(v for row in x.rows for v in row)) == 1
+    assert (x.d is None) == (not any(x.rows[1]) and not any(x.rows[3]))
+
+
+def test_normal_form_of_a_cancelled_class():
+    x = coh_class(Fraction(2, 4), [Fraction(6, 4)] + [0] * 21, QuadScalar(Fraction(0), Fraction(1), 2) * 0)
+    assert (x.den, x.d) == (2, None)
+    assert x.rows[0][:3] == (1, 0, 3)
+    assert x == coh_class(Fraction(1, 2), [Fraction(3, 2)] + [0] * 21, 0)

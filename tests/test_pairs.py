@@ -59,6 +59,23 @@ def test_validate_rejects_norm_mismatch():
         validate_gk3(_kahler_class(), scaled)
 
 
+def test_validate_makes_one_pairing_per_pi_gram_entry(monkeypatch):
+    import gk3.mukai
+    import gk3.pairs
+
+    a, b = _kahler_class(), _holomorphic_form()
+    calls = []
+    for module in (gk3.mukai, gk3.pairs):  # the pairing routine and any binding of it
+        pairing = getattr(module, "mukai_pairing", None)
+        if pairing is not None:
+            monkeypatch.setattr(
+                module, "mukai_pairing", lambda x, y, f=pairing: calls.append(1) or f(x, y)
+            )
+    x = validate_gk3(a, b)
+    assert x.status == "Verified"
+    assert len(calls) <= 10  # the upper triangle of the 4x4 Pi Gram
+
+
 def test_validate_rejects_crossing_planes():
     # sigma sharing the U block of omega pairs nontrivially with Im phiA
     crossing = check_gcy(

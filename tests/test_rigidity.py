@@ -8,8 +8,10 @@ from gk3.errors import ValidationError
 from gk3.lattices import IntegralLattice, gauss_reduce2, ortho_complement
 from gk3.mirror import build_si_mirror
 from gk3.mukai import (
+    GCYClass,
     GenericClass,
     check_gcy,
+    coh_class,
     deg2_vector,
     exponential_class,
     support_lattice,
@@ -20,11 +22,12 @@ from gk3.rigidity import (
     DEFAULT_H1,
     DEFAULT_H2,
     SurveyConfig,
+    _tail_b_rational,
     is_complex_rigid,
     is_kahler_rigid,
     kahler_rigid_survey,
 )
-from gk3.scalars import QuadScalar, as_quad
+from gk3.scalars import ComplexQuad, QuadScalar, as_quad
 
 SQRT2 = QuadScalar(Fraction(0), Fraction(1), 2)
 
@@ -78,6 +81,15 @@ def test_complex_rigid_generic_needs_explicit_class():
     x = validate_gk3(_kahler(), GenericClass(support_lattice(_sigma()), "B"))
     with pytest.raises(ValidationError, match="explicit phi_B"):
         is_complex_rigid(x)
+
+
+def test_tail_b_rationality():
+    # sigma = (e2 + f2) + i sqrt2 (e3 + f3); B = alpha Re + beta Im solves
+    # deg4 = <B, sigma> with alpha = Re deg4 / 2 and beta = Im deg4 / 4
+    deg2 = [ComplexQuad(u, SQRT2 * v) for u, v in zip(deg2_vector({2: 1, 3: 1}), deg2_vector({4: 1, 5: 1}))]
+    for tail, rational in ((ComplexQuad(1, 1), False), (ComplexQuad(1, SQRT2), True), (0, True)):
+        sigma = GCYClass(coh_class(0, deg2, tail), "B", as_quad(6))
+        assert _tail_b_rational(sigma) is rational
 
 
 def test_kahler_rigid_on_shioda_inose_member():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -189,3 +190,26 @@ def test_coercions():
     assert as_complex(Fraction(2)) == ComplexQuad(_q(2), _q(0))
     with pytest.raises(ValidationError):
         as_quad(0.5)
+
+
+def test_field_tag_is_checked_once_at_the_boundary(monkeypatch):
+    import gk3.scalars
+    from gk3.serialize import parse_document
+
+    x, y = _q(1, 2, 999983), _q(Fraction(1, 3), -1, 999983)
+    want = _q(Fraction(4, 3) - 2 * 999983, Fraction(5, 3), 999983)
+    calls = []
+    squarefree = gk3.scalars.is_squarefree
+    monkeypatch.setattr(gk3.scalars, "is_squarefree", lambda n: calls.append(n) or squarefree(n))
+    assert x * y + x == want
+    assert calls == []
+    root = {"a": "0", "b": "1"}
+    doc = {
+        "sqrt_d": 999983,
+        "class": {"deg0": {"re": root, "im": "1/2"}, "deg2": [root] * 22, "deg4": {"im": root}},
+    }
+    parsed = parse_document(json.dumps(doc))
+    assert parsed.value.field_tag == 999983
+    assert calls == [999983]
+    with pytest.raises(ValidationError, match="squarefree"):
+        QuadScalar(0, 1, 4)

@@ -19,14 +19,14 @@ from hypothesis import strategies as st
 from gk3.lattices import enumerate_reduced_forms, gauss_reduce2
 from gk3.errors import ValidationError
 from gk3.intlinalg import bilinear as _pair
-from gk3.mukai import K3_GRAM, check_gcy, coh_class, deg2_vector, exponential_class, support_lattice
+from gk3.mukai import K3_GRAM, check_gcy, coh_class, deg2_vector, exponential_class, gcy_norm, support_lattice
 from gk3.rigidity import (
     MAX_FORMS_DET,
     MAX_SURVEY_SAMPLES,
     SurveyConfig,
     SurveyReport,
     SurveyWitness,
-    _check_exp_rows,
+    _exp_rows,
     _grid_invariant,
     _sat_coords,
     _survey_kappas,
@@ -90,7 +90,7 @@ def test_grid_invariant_matches_the_24_wide_pipeline(plane, d, a, b, denom, data
     p = data.draw(st.integers(0, denom - 1), label="p")
     q = data.draw(st.integers(0, denom - 1), label="q")
     kappa = _kappa(d)
-    got = _grid_invariant(_sat_coords(h1, h2), d, kappa, a, b, p, q, denom)
+    got = _grid_invariant(_sat_coords(h1, h2), d, a, b, p, q, denom)
     assert got == _wide_invariant(*_classes(h1, h2, kappa, a, b, p, q, denom))
 
 
@@ -107,7 +107,7 @@ def test_grid_invariant_sweep(plane):
             for denom in (1, 2, 3):
                 for p in range(denom):
                     q = (p + 1) % denom
-                    got = _grid_invariant(sc, d, kappa, a, b, p, q, denom)
+                    got = _grid_invariant(sc, d, a, b, p, q, denom)
                     want = _wide_invariant(*_classes(h1, h2, kappa, a, b, p, q, denom))
                     assert got == want, (d, a, b, p, q, denom)
 
@@ -181,11 +181,11 @@ def test_integer_gcy_check_reports_as_check_gcy():
     r1, r2 = (2, -2, 1, 0), (0, 0, 1, 0)
     cls = coh_class(1, [ComplexQuad(v / 2, kappa * v) for v in hq], -1)
     with pytest.raises(ValidationError) as e:
-        _check_exp_rows(sc.gram_p, r1, r2, 2, kappa, 1)
+        gcy_norm(sc.entries_p, 2, 2, _exp_rows(r1, r2, 2, 1))
     assert str(e.value) == _gcy_error(cls)
     # omega_0 = H2 of square -2: isotropic but not positive
     r1, r2 = (2, 4, 0, 0), (0, 0, 0, 1)
     cls = coh_class(1, [ComplexQuad(0, kappa * v) for v in _quads(h2)], 2)
     with pytest.raises(ValidationError) as e:
-        _check_exp_rows(sc.gram_p, r1, r2, 2, kappa, 1)
+        gcy_norm(sc.entries_p, 2, 2, _exp_rows(r1, r2, 2, 1))
     assert str(e.value) == _gcy_error(cls)
