@@ -415,8 +415,8 @@ def cmd_mirror_shioda_inose(args) -> dict:
         "ns_dual_reduced": int_matrix_json(ns2.lattice.gram),
         "ns_x": _lattice_report(ns1),
         "polarizations": [
-            _polarization_json(fam1.check()),
-            _polarization_json(fam2.check()),
+            _polarization_json(fam1.report),
+            _polarization_json(fam2.report),
         ],
         "mirror": _mirror_json(mirror_check(fam1, fam2)),
         "family1": _family_json(fam1),

@@ -14,6 +14,9 @@ Conventions:
 * ``int_kernel(m)`` is the right kernel ``{x : m @ x^T = 0}`` returned as
   HNF rows; it is automatically saturated.
 * ``saturate(m)`` returns the HNF basis of ``(Q-span of rows) ∩ Z^n``.
+* ``snf_divisors(m)`` returns the ``min(rows, cols)`` Smith divisors
+  ``d_1 | d_2 | ...``, positive, zeros last; they come from the same HNF
+  elimination, applied alternately to the rows and the columns.
 """
 
 from __future__ import annotations
@@ -194,62 +197,19 @@ def snf_divisors(m) -> tuple[int, ...]:
     """Smith normal form elementary divisors d_1 | d_2 | ... (zeros last).
 
     The list has min(rows, cols) entries; zeros account for rank deficit.
+    The matrix is brought to diagonal form by alternating row Hermite forms
+    of it and of its transpose (Kannan and Bachem, 1979), and the diagonal
+    is then normalized into a divisibility chain.
     """
-    a = [list(map(int, r)) for r in m]
-    n = len(a)
-    c = len(a[0]) if a else 0
-    size = min(n, c)
-    t = 0
-    while t < size:
-        piv = None
-        for i in range(t, n):
-            for j in range(t, c):
-                v = a[i][j]
-                if v != 0 and (piv is None or abs(v) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        if i0 != t:
-            a[t], a[i0] = a[i0], a[t]
-        if j0 != t:
-            for row in a:
-                row[t], row[j0] = row[j0], row[t]
-        while True:
-            changed = False
-            for i in range(t + 1, n):
-                q = a[i][t] // a[t][t]
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                if a[i][t] != 0:
-                    a[t], a[i] = a[i], a[t]
-                    changed = True
-            for j in range(t + 1, c):
-                q = a[t][j] // a[t][t]
-                if q:
-                    for row in a:
-                        row[j] -= q * row[t]
-                if a[t][j] != 0:
-                    for row in a:
-                        row[t], row[j] = row[j], row[t]
-                    changed = True
-            if not changed:
-                break
-        # pivot must divide every remaining entry; if not, fold the bad row in
-        piv_val = a[t][t]
-        bad = None
-        for i in range(t + 1, n):
-            for j in range(t + 1, c):
-                if a[i][j] % piv_val:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-            continue
-        t += 1
-    divs = [abs(a[i][i]) if i < t else 0 for i in range(size)]
+    size = min(len(m), len(m[0])) if m else 0
+    a = hnf_basis(m)
+    # Terminates: each pass makes the leading pivot the gcd of the previous
+    # leading row, so it never grows, and it stays put only when it divides
+    # that row, in which case the pass clears its row and column for good;
+    # the same then holds for the trailing block.
+    while any(x for i, row in enumerate(a) for j, x in enumerate(row) if j != i):
+        a = hnf_basis(transpose(a))
+    divs = [a[i][i] for i in range(len(a))] + [0] * (size - len(a))
     # normalize the divisibility chain (gcd up, lcm down)
     for i in range(len(divs)):
         for j in range(i + 1, len(divs)):

@@ -19,9 +19,11 @@ every n at moduli dimensions (20, 0) and (0, 20).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import prod
 
 from .errors import ValidationError
-from .intlinalg import IntMat, det, in_q_span, matmul, q_rank, transpose
+from .intlinalg import IntMat, hnf_basis, in_q_span, matmul, transpose
 from .lattices import (
     IntegralLattice,
     MatchResult,
@@ -125,8 +127,8 @@ def check_polarization(p: PolarizationData, x: GeneralizedK3) -> PolarizationRep
     clauses.append(Clause("ranks sum to 24", rank_sum == 24, f"got {rank_sum}"))
     clauses.append(Clause("K embedding primitive", is_primitive(p.k_emb)))
     clauses.append(Clause("L embedding primitive", is_primitive(p.l_emb)))
-    stack = p.k_emb.basis + p.l_emb.basis
-    independent = q_rank(stack) == len(stack)
+    stack = hnf_basis(p.k_emb.basis + p.l_emb.basis)
+    independent = len(stack) == rank_sum
     clauses.append(Clause("K and L spans independent", independent))
     clauses.append(
         Clause(
@@ -162,7 +164,10 @@ def check_polarization(p: PolarizationData, x: GeneralizedK3) -> PolarizationRep
     clauses.append(
         Clause("L inside the transcendental lattice", t.contains(p.l_emb))
     )
-    joint_index = abs(det(stack)) if (independent and rank_sum == 24) else None
+    # a nonsingular square HNF is upper triangular, so |det| is its pivot product
+    joint_index = (
+        prod(row[i] for i, row in enumerate(stack)) if (independent and rank_sum == 24) else None
+    )
     kl = matmul(matmul(p.k_emb.basis, MUKAI_GRAM), transpose(p.l_emb.basis))
     return PolarizationReport(tuple(clauses), joint_index, kl)
 
@@ -179,7 +184,9 @@ class FamilySpec:
     polarization: PolarizationData
     member: GeneralizedK3
 
-    def check(self) -> PolarizationReport:
+    @cached_property
+    def report(self) -> PolarizationReport:
+        """The polarization report of this family, computed once."""
         return check_polarization(self.polarization, self.member)
 
 
@@ -236,8 +243,8 @@ def mirror_check(f1: FamilySpec, f2: FamilySpec) -> MirrorReport:
         dims_swap=dims_1 == (dims_2[1], dims_2[0]),
         ns1_vs_t2=invariants_match(ns1, t2),
         t1_vs_ns2=invariants_match(t1, ns2),
-        polarization_1_passed=f1.check().passed,
-        polarization_2_passed=f2.check().passed,
+        polarization_1_passed=f1.report.passed,
+        polarization_2_passed=f2.report.passed,
     )
 
 
@@ -350,7 +357,7 @@ def _assert_si_shape(fam1: FamilySpec, fam2: FamilySpec, n: int) -> None:
     if not invariants_match(ns1, t2).matched:
         raise ValidationError("rank-22 slots disagree at invariant level")
     for fam in (fam1, fam2):
-        report = fam.check()
+        report = fam.report
         if not report.passed:
             raise ValidationError(
                 f"polarization clauses failed: {report.failed_names()}"

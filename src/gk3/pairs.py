@@ -30,6 +30,7 @@ from .mukai import (
     bfield_transform,
     check_gcy,
     member_support,
+    mukai_pairing,
     real_gram,
     type_a_parts,
 )
@@ -82,8 +83,12 @@ def _pi_space(a: GCYClass, b: GCYClass) -> PiSpace:
 
 
 def cross_pairings(a: GCYClass, b: GCYClass) -> tuple[QuadScalar, ...]:
-    """The four pairings between Re/Im of phi_A and Re/Im of phi_B."""
-    return _pi_space(a, b).cross_pairings
+    """The four pairings between Re/Im of phi_A and Re/Im of phi_B, in the
+    order of ``PiSpace.cross_pairings``."""
+    b_parts = (b.coh.real_part(), b.coh.imag_part())
+    return tuple(
+        mukai_pairing(u, v).re for u in (a.coh.real_part(), a.coh.imag_part()) for v in b_parts
+    )
 
 
 def validate_gk3(phi_a, phi_b) -> GeneralizedK3:

@@ -358,6 +358,42 @@ def test_huge_sqrt_d_flag_is_a_field_tag_error():
     assert json.loads(proc.stdout)["error"] == "field tag must be a squarefree integer >= 2, got 4"
 
 
+def test_lattice_info_on_a_dense_even_gram_finishes(tmp_path):
+    # 6x6 even Gram whose discriminant group is cyclic of order 229717
+    gram = [
+        [2, -5, -4, -5, 0, 2],
+        [-5, 8, 2, -3, -3, 5],
+        [-4, 2, 6, -2, -6, 5],
+        [-5, -3, -2, 2, 0, -5],
+        [0, -3, -6, 0, -6, 2],
+        [2, 5, 5, -5, 2, -4],
+    ]
+    proc = _gk3(["lattice", "info", _write(tmp_path, "g.json", {"lattice": {"gram": gram}})])
+    assert proc.returncode == 0
+    out = json.loads(proc.stdout)
+    assert out["det"] == -229717
+    assert out["discriminant"] == [229717]
+
+
+def test_mirror_commands_check_each_polarization_once(tmp_path, capsys, monkeypatch):
+    import gk3.mirror
+
+    calls = []
+    check = gk3.mirror.check_polarization
+    monkeypatch.setattr(
+        gk3.mirror, "check_polarization", lambda p, x: calls.append(1) or check(p, x)
+    )
+    code, out = _run(capsys, ["mirror", "shioda-inose", "--n", "5"])
+    assert code == 0 and out["mirror"]["verified"] is True
+    assert len(calls) == 2  # one report per family
+    f1 = _write(tmp_path, "f1.json", {"family": out["family1"]})
+    f2 = _write(tmp_path, "f2.json", {"family": out["family2"]})
+    calls.clear()
+    code, out = _run(capsys, ["mirror", "check", f1, f2])
+    assert code == 0 and out["verified"] is True
+    assert len(calls) == 2
+
+
 def test_mirror_shioda_inose_and_check(tmp_path, capsys):
     code, out = _run(capsys, ["mirror", "shioda-inose", "--n", "1"])
     assert code == 0

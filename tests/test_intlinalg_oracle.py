@@ -15,6 +15,17 @@ from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from gk3.intlinalg import det, hnf, hnf_basis, matmul, snf_divisors, sym_signature, transpose
 
+# a dense even Gram on which a smallest-pivot-and-swap Smith elimination
+# never finishes: its clearing passes grow the entries without bound
+DENSE_EVEN_GRAM = (
+    (2, -5, -4, -5, 0, 2),
+    (-5, 8, 2, -3, -3, 5),
+    (-4, 2, 6, -2, -6, 5),
+    (-5, -3, -2, 2, 0, -5),
+    (0, -3, -6, 0, -6, 2),
+    (2, 5, 5, -5, 2, -4),
+)
+
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 ENTRY = st.integers(-9, 9)
 
@@ -117,6 +128,17 @@ def test_hnf_transform_is_unimodular(m):
 
 @SETTINGS
 @given(int_matrices())
+@example(  # sympy: 1, 1, 1, 1, 2, 72970
+    (
+        (-9, -5, -4, -4, 3, -6),
+        (-2, 3, -4, 0, 2, 7),
+        (-5, 3, -6, 3, 2, -2),
+        (-9, -6, -3, 3, -7, -9),
+        (9, 2, 2, 3, -6, -5),
+        (-4, -3, -3, 5, -2, 7),
+    )
+)
+@example(DENSE_EVEN_GRAM)  # sympy: 1, 1, 1, 1, 1, 229717
 def test_snf_divisors_match_sympy(m):
     s = smith_normal_form(Matrix(m), domain=ZZ)
     theirs = [abs(s[i, i]) for i in range(min(s.shape))]

@@ -47,7 +47,7 @@ EXPECTED_CLAUSES = (
 
 def test_polarization_clause_names_and_pass():
     fam_x, _ = build_si_mirror(1)
-    report = fam_x.check()
+    report = fam_x.report
     assert tuple(c.name for c in report.clauses) == EXPECTED_CLAUSES
     assert report.passed
     assert report.failed_names() == ()
@@ -189,4 +189,4 @@ def test_dolgachev_input_validation():
 def test_family_check_shortcut():
     fam_x, _ = build_si_mirror(1)
     assert isinstance(fam_x, FamilySpec)
-    assert fam_x.check().passed
+    assert fam_x.report.passed

@@ -59,11 +59,10 @@ def test_validate_rejects_norm_mismatch():
         validate_gk3(_kahler_class(), scaled)
 
 
-def test_validate_makes_one_pairing_per_pi_gram_entry(monkeypatch):
+def _count_pairings(monkeypatch) -> list:
     import gk3.mukai
     import gk3.pairs
 
-    a, b = _kahler_class(), _holomorphic_form()
     calls = []
     for module in (gk3.mukai, gk3.pairs):  # the pairing routine and any binding of it
         pairing = getattr(module, "mukai_pairing", None)
@@ -71,9 +70,23 @@ def test_validate_makes_one_pairing_per_pi_gram_entry(monkeypatch):
             monkeypatch.setattr(
                 module, "mukai_pairing", lambda x, y, f=pairing: calls.append(1) or f(x, y)
             )
+    return calls
+
+
+def test_validate_makes_one_pairing_per_pi_gram_entry(monkeypatch):
+    a, b = _kahler_class(), _holomorphic_form()
+    calls = _count_pairings(monkeypatch)
     x = validate_gk3(a, b)
     assert x.status == "Verified"
     assert len(calls) <= 10  # the upper triangle of the 4x4 Pi Gram
+
+
+def test_classify_makes_only_the_four_cross_pairings(monkeypatch):
+    a, b = _kahler_class(), _holomorphic_form()
+    calls = _count_pairings(monkeypatch)
+    c = classify_hk_pair(a, b)
+    assert c.case == "B-with-A" and c.orthogonal and c.norms_match
+    assert len(calls) == 4  # Re/Im of phi_A against Re/Im of phi_B
 
 
 def test_validate_rejects_crossing_planes():
