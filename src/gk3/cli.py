@@ -34,7 +34,6 @@ from .mukai import (
 from .pairs import (
     classify_hk_pair,
     neron_severi,
-    ns_and_transcendental,
     signature_profile,
     transcendental,
     validate_gk3,
@@ -68,6 +67,7 @@ from .serialize import (
     quad_json,
     quad_matrix_json,
     quad_vector_json,
+    sublattice_json,
 )
 
 import json
@@ -231,11 +231,10 @@ def cmd_gk3_validate(args) -> dict:
 def cmd_gk3_ns_t(args) -> dict:
     doc = _load(args.file, ("pair",))
     pair = _pair_of(doc)
-    ns, t = ns_and_transcendental(pair)
     return {
         "status": pair.status,
-        "ns": _sublattice_report(ns),
-        "t": _sublattice_report(t),
+        "ns": _sublattice_report(neron_severi(pair)),
+        "t": _sublattice_report(transcendental(pair)),
         "convention": (
             "the transcendental lattice is the orthogonal complement of the"
             " support of phiA, not the complement of the Neron-Severi lattice"
@@ -385,14 +384,8 @@ def _family_json(fam: FamilySpec) -> dict:
     pol = fam.polarization
     return {
         "polarization": {
-            "K": {
-                "ambient": {"named": "Mukai"},
-                "basis": int_matrix_json(pol.k_emb.basis),
-            },
-            "L": {
-                "ambient": {"named": "Mukai"},
-                "basis": int_matrix_json(pol.l_emb.basis),
-            },
+            "K": sublattice_json(pol.k_emb, named_ambient="Mukai"),
+            "L": sublattice_json(pol.l_emb, named_ambient="Mukai"),
             "witnessA": member_json(pol.witness_a, named_ambient="Mukai"),
             "witnessB": member_json(pol.witness_b, named_ambient="Mukai"),
         },

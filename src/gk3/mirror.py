@@ -46,8 +46,6 @@ from .mukai import (
     check_gcy,
     deg2_vector,
     exponential_class,
-    member_support,
-    member_type,
     support_lattice,
     two_form_class,
 )
@@ -62,6 +60,11 @@ class PolarizationData:
     l_emb: Sublattice
     witness_a: Member
     witness_b: Member
+
+    def __post_init__(self):
+        for name, slot in (("K", self.k_emb), ("L", self.l_emb)):
+            if slot.ambient.gram != MUKAI_GRAM:
+                raise ValidationError(f"polarization slot {name} must live in the Mukai lattice")
 
 
 @dataclass(frozen=True)
@@ -133,36 +136,34 @@ def check_polarization(p: PolarizationData, x: GeneralizedK3) -> PolarizationRep
     clauses.append(
         Clause(
             "witness A has type A",
-            member_type(p.witness_a) == "A",
-            f"got {member_type(p.witness_a)}",
+            p.witness_a.type_tag == "A",
+            f"got {p.witness_a.type_tag}",
         )
     )
     clauses.append(
         Clause(
             "witness A lies in the K span",
-            _span_contains(p.k_emb, member_support(p.witness_a)),
+            _span_contains(p.k_emb, p.witness_a.support),
         )
     )
     clauses.append(
         Clause(
             "witness B has type B",
-            member_type(p.witness_b) == "B",
-            f"got {member_type(p.witness_b)}",
+            p.witness_b.type_tag == "B",
+            f"got {p.witness_b.type_tag}",
         )
     )
     clauses.append(
         Clause(
             "witness B lies in the L span",
-            _span_contains(p.l_emb, member_support(p.witness_b)),
+            _span_contains(p.l_emb, p.witness_b.support),
         )
     )
-    ns = neron_severi(x)
-    t = transcendental(x)
     clauses.append(
-        Clause("K inside the Neron-Severi lattice", ns.contains(p.k_emb))
+        Clause("K inside the Neron-Severi lattice", neron_severi(x).contains(p.k_emb))
     )
     clauses.append(
-        Clause("L inside the transcendental lattice", t.contains(p.l_emb))
+        Clause("L inside the transcendental lattice", transcendental(x).contains(p.l_emb))
     )
     # a nonsingular square HNF is upper triangular, so |det| is its pivot product
     joint_index = (

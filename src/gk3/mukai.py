@@ -420,15 +420,6 @@ def support_lattice(x: CohClass | GCYClass) -> Sublattice:
     return support_in(MUKAI, x)
 
 
-def member_support(m: Member) -> Sublattice:
-    """The support of an explicit class, or the declared support of a generic one."""
-    return m.support
-
-
-def member_type(m: Member) -> str:
-    return m.type_tag
-
-
 @dataclass(frozen=True)
 class PeriodPlane:
     """The oriented positive 2-plane spanned by Re(x) and Im(x)."""

@@ -16,10 +16,11 @@ case the pair realizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ValidationError
 from .intlinalg import int_kernel, matmul
-from .lattices import IntegralLattice, Sublattice, ortho_complement
+from .lattices import Sublattice, ortho_complement
 from .mukai import (
     MUKAI,
     GCYClass,
@@ -29,7 +30,6 @@ from .mukai import (
     bfield_matrix,
     bfield_transform,
     check_gcy,
-    member_support,
     mukai_pairing,
     real_gram,
     type_a_parts,
@@ -61,12 +61,24 @@ class PiSpace:
 
 @dataclass(frozen=True)
 class GeneralizedK3:
-    """A validated pair; phi_A is a hyperKaehler partner of phi_B."""
+    """A validated pair; phi_A is a hyperKaehler partner of phi_B.
+
+    The pair owns its Neron-Severi and transcendental lattices: each is
+    computed once, on first use, and shared by every later reader.
+    """
 
     phi_a: Member
     phi_b: Member
     status: str  # "Verified" | "FormalGeneric"
     pi: PiSpace | None
+
+    @cached_property
+    def _neron_severi(self) -> Sublattice:
+        return ortho_complement(self.phi_b.support)
+
+    @cached_property
+    def _transcendental(self) -> Sublattice:
+        return ortho_complement(self.phi_a.support)
 
 
 _CROSS_NAMES = (
@@ -119,16 +131,12 @@ def validate_gk3(phi_a, phi_b) -> GeneralizedK3:
 
 def neron_severi(x: GeneralizedK3) -> Sublattice:
     """Orthogonal complement of the support of phi_B (HNF-normalized)."""
-    return ortho_complement(member_support(x.phi_b))
+    return x._neron_severi
 
 
 def transcendental(x: GeneralizedK3) -> Sublattice:
     """Orthogonal complement of the support of phi_A (HNF-normalized)."""
-    return ortho_complement(member_support(x.phi_a))
-
-
-def ns_and_transcendental(x: GeneralizedK3) -> tuple[Sublattice, Sublattice]:
-    return neron_severi(x), transcendental(x)
+    return x._transcendental
 
 
 @dataclass(frozen=True)
@@ -144,16 +152,15 @@ def signature_profile(x: GeneralizedK3) -> SignatureProfile:
     their intersection.  Each side has at most 2 positive directions,
     since the complement of a lattice containing a positive 2-plane sits
     in signature (4, 20)."""
-    ns, t = ns_and_transcendental(x)
-    sig_ns = ns.induced_lattice().signature()
-    sig_t = t.induced_lattice().signature()
+    sig_ns = neron_severi(x).induced_lattice().signature()
+    sig_t = transcendental(x).induced_lattice().signature()
     for label, sig in (("NS", sig_ns), ("T", sig_t)):
         if sig.n_plus > 2:
             raise ValidationError(
                 f"{label} lattice has {sig.n_plus} positive directions, expected <= 2"
             )
-    conditions = matmul(member_support(x.phi_b).basis, MUKAI.gram) + matmul(
-        member_support(x.phi_a).basis, MUKAI.gram
+    conditions = matmul(x.phi_b.support.basis, MUKAI.gram) + matmul(
+        x.phi_a.support.basis, MUKAI.gram
     )
     inter = Sublattice(MUKAI, int_kernel(conditions, MUKAI.rank))
     sig_i = inter.induced_lattice().signature()

@@ -27,7 +27,6 @@ from .lattices import (
     Sublattice,
     enumerate_reduced_forms,
     gauss_reduce2,
-    ortho_complement,
 )
 from .mukai import (
     DEG2_RANK,
@@ -39,13 +38,12 @@ from .mukai import (
     deg2_vector,
     gcy_norm,
     gram_entries,
-    member_support,
     mukai_pairing,
     real_gram,
     support_in,
     type_a_parts,
 )
-from .pairs import GeneralizedK3
+from .pairs import GeneralizedK3, neron_severi, transcendental
 from .scalars import ComplexQuad, QuadScalar, as_quad
 
 FULL_RANK = 22  # rank of NS/T certifying rigidity (codimension-2 support)
@@ -75,18 +73,19 @@ class RigidityReport:
         return self.kind != "NotRigid"
 
 
-def _plane_rank_checks(member, which: str) -> tuple[Sublattice | None, RigidityReport | None]:
-    """Shared support-rank gate; returns (support, None) or (None, verdict)."""
-    support = member_support(member)
-    complement_rank = ortho_complement(support).rank
-    if complement_rank != FULL_RANK:
-        label = "NS" if which == "B" else "T"
-        return None, RigidityReport(
-            "NotRigid", reason=f"rank {label} = {complement_rank}, needs {FULL_RANK}"
+def _plane_rank_checks(x: GeneralizedK3, which: str) -> RigidityReport | None:
+    """Shared rank gate on the pair's NS (which = "B") or T (which = "A");
+    returns the NotRigid verdict, or None when the rank is full."""
+    member, label, lattice = (
+        (x.phi_b, "NS", neron_severi(x)) if which == "B" else (x.phi_a, "T", transcendental(x))
+    )
+    if lattice.rank != FULL_RANK:
+        return RigidityReport(
+            "NotRigid", reason=f"rank {label} = {lattice.rank}, needs {FULL_RANK}"
         )
     if isinstance(member, GenericClass):
         raise ValidationError(f"invariant needs explicit phi_{which}")
-    return support, None
+    return None
 
 
 def is_complex_rigid(x: GeneralizedK3) -> RigidityReport:
@@ -98,7 +97,7 @@ def is_complex_rigid(x: GeneralizedK3) -> RigidityReport:
     b = x.phi_b
     if b.type_tag != "B":
         return RigidityReport("NotRigid", reason="phi_B has type A, needs type B")
-    support, verdict = _plane_rank_checks(b, "B")
+    verdict = _plane_rank_checks(x, "B")
     if verdict is not None:
         return verdict
     # degree 2 is an orthogonal summand of the Mukai lattice isometric to
@@ -146,10 +145,10 @@ def is_kahler_rigid(x: GeneralizedK3) -> RigidityReport:
     a = x.phi_a
     if a.type_tag != "A":
         return RigidityReport("NotRigid", reason="phi_A has type B, needs type A")
-    support, verdict = _plane_rank_checks(a, "A")
+    verdict = _plane_rank_checks(x, "A")
     if verdict is not None:
         return verdict
-    reduced = gauss_reduce2(support.induced_lattice())
+    reduced = gauss_reduce2(a.support.induced_lattice())
     bfield, omega = type_a_parts(a)
     return RigidityReport(
         "KahlerRigid",

@@ -329,6 +329,30 @@ def test_class_and_pair_commands_are_pinned(tmp_path, capsys, doc_name):
     assert got == PINNED_STDOUT_SHA256[doc_name]
 
 
+# sha256 of the canonical stdout of the mirror builder, and of `mirror check`
+# on the two families it emits for n = 1
+PINNED_MIRROR_SHA256 = {
+    "mirror shioda-inose --n 1": "650ce2643cd1c5fe7870ac63b6683153c5061ad3e0cea74f52d0c0c10f9630c6",
+    "mirror shioda-inose --n 2": "02b89c4f546333b8b9da8421c05521039f212573c2d27aafbb77645c87abbda7",
+    "mirror check": "a7b6d704ebbc42ed83308ed61546ec6c73ce92221964e7c30a1ab28d52978af6",
+}
+
+
+def test_mirror_commands_are_pinned(tmp_path, capsys):
+    got = {}
+    for n in (1, 2):
+        assert main(["mirror", "shioda-inose", "--n", str(n)]) == 0
+        out = capsys.readouterr().out
+        got[f"mirror shioda-inose --n {n}"] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        if n == 1:
+            families = json.loads(out)
+    f1 = _write(tmp_path, "f1.json", {"family": families["family1"]})
+    f2 = _write(tmp_path, "f2.json", {"family": families["family2"]})
+    assert main(["mirror", "check", f1, f2]) == 0
+    got["mirror check"] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert got == PINNED_MIRROR_SHA256
+
+
 HUGE_FIELD_TAG = 1000000000000000003  # trial division to its square root never ends
 
 
@@ -394,6 +418,19 @@ def test_mirror_commands_check_each_polarization_once(tmp_path, capsys, monkeypa
     assert len(calls) == 2
 
 
+def test_mirror_commands_compute_each_ns_and_t_once(tmp_path, capsys, ortho_complement_calls):
+    calls = ortho_complement_calls
+    code, out = _run(capsys, ["mirror", "shioda-inose", "--n", "5"])
+    assert code == 0 and out["mirror"]["verified"] is True
+    assert len(calls) <= 6  # the two rank-22 slots, then NS and T of each member
+    f1 = _write(tmp_path, "f1.json", {"family": out["family1"]})
+    f2 = _write(tmp_path, "f2.json", {"family": out["family2"]})
+    calls.clear()
+    code, out = _run(capsys, ["mirror", "check", f1, f2])
+    assert code == 0 and out["verified"] is True
+    assert len(calls) <= 4  # NS and T of each member
+
+
 def test_mirror_shioda_inose_and_check(tmp_path, capsys):
     code, out = _run(capsys, ["mirror", "shioda-inose", "--n", "1"])
     assert code == 0
@@ -423,7 +460,22 @@ def test_family_over_a_foreign_ambient_is_refused(tmp_path, capsys):
     f2 = _write(tmp_path, "f2.json", {"family": out["family2"]})
     code, out = _run(capsys, ["mirror", "check", f1, f2])
     assert code == 1
-    assert out == {"error": "containment needs a common ambient lattice"}
+    assert out == {"error": "polarization slot K must live in the Mukai lattice"}
+
+
+@pytest.mark.parametrize("slot", ["K", "L"])
+def test_polarization_slot_over_the_k3_lattice_is_refused(tmp_path, capsys, slot):
+    code, out = _run(capsys, ["mirror", "shioda-inose", "--n", "1"])
+    assert code == 0
+    family = out["family1"]
+    identity = [[int(i == j) for j in range(22)] for i in range(22)]
+    family["polarization"][slot] = {"ambient": {"named": "K3"}, "basis": identity}
+    f1 = _write(tmp_path, "f1.json", {"family": family})
+    f2 = _write(tmp_path, "f2.json", {"family": out["family2"]})
+    proc = _gk3(["mirror", "check", f1, f2])
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == {"error": f"polarization slot {slot} must live in the Mukai lattice"}
 
 
 def test_split_radius_is_capped(tmp_path):

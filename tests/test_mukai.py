@@ -26,8 +26,6 @@ from gk3.mukai import (
     deg2_vector,
     exponential_class,
     k3_pairing,
-    member_support,
-    member_type,
     mukai_pairing,
     period_plane,
     support_in,
@@ -143,7 +141,7 @@ def test_support_is_computed_once_per_gcy_class(monkeypatch):
     g = check_gcy(exponential_class(deg2_vector({0: 1}), deg2_vector({0: 1, 1: 2})))
     first = support_lattice(g)
     assert support_lattice(g) is first
-    assert member_support(g) is first
+    assert g.support is first
     assert len(calls) == 1
 
 
@@ -330,8 +328,8 @@ def test_generic_class_validation():
     sigma = check_gcy(two_form_class(deg2_vector({2: 1, 3: 1}), deg2_vector({4: 1, 5: 1})))
     sup = support_lattice(sigma)
     g = GenericClass(sup, "B")
-    assert member_type(g) == "B"
-    assert member_support(g) is sup
+    assert g.type_tag == "B"
+    assert g.support is sup
     with pytest.raises(ValidationError, match="type A generic support"):
         GenericClass(sup, "A")
     with pytest.raises(ValidationError, match="positive directions"):
@@ -342,8 +340,8 @@ def test_generic_class_validation():
 
 def test_member_helpers_on_explicit_classes():
     g = check_gcy(exponential_class([0] * 22, deg2_vector({0: 1, 1: 1})))
-    assert member_type(g) == "A"
-    assert member_support(g).basis == support_lattice(g).basis
+    assert g.type_tag == "A"
+    assert g.support.basis == support_lattice(g).basis
 
 
 # --- the row form against the per-coordinate ComplexQuad algorithm ---------

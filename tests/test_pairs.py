@@ -19,7 +19,6 @@ from gk3.pairs import (
     classify_hk_pair,
     cross_pairings,
     neron_severi,
-    ns_and_transcendental,
     signature_profile,
     transcendental,
     transform_pair,
@@ -113,9 +112,8 @@ def test_cross_pairings_of_orthogonal_pair_vanish():
 
 def test_ns_and_transcendental_of_standard_pair():
     x = validate_gk3(_kahler_class(), _holomorphic_form())
-    ns, t = ns_and_transcendental(x)
-    ns_l = ns.induced_lattice()
-    t_l = t.induced_lattice()
+    ns_l = neron_severi(x).induced_lattice()
+    t_l = transcendental(x).induced_lattice()
     assert ns_l.rank == 22
     assert ns_l.signature().as_tuple() == (2, 20, 0)
     assert discriminant(ns_l) == (2, 2)

@@ -17,7 +17,7 @@ from gk3.mukai import (
     support_lattice,
     two_form_class,
 )
-from gk3.pairs import validate_gk3
+from gk3.pairs import transcendental, validate_gk3
 from gk3.rigidity import (
     DEFAULT_H1,
     DEFAULT_H2,
@@ -54,6 +54,14 @@ def test_complex_rigid_on_shioda_inose_member():
     assert out.invariant == ((2, 0), (0, 2))
     assert out.b_rational is True
     assert out.b_canonical is False
+
+
+def test_kahler_rigidity_reads_the_pair_lattices(ortho_complement_calls):
+    pair = validate_gk3(_kahler(), _sigma())
+    assert is_kahler_rigid(pair).kind == "KahlerRigid"
+    assert len(ortho_complement_calls) == 1  # T of the pair
+    assert transcendental(pair) is transcendental(pair)
+    assert len(ortho_complement_calls) == 1
 
 
 def test_complex_rigid_wrong_type():
