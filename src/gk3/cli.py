@@ -384,12 +384,12 @@ def _family_json(fam: FamilySpec) -> dict:
     pol = fam.polarization
     return {
         "polarization": {
-            "K": sublattice_json(pol.k_emb, named_ambient="Mukai"),
-            "L": sublattice_json(pol.l_emb, named_ambient="Mukai"),
-            "witnessA": member_json(pol.witness_a, named_ambient="Mukai"),
-            "witnessB": member_json(pol.witness_b, named_ambient="Mukai"),
+            "K": sublattice_json(pol.k_emb),
+            "L": sublattice_json(pol.l_emb),
+            "witnessA": member_json(pol.witness_a),
+            "witnessB": member_json(pol.witness_b),
         },
-        "member": pair_json(fam.member, named_ambient="Mukai"),
+        "member": pair_json(fam.member),
     }
 
 

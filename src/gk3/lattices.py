@@ -177,9 +177,15 @@ class Sublattice:
     def induced_lattice(self) -> IntegralLattice:
         return self._induced
 
-    def contains_vector(self, v) -> bool:
-        """Integral membership of an ambient-coordinate vector."""
-        return in_row_lattice(hnf_basis(self.basis, self.ambient.rank), v)
+    @cached_property
+    def _complement(self) -> "Sublattice":
+        amb = self.ambient
+        if amb.is_degenerate:
+            raise ValidationError("degenerate ambient")
+        if not self.basis:
+            return Sublattice(amb, identity(amb.rank))
+        conditions = matmul(self.basis, amb.gram)
+        return Sublattice(amb, int_kernel(conditions, amb.rank))
 
     def contains(self, other: "Sublattice") -> bool:
         """Whether every basis row of ``other`` lies in this lattice."""
@@ -193,15 +199,9 @@ def ortho_complement(s: Sublattice) -> Sublattice:
     """The full orthogonal complement {x : <x, v> = 0 for all v in s}.
 
     The returned basis is HNF-normalized, hence canonical; the complement
-    is always saturated.
+    is always saturated.  The sublattice computes it once and keeps it.
     """
-    amb = s.ambient
-    if amb.is_degenerate:
-        raise ValidationError("degenerate ambient")
-    if not s.basis:
-        return Sublattice(amb, identity(amb.rank))
-    conditions = matmul(s.basis, amb.gram)
-    return Sublattice(amb, int_kernel(conditions, amb.rank))
+    return s._complement
 
 
 def is_primitive(s: Sublattice) -> bool:

@@ -46,7 +46,6 @@ from .mukai import (
     check_gcy,
     deg2_vector,
     exponential_class,
-    support_lattice,
     two_form_class,
 )
 from .pairs import GeneralizedK3, neron_severi, transcendental, validate_gk3
@@ -310,12 +309,14 @@ def dolgachev_mirror(kp: Sublattice, radius: int = 3) -> DolgachevMirror | Failu
 def build_si_mirror(n: int) -> tuple[FamilySpec, FamilySpec]:
     """The mirror pair that works where the classical construction fails.
 
-    For the degree-2 period sigma = (e2 + n f2) + i (e3 + n f3) the
-    complement of its support is the rank-22 slot K; its partner slot L is
-    the rank-2 support of sigma with Gram diag(2n, 2n).  The dual family
-    polarizes by the support of exp(i H) with H = e1 + n f1 and its
-    rank-22 complement.  Witnesses are exp(i H) (type A) and sigma
-    (type B) for both families; members are generic on the rank-22 slots.
+    For the degree-2 period sigma = (e2 + n f2) + i (e3 + n f3) and the
+    Kaehler class exp(i H) with H = e1 + n f1, the member of the first
+    family pairs sigma with a generic type A class on the rank-22
+    complement of its support; the member of the second family pairs
+    exp(i H) with a generic type B class on the rank-22 complement of its
+    support.  Each family is polarized by its own member's lattices,
+    K = NS and L = T, so the rank-2 slots have Gram diag(2n, 2n).
+    Witnesses are exp(i H) (type A) and sigma (type B) for both families.
     The moduli dimensions are (20, 0) and (0, 20).
     """
     n = int(n)
@@ -326,17 +327,11 @@ def build_si_mirror(n: int) -> tuple[FamilySpec, FamilySpec]:
         two_form_class(deg2_vector({2: 1, 3: n}), deg2_vector({4: 1, 5: n}))
     )
     exp_h = check_gcy(exponential_class([0] * 22, h))
-    l_sigma = support_lattice(sigma)
-    ns_prime = ortho_complement(l_sigma)
-    l_exp = support_lattice(exp_h)
-    k_dual = ortho_complement(l_exp)
-    fam1 = FamilySpec(
-        PolarizationData(ns_prime, l_sigma, exp_h, sigma),
-        validate_gk3(GenericClass(ns_prime, "A"), sigma),
-    )
-    fam2 = FamilySpec(
-        PolarizationData(l_exp, k_dual, exp_h, sigma),
-        validate_gk3(exp_h, GenericClass(k_dual, "B")),
+    x1 = validate_gk3(GenericClass(ortho_complement(sigma.support), "A"), sigma)
+    x2 = validate_gk3(exp_h, GenericClass(ortho_complement(exp_h.support), "B"))
+    fam1, fam2 = (
+        FamilySpec(PolarizationData(neron_severi(x), transcendental(x), exp_h, sigma), x)
+        for x in (x1, x2)
     )
     _assert_si_shape(fam1, fam2, n)
     return fam1, fam2

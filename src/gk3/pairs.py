@@ -16,7 +16,6 @@ case the pair realizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import ValidationError
 from .intlinalg import int_kernel, matmul
@@ -63,22 +62,16 @@ class PiSpace:
 class GeneralizedK3:
     """A validated pair; phi_A is a hyperKaehler partner of phi_B.
 
-    The pair owns its Neron-Severi and transcendental lattices: each is
-    computed once, on first use, and shared by every later reader.
+    Its Neron-Severi and transcendental lattices are the complements of
+    the member supports.  Each sublattice computes its complement once, so
+    NS, T, the Shioda-Inose polarization slots and any partner support
+    built from the same support share one lattice object.
     """
 
     phi_a: Member
     phi_b: Member
     status: str  # "Verified" | "FormalGeneric"
     pi: PiSpace | None
-
-    @cached_property
-    def _neron_severi(self) -> Sublattice:
-        return ortho_complement(self.phi_b.support)
-
-    @cached_property
-    def _transcendental(self) -> Sublattice:
-        return ortho_complement(self.phi_a.support)
 
 
 _CROSS_NAMES = (
@@ -131,12 +124,12 @@ def validate_gk3(phi_a, phi_b) -> GeneralizedK3:
 
 def neron_severi(x: GeneralizedK3) -> Sublattice:
     """Orthogonal complement of the support of phi_B (HNF-normalized)."""
-    return x._neron_severi
+    return ortho_complement(x.phi_b.support)
 
 
 def transcendental(x: GeneralizedK3) -> Sublattice:
     """Orthogonal complement of the support of phi_A (HNF-normalized)."""
-    return x._transcendental
+    return ortho_complement(x.phi_a.support)
 
 
 @dataclass(frozen=True)

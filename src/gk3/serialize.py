@@ -330,29 +330,25 @@ def class_json(x: CohClass | GCYClass) -> dict:
     }
 
 
-def sublattice_json(s: Sublattice, *, named_ambient: str | None = None) -> dict:
+def sublattice_json(s: Sublattice) -> dict:
+    """A sublattice over the Mukai lattice names its ambient; any other
+    ambient is written as its Gram."""
     ambient = (
-        {"named": named_ambient}
-        if named_ambient
+        {"named": "Mukai"}
+        if s.ambient.gram == MUKAI.gram
         else {"gram": int_matrix_json(s.ambient.gram)}
     )
     return {"ambient": ambient, "basis": int_matrix_json(s.basis)}
 
 
-def member_json(m: Member | CohClass, *, named_ambient: str | None = None) -> dict:
+def member_json(m: Member | CohClass) -> dict:
     if isinstance(m, GenericClass):
-        return {
-            "generic": sublattice_json(m.support, named_ambient=named_ambient),
-            "type": m.type_tag,
-        }
+        return {"generic": sublattice_json(m.support), "type": m.type_tag}
     return class_json(m)
 
 
-def pair_json(x: GeneralizedK3, *, named_ambient: str | None = None) -> dict:
-    return {
-        "phiA": member_json(x.phi_a, named_ambient=named_ambient),
-        "phiB": member_json(x.phi_b, named_ambient=named_ambient),
-    }
+def pair_json(x: GeneralizedK3) -> dict:
+    return {"phiA": member_json(x.phi_a), "phiB": member_json(x.phi_b)}
 
 
 def dumps_canonical(obj) -> str:

@@ -1,19 +1,17 @@
 from __future__ import annotations
 
-import sys
-
 import pytest
+
+from gk3.lattices import Sublattice
 
 
 @pytest.fixture
 def ortho_complement_calls(monkeypatch) -> list:
-    """Count calls of ``ortho_complement`` through its binding in every loaded
-    gk3 module; the returned list grows by one per call."""
-    import gk3.cli  # noqa: F401  (loads every module that binds it)
-
+    """Count orthogonal complement computations: wraps the function behind
+    ``Sublattice._complement``, so reads of a kept complement do not count;
+    the returned list grows by one per computation."""
+    prop = Sublattice.__dict__["_complement"]
+    compute = prop.func
     calls = []
-    for name, module in list(sys.modules.items()):
-        f = getattr(module, "ortho_complement", None) if name.split(".")[0] == "gk3" else None
-        if f is not None:
-            monkeypatch.setattr(module, "ortho_complement", lambda s, f=f: calls.append(1) or f(s))
+    monkeypatch.setattr(prop, "func", lambda s: calls.append(1) or compute(s))
     return calls

@@ -337,6 +337,14 @@ PINNED_MIRROR_SHA256 = {
     "mirror check": "a7b6d704ebbc42ed83308ed61546ec6c73ce92221964e7c30a1ab28d52978af6",
 }
 
+# sha256 of the canonical stdout of `lattice complement` and `mirror dolgachev`
+# on the degree-2 K3 sublattice <e1 + f1>
+DEG2_K3_DOC = {"sublattice": {"ambient": {"named": "K3"}, "basis": [[1, 1] + [0] * 20]}}
+PINNED_DEG2_SHA256 = {
+    "lattice complement": "b3c35c120094964552919c6fe04b589a65d98d65bb5171c68d4e292bd2b9ec31",
+    "mirror dolgachev": "f34de5337be57dfe226f6d65556da5a6187afd406842b928c080a97e4c07babe",
+}
+
 
 def test_mirror_commands_are_pinned(tmp_path, capsys):
     got = {}
@@ -351,6 +359,15 @@ def test_mirror_commands_are_pinned(tmp_path, capsys):
     assert main(["mirror", "check", f1, f2]) == 0
     got["mirror check"] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert got == PINNED_MIRROR_SHA256
+
+
+def test_degree2_complement_and_dolgachev_are_pinned(tmp_path, capsys):
+    path = _write(tmp_path, "kp.json", DEG2_K3_DOC)
+    got = {}
+    for label in PINNED_DEG2_SHA256:
+        assert main([*label.split(), path]) == 0
+        got[label] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert got == PINNED_DEG2_SHA256
 
 
 HUGE_FIELD_TAG = 1000000000000000003  # trial division to its square root never ends
@@ -422,7 +439,7 @@ def test_mirror_commands_compute_each_ns_and_t_once(tmp_path, capsys, ortho_comp
     calls = ortho_complement_calls
     code, out = _run(capsys, ["mirror", "shioda-inose", "--n", "5"])
     assert code == 0 and out["mirror"]["verified"] is True
-    assert len(calls) <= 6  # the two rank-22 slots, then NS and T of each member
+    assert len(calls) <= 4  # NS and T of each member; the polarization slots share them
     f1 = _write(tmp_path, "f1.json", {"family": out["family1"]})
     f2 = _write(tmp_path, "f2.json", {"family": out["family2"]})
     calls.clear()
@@ -499,8 +516,7 @@ def test_split_radius_is_capped(tmp_path):
 
 
 def test_mirror_dolgachev(tmp_path, capsys):
-    body = {"sublattice": {"ambient": {"named": "K3"}, "basis": [[1, 1] + [0] * 20]}}
-    code, out = _run(capsys, ["mirror", "dolgachev", _write(tmp_path, "kp.json", body)])
+    code, out = _run(capsys, ["mirror", "dolgachev", _write(tmp_path, "kp.json", DEG2_K3_DOC)])
     assert code == 0
     assert out["result"] == "mirror"
     assert out["duality"]["verdict"] == "GenusInvariantsMatch"

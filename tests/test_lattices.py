@@ -90,8 +90,8 @@ def test_induced_gram_and_membership():
     s = Sublattice(u, ((1, 1),))
     assert s.induced_gram == ((2,),)
     assert s.induced_lattice().gram == ((2,),)
-    assert s.contains_vector((2, 2))
-    assert not s.contains_vector((1, 0))
+    assert s.contains(Sublattice(u, ((2, 2),)))
+    assert not s.contains(Sublattice(u, ((1, 0),)))
 
 
 def test_signature_and_induced_lattice_are_computed_once(monkeypatch):
@@ -118,6 +118,19 @@ def test_complement_of_isotropic_span_in_u():
     assert c.induced_gram == ((-2,),)
 
 
+def test_complement_is_computed_once(ortho_complement_calls):
+    s = Sublattice(hyperbolic_plane(), ((1, 1),))
+    assert ortho_complement(s) is ortho_complement(s)
+    assert len(ortho_complement_calls) == 1
+
+
+def test_complement_in_a_degenerate_ambient_raises_on_every_call():
+    s = Sublattice(diag_lattice((1, 0)), ((1, 0),))
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="degenerate ambient"):
+            ortho_complement(s)
+
+
 def test_complement_involution():
     rng = random.Random(23)
     ambient = direct_sum(hyperbolic_plane(), hyperbolic_plane(), diag_lattice((2, -2)))
@@ -128,7 +141,7 @@ def test_complement_involution():
         # double complement is the saturation of s when the induced form
         # is nondegenerate; always contains it
         for row in saturation(s).basis:
-            assert cc.contains_vector(row) or s.induced_lattice().is_degenerate
+            assert cc.contains(Sublattice(ambient, (row,))) or s.induced_lattice().is_degenerate
 
 
 def test_primitivity_and_saturation():

@@ -27,7 +27,8 @@ from gk3.mirror import (
     mirror_check,
     moduli_dims,
 )
-from gk3.pairs import neron_severi, transcendental
+from gk3.mukai import GenericClass, check_gcy, deg2_vector, exponential_class
+from gk3.pairs import neron_severi, transcendental, validate_gk3
 
 EXPECTED_CLAUSES = (
     "K signature (2, rank-2)",
@@ -122,6 +123,18 @@ def test_si_mirror_shape_per_degree():
         assert gauss_reduce2(ns_dual).lattice.gram == ((2 * n, 0), (0, 2 * n))
         t_dual = transcendental(fam_dual.member).induced_lattice()
         assert invariants_match(ns, t_dual).matched
+
+
+def test_si_families_are_polarized_by_their_members_lattices():
+    for fam in build_si_mirror(1):
+        assert neron_severi(fam.member) is fam.polarization.k_emb
+        assert transcendental(fam.member) is fam.polarization.l_emb
+
+
+def test_partner_built_from_a_support_shares_the_pair_lattice():
+    cls = check_gcy(exponential_class([0] * 22, deg2_vector({0: 1, 1: 1})))
+    pair = validate_gk3(cls, GenericClass(ortho_complement(cls.support), "B"))
+    assert transcendental(pair) is pair.phi_b.support
 
 
 def test_si_mirror_check_passes():

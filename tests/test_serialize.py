@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gk3.errors import SchemaError
-from gk3.lattices import hyperbolic_plane
+from gk3.lattices import Sublattice, hyperbolic_plane
 from gk3.mukai import (
     MUKAI,
     GenericClass,
@@ -184,10 +184,18 @@ def test_sublattice_json_with_named_ambient():
     sub = support_lattice(
         check_gcy(exponential_class([0] * 22, deg2_vector({0: 1, 1: 1})))
     )
-    blob = sublattice_json(sub, named_ambient="Mukai")
+    blob = sublattice_json(sub)
     assert blob["ambient"] == {"named": "Mukai"}
     text = dumps_canonical({"sublattice": blob})
     assert parse_document(text).value.basis == sub.basis
+
+
+def test_sublattice_json_of_another_ambient_writes_its_gram():
+    sub = Sublattice(hyperbolic_plane(), ((1, 1),))
+    blob = sublattice_json(sub)
+    assert blob["ambient"] == {"gram": [[0, 1], [1, 0]]}
+    back = parse_document(dumps_canonical({"sublattice": blob})).value
+    assert (back.ambient.gram, back.basis) == (sub.ambient.gram, sub.basis)
 
 
 def test_non_mukai_generic_support_is_rejected():
