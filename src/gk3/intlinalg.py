@@ -14,6 +14,9 @@ Conventions:
 * ``int_kernel(m)`` is the right kernel ``{x : m @ x^T = 0}`` returned as
   HNF rows; it is automatically saturated.
 * ``saturate(m)`` returns the HNF basis of ``(Q-span of rows) ∩ Z^n``.
+* ``pairing_block(gram_entries(g), xs, ys)`` is ``xs @ g @ ys^T`` and
+  ``gram_rows(gram_entries(g), ys)`` holds ``g @ y`` for each row ``y``:
+  the one sparse routine through which every Gram form is applied.
 * ``snf_divisors(m)`` returns the ``min(rows, cols)`` Smith divisors
   ``d_1 | d_2 | ...``, positive, zeros last; they come from the same HNF
   elimination, applied alternately to the rows and the columns.
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 
 from .errors import ValidationError
 
@@ -49,17 +53,41 @@ def matmul(a, b) -> IntMat:
     )
 
 
-def matvec(m, v) -> IntVec:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+def gram_entries(gram) -> tuple:
+    """The nonzero entries (j, g) of each row of a symmetric Gram matrix."""
+    return tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in gram)
 
 
-def bilinear(gram, x, y) -> int:
-    """<x, y> = x @ gram @ y^T for integer vectors, skipping zero terms."""
-    total = 0
-    for xi, row in zip(x, gram):
-        if xi:
-            total += xi * sum(g * yj for g, yj in zip(row, y) if g and yj)
-    return total
+def gram_rows(entries, ys) -> list[list[int]]:
+    """G y for each row y, with the symmetric G given by its ``gram_entries``;
+    zero coordinates of y cost nothing."""
+    out = []
+    for y in ys:
+        w = [0] * len(entries)
+        for yj, row in zip(y, entries):
+            if yj:
+                for i, g in row:
+                    w[i] += g * yj
+        out.append(w)
+    return out
+
+
+def pairing_block(entries, xs, ys) -> IntMat:
+    """The block x G y^T for every row x of xs and y of ys, with G given by
+    its ``gram_entries``; a zero row on either side costs nothing."""
+    live = [k for k, y in enumerate(ys) if any(y)]
+    gys = gram_rows(entries, [ys[k] for k in live])
+    zero = (0,) * len(ys)
+    out = []
+    for x in xs:
+        if any(x):
+            row = [0] * len(ys)
+            for k, w in zip(live, gys):
+                row[k] = sum(map(mul, x, w))
+            out.append(tuple(row))
+        else:
+            out.append(zero)
+    return tuple(out)
 
 
 def is_symmetric(m) -> bool:

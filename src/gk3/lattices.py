@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 from math import gcd
+from operator import mul
 
 from .errors import ValidationError
 from .intlinalg import (
@@ -24,21 +25,20 @@ from .intlinalg import (
     IntVec,
     _egcd,
     SymDiagResult,
-    bilinear,
     det,
     freeze,
+    gram_entries,
+    gram_rows,
     hnf_basis,
     identity,
     int_kernel,
     in_row_lattice,
     is_symmetric,
-    matmul,
-    matvec,
+    pairing_block,
     q_rank,
     saturate,
     snf_divisors,
     sym_signature,
-    transpose,
 )
 
 
@@ -166,9 +166,8 @@ class Sublattice:
 
     @cached_property
     def _induced(self) -> IntegralLattice:
-        return IntegralLattice(
-            matmul(matmul(self.basis, self.ambient.gram), transpose(self.basis))
-        )
+        entries = gram_entries(self.ambient.gram)
+        return IntegralLattice(pairing_block(entries, self.basis, self.basis))
 
     @property
     def induced_gram(self) -> IntMat:
@@ -184,7 +183,7 @@ class Sublattice:
             raise ValidationError("degenerate ambient")
         if not self.basis:
             return Sublattice(amb, identity(amb.rank))
-        conditions = matmul(self.basis, amb.gram)
+        conditions = gram_rows(gram_entries(amb.gram), self.basis)
         return Sublattice(amb, int_kernel(conditions, amb.rank))
 
     def contains(self, other: "Sublattice") -> bool:
@@ -379,7 +378,11 @@ def _solve_pairing_one(w) -> list[int] | None:
     return x
 
 
-def _candidate_vectors(rank: int, radius: int, max_support: int):
+# Largest support of a candidate isotropic vector in the split search.
+SPLIT_SUPPORT = 3
+
+
+def _candidate_vectors(rank: int, radius: int):
     """Deterministic enumeration of primitive candidate vectors.
 
     Ordered by support size, then support positions, then coordinate
@@ -390,7 +393,7 @@ def _candidate_vectors(rank: int, radius: int, max_support: int):
     for v in range(1, radius + 1):
         values[2 * (v - 1)] = v
         values[2 * (v - 1) + 1] = -v
-    for size in range(1, min(rank, max_support) + 1):
+    for size in range(1, min(rank, SPLIT_SUPPORT) + 1):
         for pos in combinations(range(rank), size):
             for first in range(1, radius + 1):
                 for rest in product(values, repeat=size - 1):
@@ -420,41 +423,40 @@ def check_split_radius(radius: int) -> None:
 
 
 def find_hyperbolic_split(
-    l: IntegralLattice, radius: int = 3, max_support: int = 3
+    l: IntegralLattice, radius: int = 3
 ) -> HyperbolicSplit | SplitNotFound:
     """Search for a hyperbolic plane summand of an even lattice.
 
     Looks for a primitive isotropic vector e of divisibility 1 with
     coordinates bounded by ``radius`` (1 to MAX_SPLIT_RADIUS) and support
-    bounded by ``max_support``, completes it to a hyperbolic pair via
+    bounded by SPLIT_SUPPORT, completes it to a hyperbolic pair via
     f = f0 - (f0^2/2) e, and returns the orthogonal complement.  Definite
-    lattices are rejected up front without any search.
+    lattices are rejected up front without any search; degenerate ones are
+    refused, as ``ortho_complement`` refuses a degenerate ambient.
     """
     check_split_radius(radius)
     if not l.is_even:
         raise ValidationError("odd lattice: hyperbolic split needs an even lattice")
+    if l.is_degenerate:
+        raise ValidationError("degenerate lattice: hyperbolic split needs a nondegenerate one")
     if l.is_definite:
         return SplitNotFound("definite lattice has no nonzero isotropic vector")
-    gram = l.gram
-    n = l.rank
-    for e in _candidate_vectors(n, radius, max_support):
-        if bilinear(gram, e, e) != 0:
+    entries = gram_entries(l.gram)
+    for e in _candidate_vectors(l.rank, radius):
+        (w,) = gram_rows(entries, (e,))
+        if sum(map(mul, e, w)) != 0:
             continue
-        w = matvec(gram, e)
         f0 = _solve_pairing_one(w)
         if f0 is None:
             continue  # divisibility > 1
-        t = bilinear(gram, f0, f0) // 2  # even lattice, so f0^2 is even
+        t = pairing_block(entries, (f0,), (f0,))[0][0] // 2  # even lattice, so f0^2 is even
         f = tuple(a - t * b for a, b in zip(f0, e))
-        plane = (e, f)
-        conditions = matmul(plane, gram)
-        comp_basis = int_kernel(conditions, n)
-        comp_gram = matmul(matmul(comp_basis, gram), transpose(comp_basis))
+        comp = ortho_complement(Sublattice(l, (e, f)))
         return HyperbolicSplit(
             e=tuple(e),
             f=f,
-            complement=IntegralLattice(comp_gram),
-            complement_basis=comp_basis,
+            complement=comp.induced_lattice(),
+            complement_basis=comp.basis,
         )
     return SplitNotFound(f"no isotropic vector within radius {radius}")
 

@@ -28,7 +28,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import ValidationError
-from .intlinalg import IntMat, bilinear, freeze, hnf_basis, matvec, saturate
+from .intlinalg import IntMat, freeze, gram_entries, gram_rows, hnf_basis, pairing_block, saturate
 from .lattices import IntegralLattice, Sublattice, named_lattice
 from .scalars import ComplexQuad, QuadScalar, as_quad, is_positive_definite, join_tags, quad_sign
 
@@ -56,11 +56,6 @@ MUKAI = IntegralLattice(_mukai_gram(), name="Mukai")
 MUKAI_GRAM = MUKAI.gram
 
 
-def gram_entries(gram) -> tuple:
-    """The nonzero entries (j, g) of each row of a symmetric Gram matrix."""
-    return tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in gram)
-
-
 _MUKAI_ENTRIES = gram_entries(MUKAI_GRAM)
 _ZERO_ROW = (0,) * MUKAI_RANK
 
@@ -71,33 +66,16 @@ def _unit(j: int, k: int, d: int | None) -> int:
     return (-1 if j & k & 2 else 1) * (d if j & k & 1 else 1)
 
 
-def _row_products(entries, xrows, yrows) -> list[tuple[int, int, int]]:
-    """(j, k, <x_j, y_k>) for the nonzero integer pairings of component rows."""
-    gy = []
-    for k, v in enumerate(yrows):
-        if any(v):
-            w = [0] * len(v)
-            for vj, row in zip(v, entries):
-                if vj:
-                    for i, g in row:
-                        w[i] += g * vj
-            gy.append((k, w))
-    out = []
-    for j, u in enumerate(xrows):
-        if any(u):
-            for k, w in gy:
-                p = sum(map(mul, u, w))
-                if p:
-                    out.append((j, k, p))
-    return out
-
-
-def _numerators(products, d: int | None, conj: bool = False) -> list[int]:
-    """The four unit coefficients of sum p c_j c_k, with c_k conjugated when conj."""
+def _numerators(block, d: int | None, conj: bool = False) -> list[int]:
+    """The four unit coefficients of sum p_jk c_j c_k for the ``pairing_block``
+    p of two classes' component rows, with c_k conjugated when conj."""
     out = [0, 0, 0, 0]
-    for j, k, p in products:
-        c = _unit(j, k, d) * p
-        out[j ^ k] += -c if conj and k & 2 else c
+    for j, row in enumerate(block):
+        if any(row):
+            for k, p in enumerate(row):
+                if p:
+                    c = _unit(j, k, d) * p
+                    out[j ^ k] += -c if conj and k & 2 else c
     return out
 
 
@@ -226,7 +204,7 @@ coh_class = CohClass  # a class from anything coercible to exact complex scalars
 
 
 def mukai_pairing(x, y):
-    """The Mukai pairing <x, y> = x2.y2 - x0*y4 - x4*y0 (symmetric, bilinear).
+    """The Mukai pairing <x, y> = x2.y2 - x0*y4 - x4*y0 (symmetric, linear in each slot).
 
     x and y are classes or 24-coordinate vectors (layout deg0, deg4, deg2)
     of QuadScalar or ComplexQuad entries, converted to component rows at
@@ -235,17 +213,11 @@ def mukai_pairing(x, y):
     """
     u, v = (z if isinstance(z, CohClass) else CohClass.from_rows(*_rows_of(z)) for z in (x, y))
     d = join_tags(u.d, v.d)
-    nums = _numerators(_row_products(_MUKAI_ENTRIES, u.rows, v.rows), d)
+    nums = _numerators(pairing_block(_MUKAI_ENTRIES, u.rows, v.rows), d)
     value = _complex(nums, u.den * v.den, d)
     if isinstance(x, CohClass) or isinstance(y, CohClass):
         return value
     return value if any(isinstance(c, ComplexQuad) for c in (*x, *y)) else value.re
-
-
-def k3_pairing(x, y):
-    """<x, y> in the K3 lattice for degree-2 vectors of QuadScalar or
-    ComplexQuad entries: the Mukai pairing of (0, x, 0) and (0, y, 0)."""
-    return mukai_pairing((0, 0, *x), (0, 0, *y))
 
 
 def real_gram(vectors) -> tuple[tuple[QuadScalar, ...], ...]:
@@ -289,8 +261,10 @@ def bfield_transform(b, x: CohClass) -> CohClass:
     e = bc.den
     r = [row[DEG0] for row in x.rows]
     rb = _times(bc.rows, r, d)
-    b_x = _numerators(_row_products(_MUKAI_ENTRIES, bc.rows, x.rows), d)
-    bsq = _numerators(_row_products(_MUKAI_ENTRIES, bc.rows, bc.rows), d)
+    # <x, B> and <B, B> share G B; the units commute, so <x, B> has the
+    # numerators of <B, x>
+    block = pairing_block(_MUKAI_ENTRIES, x.rows + bc.rows, bc.rows)
+    b_x, bsq = _numerators(block[:4], d), _numerators(block[4:], d)
     r_bsq = _times([[v] for v in bsq], r, d)
     rows = []
     for t, (row, rbt) in enumerate(zip(x.rows, rb)):
@@ -310,8 +284,8 @@ def bfield_matrix(b_int) -> IntMat:
     b = tuple(int(v) for v in b_int)
     if len(b) != DEG2_RANK:
         raise ValidationError(f"b-field must have {DEG2_RANK} integer coordinates")
-    bsq = bilinear(K3_GRAM, b, b)
-    bk = matvec(K3_GRAM, b)  # <B, v> for each generator v (symmetric Gram)
+    (bk,) = gram_rows(gram_entries(K3_GRAM), (b,))  # <B, v> for each generator v
+    bsq = sum(map(mul, b, bk))
     m = [[0] * MUKAI_RANK for _ in range(MUKAI_RANK)]
     # degree-0 unit -> (1, B, B^2/2)
     m[DEG0][DEG0] = 1
@@ -349,11 +323,11 @@ def gcy_norm(entries, den: int, d: int | None, rows) -> tuple[int, int]:
     The Gram matrix is given by its ``gram_entries``; the imaginary part of
     <phi, conj phi> vanishes because the Gram matrix is symmetric.
     """
-    products = _row_products(entries, rows, rows)
-    iso = _numerators(products, d)
+    block = pairing_block(entries, rows, rows)
+    iso = _numerators(block, d)
     if any(iso):
         raise ValidationError(f"not isotropic: <phi,phi> = {_complex(iso, den * den, d)}")
-    a, b = _numerators(products, d, conj=True)[:2]
+    a, b = _numerators(block, d, conj=True)[:2]
     if quad_sign(a, b, d) <= 0:
         raise ValidationError(f"not positive: <phi,conj phi> = {_quad(a, b, den * den, d)}")
     return a, b
@@ -447,7 +421,7 @@ def exponential_class(b, omega, scale=1) -> CohClass:
     B + i omega = rows / e, the class is (2e^2, 2e rows, <rows, rows>) / 2e^2.
     """
     e, d, rows = _complexify(_real_deg2(b), _real_deg2(omega))
-    sq = _numerators(_row_products(_MUKAI_ENTRIES, rows, rows), d)
+    sq = _numerators(pairing_block(_MUKAI_ENTRIES, rows, rows), d)
     rows = [[2 * e * v for v in row] for row in rows]
     rows[0][DEG0] = 2 * e * e
     for row, v in zip(rows, sq):

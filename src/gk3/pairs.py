@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .intlinalg import int_kernel, matmul
+from .intlinalg import hnf_basis, matmul
 from .lattices import Sublattice, ortho_complement
 from .mukai import (
     MUKAI,
@@ -152,10 +152,8 @@ def signature_profile(x: GeneralizedK3) -> SignatureProfile:
             raise ValidationError(
                 f"{label} lattice has {sig.n_plus} positive directions, expected <= 2"
             )
-    conditions = matmul(x.phi_b.support.basis, MUKAI.gram) + matmul(
-        x.phi_a.support.basis, MUKAI.gram
-    )
-    inter = Sublattice(MUKAI, int_kernel(conditions, MUKAI.rank))
+    supports = x.phi_b.support.basis + x.phi_a.support.basis
+    inter = ortho_complement(Sublattice(MUKAI, hnf_basis(supports)))
     sig_i = inter.induced_lattice().signature()
     return SignatureProfile(
         sig_ns.as_tuple(), sig_t.as_tuple(), inter.rank, sig_i.as_tuple()
@@ -210,7 +208,7 @@ def classify_hk_pair(x, phi_b=None) -> HKClassification:
     identities: list[Identity] = []
     if case == "A-with-A":
         # Gram of B, omega (base phi_B) and B', omega' (partner phi_A);
-        # B_rel = B' - B enters through bilinearity
+        # B_rel = B' - B enters by linearity in each slot
         g = real_gram(type_a_parts(b) + type_a_parts(a))
         w_w = g[1][3]
         w_brel = g[1][2] - g[1][0]

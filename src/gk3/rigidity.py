@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import ValidationError
-from .intlinalg import IntMat, bilinear, hnf_basis, hnf_coords, matmul, saturate, transpose
+from .intlinalg import IntMat, gram_entries, hnf_basis, hnf_coords, pairing_block, saturate
 from .lattices import (
     IntegralLattice,
     Sublattice,
@@ -37,7 +37,6 @@ from .mukai import (
     GenericClass,
     deg2_vector,
     gcy_norm,
-    gram_entries,
     mukai_pairing,
     real_gram,
     support_in,
@@ -214,7 +213,8 @@ def _survey_kappas(sqrt_d) -> tuple[tuple[int, QuadScalar], ...]:
 
 def _plane_gram(h1, h2) -> tuple[int, int, int]:
     """(H1^2, H1.H2, H2^2) in the K3 lattice."""
-    return bilinear(K3_GRAM, h1, h1), bilinear(K3_GRAM, h1, h2), bilinear(K3_GRAM, h2, h2)
+    (g11, g12), (_, g22) = pairing_block(gram_entries(K3_GRAM), (h1, h2), (h1, h2))
+    return g11, g12, g22
 
 
 def _positive_omegas(config: SurveyConfig) -> list[tuple[int, int]]:
@@ -246,12 +246,13 @@ def check_forms_det(max_det: int) -> None:
 @dataclass(frozen=True)
 class _SatCoords:
     """S = Sat(P) for P = <deg0, deg4, H1, H2>: the generators' Gram (with its
-    ``gram_entries``), their integer coordinates in S's HNF basis, S's Gram."""
+    ``gram_entries``), their integer coordinates in S's HNF basis, and the
+    ``gram_entries`` of S's Gram."""
 
     gram_p: IntMat
     entries_p: tuple
     to_s: IntMat
-    gram_s: IntMat
+    entries_s: tuple
 
 
 def _sat_coords(h1, h2) -> _SatCoords:
@@ -261,7 +262,8 @@ def _sat_coords(h1, h2) -> _SatCoords:
     gens = ((1, 0) + zeros, (0, 1) + zeros, (0, 0) + tuple(h1), (0, 0) + tuple(h2))
     sat = saturate(hnf_basis(gens, MUKAI_RANK), MUKAI_RANK)
     to_s = tuple(hnf_coords(sat, g) for g in gens)  # gens lie in their saturation
-    return _SatCoords(gram_p, gram_entries(gram_p), to_s, Sublattice(MUKAI, sat).induced_gram)
+    gram_s = Sublattice(MUKAI, sat).induced_gram
+    return _SatCoords(gram_p, gram_entries(gram_p), to_s, gram_entries(gram_s))
 
 
 def _exp_rows(r1, r2, k: int, denom: int) -> tuple:
@@ -283,12 +285,12 @@ def _grid_invariant(sc: _SatCoords, k: int, a, b, p, q, denom) -> IntMat:
     r1 = (2 * d2, b2 - k * w2 * d2, 2 * p * denom, 2 * q * denom)
     r2 = (0, bw, a * denom, b * denom)
     gcy_norm(sc.entries_p, 2 * d2, None if k == 1 else k, _exp_rows(r1, r2, k, denom))
-    rank = len(sc.gram_s)
+    rank = len(sc.entries_s)
     rows = tuple(
         tuple(sum(x * c[j] for x, c in zip(r, sc.to_s)) for j in range(rank)) for r in (r1, r2)
     )
     support = saturate(rows, rank)
-    gram = matmul(matmul(support, sc.gram_s), transpose(support))
+    gram = pairing_block(sc.entries_s, support, support)
     return gauss_reduce2(IntegralLattice(gram)).lattice.gram
 
 

@@ -329,15 +329,3 @@ def as_complex(x) -> ComplexQuad:
     if z is None:
         raise ValidationError(f"cannot interpret {x!r} as an exact complex scalar")
     return z
-
-
-def field_tag_of(values) -> int | None:
-    """The common square-root tag of an iterable of scalars.
-
-    Raises if two different tags are present.
-    """
-    tag: int | None = None
-    for v in values:
-        for p in (v.re, v.im) if isinstance(v, ComplexQuad) else (v,):
-            tag = join_tags(tag, p.d)
-    return tag

@@ -3,8 +3,8 @@
 Every scalar travels as an exact string "p/q" (or "p"), never a float;
 an element of Q(sqrt d) is an object {"a": "p/q", "b": "p/q"} whose d
 comes from the document header {"sqrt_d": d}.  A document carries the
-header plus exactly one body payload (lattice, sublattice, class, pair,
-polarization or family) and optionally a "bfield" vector.  Unknown keys
+header plus exactly one body payload (lattice, sublattice, class, pair
+or family) and optionally a "bfield" vector.  Unknown keys
 are rejected, and every schema error names the JSON path of the first
 violation.  Serialization is canonical: sorted keys, fixed indentation,
 rationals always in lowest terms, so equal values produce identical
@@ -33,7 +33,7 @@ from .pairs import GeneralizedK3
 from .scalars import ComplexQuad, QuadScalar, check_field_tag
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-BODY_KINDS = ("lattice", "sublattice", "class", "pair", "polarization", "family")
+BODY_KINDS = ("lattice", "sublattice", "class", "pair", "family")
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,6 @@ _BODY_PARSERS = {
     "sublattice": lambda node, path, d: parse_sublattice(node, path),
     "class": parse_class,
     "pair": parse_pair,
-    "polarization": parse_polarization,
     "family": parse_family,
 }
 

@@ -85,6 +85,14 @@ def test_lattice_complement_rejects_plain_lattice(tmp_path, capsys):
     assert "sublattice" in out["error"]
 
 
+def test_polarization_document_is_unknown(tmp_path, capsys):
+    k = {"ambient": {"named": "K3"}, "basis": [[1, 1] + [0] * 20]}
+    body = {"polarization": {"K": k, "L": k, "witnessA": {}, "witnessB": {}}}
+    code, out = _run(capsys, ["lattice", "info", _write(tmp_path, "p.json", body)])
+    assert code == 2
+    assert out == {"error": "at document: unknown key 'polarization'"}
+
+
 def test_lattice_split_u(tmp_path, capsys):
     path = _write(tmp_path, "k3.json", {"lattice": {"named": "K3"}})
     code, out = _run(capsys, ["lattice", "split-u", path])
@@ -346,6 +354,18 @@ PINNED_DEG2_SHA256 = {
 }
 
 
+# sha256 of the canonical stdout of `lattice split-u` on the K3 lattice and on
+# U + U(2)
+SPLIT_U_DOCS = {
+    "K3": {"lattice": {"named": "K3"}},
+    "U + U(2)": {"lattice": {"named": {"sum": ["U", {"rescale": {"of": "U", "by": 2}}]}}},
+}
+PINNED_SPLIT_U_SHA256 = {
+    "K3": "7266f25bd724216d02d7dbaaf081b9ec7031f1f7b920a6947feeed21da92b4cf",
+    "U + U(2)": "82273669108c2cb3b223591eb17159b002ced3ff29e7847690e56e56af0f4d10",
+}
+
+
 def test_mirror_commands_are_pinned(tmp_path, capsys):
     got = {}
     for n in (1, 2):
@@ -368,6 +388,14 @@ def test_degree2_complement_and_dolgachev_are_pinned(tmp_path, capsys):
         assert main([*label.split(), path]) == 0
         got[label] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert got == PINNED_DEG2_SHA256
+
+
+def test_split_u_is_pinned(tmp_path, capsys):
+    got = {}
+    for label, body in SPLIT_U_DOCS.items():
+        assert main(["lattice", "split-u", _write(tmp_path, "l.json", body)]) == 0
+        got[label] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert got == PINNED_SPLIT_U_SHA256
 
 
 HUGE_FIELD_TAG = 1000000000000000003  # trial division to its square root never ends

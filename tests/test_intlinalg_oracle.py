@@ -13,7 +13,18 @@ from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
-from gk3.intlinalg import det, hnf, hnf_basis, matmul, snf_divisors, sym_signature, transpose
+from gk3.intlinalg import (
+    det,
+    gram_entries,
+    gram_rows,
+    hnf,
+    hnf_basis,
+    matmul,
+    pairing_block,
+    snf_divisors,
+    sym_signature,
+    transpose,
+)
 
 # a dense even Gram on which a smallest-pivot-and-swap Smith elimination
 # never finishes: its clearing passes grow the entries without bound
@@ -174,3 +185,30 @@ def test_signature_matches_descartes_count(g):
     at_minus_x = [c * (-1) ** (n - k) for k, c in enumerate(coeffs)]
     expected = (_sign_changes(coeffs), _sign_changes(at_minus_x), n_zero)
     assert sym_signature(g).as_tuple() == expected
+
+
+@st.composite
+def grams_with_rows(draw):
+    """A symmetric Gram with two lists of rows of its size, each possibly
+    empty and with zero rows mixed in."""
+    g = draw(symmetric_grams())
+    n = len(g)
+    row = st.one_of(st.just([0] * n), st.lists(ENTRY, min_size=n, max_size=n))
+    return g, draw(st.lists(row, max_size=4)), draw(st.lists(row, max_size=4))
+
+
+def _rows_matrix(rows, n: int) -> Matrix:
+    return Matrix(rows) if rows else Matrix.zeros(0, n)
+
+
+@SETTINGS
+@given(grams_with_rows())
+@example((((0, 1), (1, 0)), [], [[1, 2]]))
+@example((((0, 1), (1, 0)), [[0, 0], [3, -1]], []))
+def test_pairing_block_and_gram_rows_match_sympy(case):
+    g, xs, ys = case
+    n = len(g)
+    entries = gram_entries(g)
+    x, y = _rows_matrix(xs, n), _rows_matrix(ys, n)
+    assert [list(r) for r in pairing_block(entries, xs, ys)] == (x * Matrix(g) * y.T).tolist()
+    assert gram_rows(entries, ys) == (Matrix(g) * y.T).T.tolist()

@@ -243,6 +243,11 @@ def test_split_rejects_definite_without_search():
     assert out.reason == "definite lattice has no nonzero isotropic vector"
 
 
+def test_split_refuses_a_degenerate_lattice():
+    with pytest.raises(ValidationError, match="degenerate lattice"):
+        find_hyperbolic_split(direct_sum(hyperbolic_plane(), diag_lattice((0,))))
+
+
 def test_split_radius_exhaustion_message():
     # U(3) has isotropic vectors but none completing to a unimodular pair
     out = find_hyperbolic_split(rescale(hyperbolic_plane(), 3))

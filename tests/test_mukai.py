@@ -25,7 +25,6 @@ from gk3.mukai import (
     decompose_type_a,
     deg2_vector,
     exponential_class,
-    k3_pairing,
     mukai_pairing,
     period_plane,
     support_in,
@@ -123,13 +122,9 @@ def _vector_pairs(draw):
 @given(_vector_pairs())
 def test_pairing_matches_dense_double_sum(pair):
     u, v, kind = pair
-    k3_gram = tuple(row[2:] for row in MUKAI_GRAM[2:])
-    for got, expected in (
-        (mukai_pairing(u, v), _dense_pairing(MUKAI_GRAM, u, v)),
-        (k3_pairing(u[2:], v[2:]), _dense_pairing(k3_gram, u[2:], v[2:])),
-    ):
-        assert got == expected
-        assert type(got) is kind
+    got = mukai_pairing(u, v)
+    assert got == _dense_pairing(MUKAI_GRAM, u, v)
+    assert type(got) is kind
 
 
 def test_support_is_computed_once_per_gcy_class(monkeypatch):

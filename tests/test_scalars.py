@@ -15,7 +15,6 @@ from gk3.scalars import (
     as_complex,
     as_quad,
     check_field_tag,
-    field_tag_of,
     is_positive_definite,
     is_squarefree,
 )
@@ -83,11 +82,6 @@ def test_mixing_field_tags_is_an_error():
         _q(1, 1, 2) + _q(1, 1, 3)
     with pytest.raises(ValidationError):
         _q(0, 1, 2) * _q(0, 1, 5)
-
-
-def test_field_tag_of_collects_one_tag():
-    assert field_tag_of([_q(1), _q(2, 3, 7), _q(0)]) == 7
-    assert field_tag_of([_q(1), _q(2)]) is None
 
 
 def test_sign_exact_cases():

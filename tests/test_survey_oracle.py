@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from gk3.lattices import enumerate_reduced_forms, gauss_reduce2
 from gk3.errors import ValidationError
-from gk3.intlinalg import bilinear as _pair
+from gk3.intlinalg import gram_entries, pairing_block
 from gk3.mukai import K3_GRAM, check_gcy, coh_class, deg2_vector, exponential_class, gcy_norm, support_lattice
 from gk3.rigidity import (
     MAX_FORMS_DET,
@@ -71,7 +71,7 @@ def _wide_invariant(bfield, omega):
 
 def _omega_sq(h1, h2, a, b) -> int:
     w = tuple(a * x + b * y for x, y in zip(h1, h2))
-    return _pair(K3_GRAM, w, w)
+    return pairing_block(gram_entries(K3_GRAM), (w,), (w,))[0][0]
 
 
 @settings(max_examples=120, deadline=None)
