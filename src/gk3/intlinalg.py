@@ -13,7 +13,13 @@ Conventions:
   pivots positive and entries above each pivot reduced modulo the pivot.
 * ``int_kernel(m)`` is the right kernel ``{x : m @ x^T = 0}`` returned as
   HNF rows; it is automatically saturated.
-* ``saturate(m)`` returns the HNF basis of ``(Q-span of rows) ∩ Z^n``.
+* ``saturate(m)`` returns the HNF basis of ``(Q-span of rows) ∩ Z^n`` for
+  k independent rows.  One elimination U m^T = [H; 0] over the k columns
+  of m^T carries ``inv = U^-T`` (each row operation E is applied to it as
+  E^-T, O(n) per operation); then m = H^T (U^-T)[:k], and the first k rows
+  of U^-T, part of a basis of Z^n, span the saturation.  ``is_saturated(m)``
+  reads the same elimination without ``inv``: m is saturated when every
+  pivot of H is 1.
 * ``pairing_block(gram_entries(g), xs, ys)`` is ``xs @ g @ ys^T`` and
   ``gram_rows(gram_entries(g), ys)`` holds ``g @ y`` for each row ``y``:
   the one sparse routine through which every Gram form is applied.
@@ -39,7 +45,8 @@ def freeze(rows) -> IntMat:
 
 
 def identity(n: int) -> IntMat:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    zero = (0,) * n
+    return tuple(zero[:i] + (1,) + zero[i + 1 :] for i in range(n))
 
 
 def transpose(m) -> IntMat:
@@ -112,9 +119,15 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _hnf_reduce(rows: list[list[int]], ncols: int | None = None) -> None:
+def _hnf_reduce(rows: list[list[int]], ncols: int | None = None, inv=None) -> int:
     """Row-reduce ``rows`` in place to Hermite normal form in their first
-    ``ncols`` columns; any later columns (a transform, say) ride along."""
+    ``ncols`` columns; any later columns (a transform, say) ride along.
+    Returns the number of pivots.
+
+    ``inv``, when given, is a square list of rows, one per row of ``rows``,
+    that starts as I: each row operation E on ``rows`` is applied to it as
+    E^-T, so it ends as U^-T for the transform U with U @ rows_in = rows_out.
+    """
     n = len(rows)
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
@@ -129,6 +142,8 @@ def _hnf_reduce(rows: list[list[int]], ncols: int | None = None) -> None:
             continue
         if piv != pr:
             rows[pr], rows[piv] = rows[piv], rows[pr]
+            if inv is not None:
+                inv[pr], inv[piv] = inv[piv], inv[pr]
         for i in range(pr + 1, n):
             b = rows[i][col]
             if b == 0:
@@ -137,6 +152,8 @@ def _hnf_reduce(rows: list[list[int]], ncols: int | None = None) -> None:
             if b % a == 0:  # one row operation clears b
                 q = b // a
                 rows[i] = [y - q * x for x, y in zip(rows[pr], rows[i])]
+                if inv is not None:
+                    inv[pr] = [x + q * y for x, y in zip(inv[pr], inv[i])]
                 continue
             g, s, t = _egcd(a, b)
             p, q = a // g, b // g
@@ -144,16 +161,26 @@ def _hnf_reduce(rows: list[list[int]], ncols: int | None = None) -> None:
                 [s * x + t * y for x, y in zip(rows[pr], rows[i])],
                 [-q * x + p * y for x, y in zip(rows[pr], rows[i])],
             )
+            if inv is not None:  # [[s, t], [-q, p]]^-T = [[p, q], [-t, s]]
+                inv[pr], inv[i] = (
+                    [p * x + q * y for x, y in zip(inv[pr], inv[i])],
+                    [-t * x + s * y for x, y in zip(inv[pr], inv[i])],
+                )
         if rows[pr][col] < 0:
             rows[pr] = [-x for x in rows[pr]]
+            if inv is not None:
+                inv[pr] = [-x for x in inv[pr]]
         a = rows[pr][col]
         for i in range(pr):
             q = rows[i][col] // a
             if q:
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[pr])]
+                if inv is not None:
+                    inv[pr] = [y + q * x for x, y in zip(inv[i], inv[pr])]
         pr += 1
         if pr == n:
             break
+    return pr
 
 
 def hnf(m, ncols: int | None = None) -> tuple[IntMat, IntMat]:
@@ -166,8 +193,8 @@ def hnf(m, ncols: int | None = None) -> tuple[IntMat, IntMat]:
     rows = [list(map(int, r)) for r in m]
     n = len(rows)
     width = len(rows[0]) if rows else 0
-    for i, row in enumerate(rows):
-        row.extend(int(i == j) for j in range(n))
+    for row, e in zip(rows, identity(n)):
+        row.extend(e)
     _hnf_reduce(rows, width if ncols is None else ncols)
     return freeze(r[:width] for r in rows), freeze(r[width:] for r in rows)
 
@@ -204,21 +231,28 @@ def q_rank(m) -> int:
 def saturate(m, ncols: int | None = None) -> IntMat:
     """HNF basis of the saturation (Q-span of rows) ∩ Z^ncols.
 
-    The rows must be Q-linearly independent.
+    The rows must be Q-linearly independent.  One elimination of m^T
+    carries U^-T, whose first k rows span the saturation (module docstring).
     """
     rows = [tuple(map(int, r)) for r in m]
-    if ncols is None:
-        if not rows:
-            raise ValidationError("saturation of an empty matrix needs an explicit width")
-        ncols = len(rows[0])
     if not rows:
+        if ncols is None:
+            raise ValidationError("saturation of an empty matrix needs an explicit width")
         return ()
-    if q_rank(rows) != len(rows):
+    k = len(rows)
+    inv = list(identity(len(rows[0])))  # its rows are replaced, never mutated
+    if _hnf_reduce([list(c) for c in zip(*rows)], k, inv) != k:
         raise ValidationError("dependent basis")
-    ker = int_kernel(rows, ncols)
-    if not ker:
-        return identity(ncols)
-    return int_kernel(ker, ncols)
+    return hnf_basis(inv[:k])
+
+
+def is_saturated(m) -> bool:
+    """Whether Q-linearly independent rows span their own saturation: every
+    pivot of the HNF of m^T is 1 (module docstring)."""
+    cols = [list(c) for c in zip(*m)]
+    if _hnf_reduce(cols, len(m)) != len(m):
+        raise ValidationError("dependent basis")
+    return all(cols[i][i] == 1 for i in range(len(m)))
 
 
 def snf_divisors(m) -> tuple[int, ...]:
@@ -335,6 +369,11 @@ def sym_signature(g) -> SymDiagResult:
     """
     if not is_symmetric(g):
         raise ValidationError("matrix not symmetric")
+    return _sym_signature(g)
+
+
+def _sym_signature(g) -> SymDiagResult:
+    """``sym_signature`` of a Gram already known to be symmetric."""
     t = [[int(x) for x in row[i:]] for i, row in enumerate(g)]
     n_plus = n_minus = n_zero = 0
     prev = 1

@@ -13,7 +13,7 @@ comparison, and a search for hyperbolic-plane direct summands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
 from math import gcd
@@ -33,12 +33,13 @@ from .intlinalg import (
     identity,
     int_kernel,
     in_row_lattice,
+    is_saturated,
     is_symmetric,
     pairing_block,
     q_rank,
     saturate,
     snf_divisors,
-    sym_signature,
+    _sym_signature,
 )
 
 
@@ -65,7 +66,7 @@ class IntegralLattice:
 
     @cached_property
     def _signature(self) -> SymDiagResult:
-        return sym_signature(self.gram)
+        return _sym_signature(self.gram)  # __post_init__ checked symmetry
 
     def signature(self) -> SymDiagResult:
         return self._signature
@@ -149,6 +150,8 @@ class Sublattice:
 
     ambient: IntegralLattice
     basis: IntMat
+    # S, on S^⊥ computed in a nondegenerate ambient
+    _complement_of: Sublattice | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "basis", freeze(self.basis))
@@ -178,13 +181,20 @@ class Sublattice:
 
     @cached_property
     def _complement(self) -> "Sublattice":
+        if self._complement_of is not None:
+            return saturation(self._complement_of)
         amb = self.ambient
-        if amb.is_degenerate:
-            raise ValidationError("degenerate ambient")
+        degenerate = amb.is_degenerate
+        if degenerate and abs(self._induced.det()) != 1:
+            raise ValidationError("degenerate ambient: complement needs a unimodular sublattice")
         if not self.basis:
-            return Sublattice(amb, identity(amb.rank))
-        conditions = gram_rows(gram_entries(amb.gram), self.basis)
-        return Sublattice(amb, int_kernel(conditions, amb.rank))
+            comp = Sublattice(amb, identity(amb.rank))
+        else:
+            conditions = gram_rows(gram_entries(amb.gram), self.basis)
+            comp = Sublattice(amb, int_kernel(conditions, amb.rank))
+        if not degenerate:
+            object.__setattr__(comp, "_complement_of", self)
+        return comp
 
     def contains(self, other: "Sublattice") -> bool:
         """Whether every basis row of ``other`` lies in this lattice."""
@@ -199,15 +209,19 @@ def ortho_complement(s: Sublattice) -> Sublattice:
 
     The returned basis is HNF-normalized, hence canonical; the complement
     is always saturated.  The sublattice computes it once and keeps it.
+
+    In a nondegenerate ambient (S^⊥)^⊥ = Sat(S): it has rank k, contains S
+    and is saturated.  So S^⊥ takes its own complement as ``saturation(S)``.
+    In a degenerate ambient the radical lies in every complement and the
+    rule fails; there a complement is given only when the form of S is
+    unimodular, since then the ambient is S + S^⊥.
     """
     return s._complement
 
 
 def is_primitive(s: Sublattice) -> bool:
     """True when s equals its saturation (Q-span ∩ ambient)."""
-    if not s.basis:
-        return True
-    return saturate(s.basis, s.ambient.rank) == hnf_basis(s.basis)
+    return is_saturated(s.basis)
 
 
 def saturation(s: Sublattice) -> Sublattice:
@@ -407,8 +421,9 @@ def _candidate_vectors(rank: int, radius: int):
 
 
 # Largest accepted search radius.  The search grows with the cube of the
-# radius: on U(2) + E8(-2)^2 + U(2), which has no split, radius 8 takes
-# about 16 s and radius 10 about 31 s (2 CPUs, Python 3.11).
+# radius: on U(2) + E8(-2)^2 + U(2), which has no split, radius 8 took
+# 5.5 s and radius 10 took 9.9 s (2-CPU VM, Python 3.11.7); slower
+# machines have taken up to 9 s at radius 8.
 MAX_SPLIT_RADIUS = 8
 
 
@@ -431,14 +446,13 @@ def find_hyperbolic_split(
     coordinates bounded by ``radius`` (1 to MAX_SPLIT_RADIUS) and support
     bounded by SPLIT_SUPPORT, completes it to a hyperbolic pair via
     f = f0 - (f0^2/2) e, and returns the orthogonal complement.  Definite
-    lattices are rejected up front without any search; degenerate ones are
-    refused, as ``ortho_complement`` refuses a degenerate ambient.
+    lattices are rejected up front without any search.  A degenerate lattice
+    is searched too: the plane of (e, f) is U, unimodular, so its complement
+    is defined and holds the radical.
     """
     check_split_radius(radius)
     if not l.is_even:
         raise ValidationError("odd lattice: hyperbolic split needs an even lattice")
-    if l.is_degenerate:
-        raise ValidationError("degenerate lattice: hyperbolic split needs a nondegenerate one")
     if l.is_definite:
         return SplitNotFound("definite lattice has no nonzero isotropic vector")
     entries = gram_entries(l.gram)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import gk3.intlinalg
 from gk3.lattices import Sublattice
 
 
@@ -14,4 +15,17 @@ def ortho_complement_calls(monkeypatch) -> list:
     compute = prop.func
     calls = []
     monkeypatch.setattr(prop, "func", lambda s: calls.append(1) or compute(s))
+    return calls
+
+
+@pytest.fixture
+def hnf_passes(monkeypatch) -> list:
+    """Count Hermite eliminations: wraps ``intlinalg._hnf_reduce``, which
+    every HNF, kernel, saturation and primitivity test runs; the returned
+    list grows by one per pass."""
+    reduce = gk3.intlinalg._hnf_reduce
+    calls = []
+    monkeypatch.setattr(
+        gk3.intlinalg, "_hnf_reduce", lambda *a, **k: calls.append(1) or reduce(*a, **k)
+    )
     return calls

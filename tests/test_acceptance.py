@@ -10,7 +10,18 @@ import random
 import time
 from fractions import Fraction
 
-from gk3.intlinalg import hnf_basis, identity, matmul, q_rank, saturate, sym_signature, transpose
+from gk3.intlinalg import (
+    gram_entries,
+    gram_rows,
+    hnf_basis,
+    identity,
+    int_kernel,
+    matmul,
+    q_rank,
+    saturate,
+    sym_signature,
+    transpose,
+)
 from gk3.lattices import (
     IntegralLattice,
     Sublattice,
@@ -225,7 +236,11 @@ def _suite_complement_involution(rng: random.Random) -> int:
         s = Sublattice(ambient, rows)
         if s.induced_lattice().is_degenerate:
             continue
-        assert ortho_complement(ortho_complement(s)).basis == saturation(s).basis
+        cc = ortho_complement(ortho_complement(s))
+        assert cc.basis == saturation(s).basis
+        # the double complement is taken as a saturation; check it by a kernel
+        conditions = gram_rows(gram_entries(ambient.gram), ortho_complement(s).basis)
+        assert cc.basis == int_kernel(conditions, 6)
         done += 1
     return done
 

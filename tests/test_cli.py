@@ -347,6 +347,19 @@ PINNED_MIRROR_SHA256 = {
 
 # sha256 of the canonical stdout of `lattice complement` and `mirror dolgachev`
 # on the degree-2 K3 sublattice <e1 + f1>
+def test_lattice_split_u_of_a_degenerate_lattice(tmp_path, capsys):
+    body = {"lattice": {"named": {"sum": ["U", {"diag": [0]}]}}}
+    code, out = _run(capsys, ["lattice", "split-u", _write(tmp_path, "u0.json", body)])
+    assert code == 0
+    assert out == {
+        "complement_gram": [[0]],
+        "complement_signature": [0, 0, 1],
+        "e": [1, 0, 0],
+        "f": [0, 1, 0],
+        "result": "split",
+    }
+
+
 DEG2_K3_DOC = {"sublattice": {"ambient": {"named": "K3"}, "basis": [[1, 1] + [0] * 20]}}
 PINNED_DEG2_SHA256 = {
     "lattice complement": "b3c35c120094964552919c6fe04b589a65d98d65bb5171c68d4e292bd2b9ec31",

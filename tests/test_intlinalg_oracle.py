@@ -8,23 +8,33 @@ swap, fold and zero-row branches of ``sym_signature`` all run.
 
 from __future__ import annotations
 
+from itertools import combinations
+from math import gcd
+
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from sympy import ZZ, Matrix
+from sympy import ZZ, Matrix, eye
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
+from gk3.errors import ValidationError
 from gk3.intlinalg import (
+    _hnf_reduce,
     det,
     gram_entries,
     gram_rows,
     hnf,
     hnf_basis,
+    identity,
+    int_kernel,
     matmul,
     pairing_block,
+    saturate,
     snf_divisors,
     sym_signature,
     transpose,
 )
+from gk3.lattices import IntegralLattice, Sublattice, is_primitive
 
 # a dense even Gram on which a smallest-pivot-and-swap Smith elimination
 # never finishes: its clearing passes grow the entries without bound
@@ -212,3 +222,62 @@ def test_pairing_block_and_gram_rows_match_sympy(case):
     x, y = _rows_matrix(xs, n), _rows_matrix(ys, n)
     assert [list(r) for r in pairing_block(entries, xs, ys)] == (x * Matrix(g) * y.T).tolist()
     assert gram_rows(entries, ys) == (Matrix(g) * y.T).T.tolist()
+
+
+@SETTINGS
+@given(int_matrices())
+@example(((1, 0, 0), (0, 1, 0)))
+@example(((2, 4, 6),))
+def test_carried_inverse_is_the_inverse_transpose(m):
+    rows = [list(r) + [int(i == j) for j in range(len(m))] for i, r in enumerate(m)]
+    inv = list(identity(len(m)))
+    pivots = _hnf_reduce(rows, len(m[0]), inv)
+    u = Matrix([r[len(m[0]) :] for r in rows])
+    assert pivots == Matrix(m).rank()
+    assert u.T * Matrix(inv) == eye(len(m))
+
+
+@st.composite
+def row_bases(draw):
+    """k <= n rows of width n, often with a hidden common factor or a
+    non-primitive combination, and sometimes dependent."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    m = [draw(st.lists(ENTRY, min_size=n, max_size=n)) for _ in range(k)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, k - 1))
+        m[i] = [draw(st.integers(2, 5)) * x for x in m[i]]
+    if k > 1 and draw(st.booleans()):
+        m[0] = [2 * x + 3 * y for x, y in zip(m[0], m[1])]
+    return tuple(map(tuple, m))
+
+
+def _maximal_minor_gcd(rows) -> int:
+    a = Matrix(rows)
+    k, n = a.shape
+    return gcd(*(int(a[:, list(cols)].det()) for cols in combinations(range(n), k)))
+
+
+@SETTINGS
+@given(row_bases())
+@example(((0, 0),))
+@example(((1, 1), (2, 2)))
+@example(((3, 6, 0, 15), (0, 3, 12, -3)))
+def test_saturate_and_is_primitive_match_sympy(m):
+    n, k = len(m[0]), len(m)
+    if Matrix(m).rank() < k:
+        with pytest.raises(ValidationError, match="dependent basis"):
+            saturate(m, n)
+        return
+    sat = saturate(m, n)
+    assert len(sat) == k
+    basis = Matrix(sat).T
+    assert all(_in_integer_span(basis, Matrix(row)) for row in m)
+    assert Matrix(m + sat).rank() == k
+    assert _maximal_minor_gcd(sat) == 1
+    assert hnf_basis(sat) == sat
+    # the saturation as the kernel of the kernel, the route it replaces
+    kernel = int_kernel(m, n)
+    assert sat == (int_kernel(kernel, n) if kernel else identity(n))
+    s = Sublattice(IntegralLattice(identity(n)), m)
+    assert is_primitive(s) == (_maximal_minor_gcd(m) == 1) == (hnf_basis(m) == sat)

@@ -6,7 +6,7 @@ import pytest
 
 import gk3.lattices
 from gk3.errors import ValidationError
-from gk3.intlinalg import matmul, transpose
+from gk3.intlinalg import gram_entries, gram_rows, int_kernel, matmul, saturate, transpose
 from gk3.lattices import (
     HyperbolicSplit,
     IntegralLattice,
@@ -96,9 +96,9 @@ def test_induced_gram_and_membership():
 
 def test_signature_and_induced_lattice_are_computed_once(monkeypatch):
     calls = []
-    sym_signature = gk3.lattices.sym_signature
+    sym_signature = gk3.lattices._sym_signature
     monkeypatch.setattr(
-        gk3.lattices, "sym_signature", lambda g: calls.append(g) or sym_signature(g)
+        gk3.lattices, "_sym_signature", lambda g: calls.append(g) or sym_signature(g)
     )
     l = direct_sum(hyperbolic_plane(), diag_lattice((2, -6)))
     assert l.signature().as_tuple() == (2, 2, 0)
@@ -125,23 +125,64 @@ def test_complement_is_computed_once(ortho_complement_calls):
 
 
 def test_complement_in_a_degenerate_ambient_raises_on_every_call():
-    s = Sublattice(diag_lattice((1, 0)), ((1, 0),))
+    # <(2, 0)> has form <4>, not unimodular, so diag(1, 0) need not split off
+    # its complement
+    s = Sublattice(diag_lattice((1, 0)), ((2, 0),))
     for _ in range(2):
         with pytest.raises(ValidationError, match="degenerate ambient"):
             ortho_complement(s)
 
 
+def test_complement_of_a_unimodular_sublattice_in_a_degenerate_ambient():
+    amb = diag_lattice((1, 0))
+    assert ortho_complement(Sublattice(amb, ((1, 0),))).basis == ((0, 1),)
+    assert ortho_complement(Sublattice(amb, ())).basis == ((1, 0), (0, 1))
+
+
+def test_double_complement_shortcut_stays_out_of_a_degenerate_ambient():
+    # in U + <0> the radical (0, 0, 1) is S^⊥ for S = U, and its complement
+    # is the whole lattice, not Sat(S); its form is degenerate, so it is refused
+    amb = direct_sum(hyperbolic_plane(), diag_lattice((0,)))
+    s = Sublattice(amb, ((1, 0, 0), (0, 1, 0)))
+    c = ortho_complement(s)
+    assert c.basis == ((0, 0, 1),)
+    with pytest.raises(ValidationError, match="degenerate ambient"):
+        ortho_complement(c)
+
+
 def test_complement_involution():
     rng = random.Random(23)
     ambient = direct_sum(hyperbolic_plane(), hyperbolic_plane(), diag_lattice((2, -2)))
+    entries = gram_entries(ambient.gram)
     for _ in range(100):
         s = _random_sublattice(rng, ambient)
         c = ortho_complement(s)
         cc = ortho_complement(c)
-        # double complement is the saturation of s when the induced form
-        # is nondegenerate; always contains it
-        for row in saturation(s).basis:
-            assert cc.contains(Sublattice(ambient, (row,))) or s.induced_lattice().is_degenerate
+        # in a nondegenerate ambient the double complement is the saturation,
+        # whatever the form of s; the shortcut agrees with a fresh kernel
+        assert cc.basis == saturation(s).basis
+        assert cc.basis == int_kernel(gram_rows(entries, c.basis), ambient.rank)
+
+
+def test_double_complement_runs_no_kernel(monkeypatch):
+    calls = []
+    kernel = gk3.lattices.int_kernel
+    monkeypatch.setattr(gk3.lattices, "int_kernel", lambda *a: calls.append(1) or kernel(*a))
+    s = Sublattice(k3_lattice(), ((1, 1) + (0,) * 20, (0, 0, 2, 0) + (0,) * 18))
+    c = ortho_complement(s)
+    assert len(calls) == 1
+    assert ortho_complement(c).basis == saturation(s).basis
+    assert len(calls) == 1
+
+
+def test_saturation_is_two_hnf_passes_and_primitivity_one(hnf_passes):
+    rows = tuple(tuple(3 * x for x in row) for row in ((1, 2, 0, 5), (0, 1, 4, -1)))
+    assert saturate(rows, 4) == ((1, 0, -8, 7), (0, 1, 4, -1))
+    assert len(hnf_passes) == 2  # the elimination and the final normalization
+    s = Sublattice(diag_lattice((1, 1, 1, 1)), rows)
+    hnf_passes.clear()
+    assert not is_primitive(s)
+    assert len(hnf_passes) == 1
 
 
 def test_primitivity_and_saturation():
@@ -243,9 +284,15 @@ def test_split_rejects_definite_without_search():
     assert out.reason == "definite lattice has no nonzero isotropic vector"
 
 
-def test_split_refuses_a_degenerate_lattice():
-    with pytest.raises(ValidationError, match="degenerate lattice"):
-        find_hyperbolic_split(direct_sum(hyperbolic_plane(), diag_lattice((0,))))
+def test_split_of_a_degenerate_lattice():
+    # the (e, f) plane is U, so even a degenerate lattice splits: U + <0>
+    # gives the radical as complement; diag(2, 0) has no usable e
+    out = find_hyperbolic_split(direct_sum(hyperbolic_plane(), diag_lattice((0,))))
+    assert isinstance(out, HyperbolicSplit)
+    assert (out.e, out.f, out.complement_basis) == ((1, 0, 0), (0, 1, 0), ((0, 0, 1),))
+    assert out.complement.gram == ((0,),)
+    out = find_hyperbolic_split(diag_lattice((2, 0)))
+    assert out == SplitNotFound("no isotropic vector within radius 3")
 
 
 def test_split_radius_exhaustion_message():
