@@ -111,12 +111,13 @@ def _lattice_report(l: IntegralLattice) -> dict:
 
 def _sublattice_report(s: Sublattice) -> dict:
     ind = s.induced_lattice()
+    sig = s.signature()
     return {
         "basis": int_matrix_json(s.basis),
         "gram": int_matrix_json(ind.gram),
         "rank": s.rank,
-        "signature": list(ind.signature().as_tuple()),
-        "discriminant": None if ind.is_degenerate else list(discriminant(ind)),
+        "signature": list(sig.as_tuple()),
+        "discriminant": None if sig.n_zero else list(discriminant(ind)),
     }
 
 

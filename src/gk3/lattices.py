@@ -180,6 +180,19 @@ class Sublattice:
         return self._induced
 
     @cached_property
+    def _signature(self) -> SymDiagResult:
+        s = self._complement_of
+        if s is not None:
+            sig_s = s.signature()
+            if sig_s.n_zero == 0:  # then the ambient is S + S^⊥ over Q
+                sig_l = self.ambient.signature()
+                return SymDiagResult(sig_l.n_plus - sig_s.n_plus, sig_l.n_minus - sig_s.n_minus, 0)
+        return self._induced.signature()
+
+    def signature(self) -> SymDiagResult:
+        return self._signature  # a complement's is read off S (ortho_complement)
+
+    @cached_property
     def _complement(self) -> "Sublattice":
         if self._complement_of is not None:
             return saturation(self._complement_of)
@@ -215,6 +228,12 @@ def ortho_complement(s: Sublattice) -> Sublattice:
     In a degenerate ambient the radical lies in every complement and the
     rule fails; there a complement is given only when the form of S is
     unimodular, since then the ambient is S + S^⊥.
+
+    The complement also knows its signature without building its Gram:
+    sig(S^⊥) = sig(L) - sig(S), with no zero directions.  The rule needs
+    a nondegenerate ambient L and a nondegenerate S, since then
+    L_Q = S_Q + S^⊥_Q.  Otherwise the signature comes from an elimination
+    on the induced Gram: for an isotropic e, <e>^⊥ contains e.
     """
     return s._complement
 
@@ -472,7 +491,10 @@ def find_hyperbolic_split(
             complement=comp.induced_lattice(),
             complement_basis=comp.basis,
         )
-    return SplitNotFound(f"no isotropic vector within radius {radius}")
+    return SplitNotFound(
+        "no primitive isotropic vector of divisibility 1"
+        f" with support <= {SPLIT_SUPPORT} within radius {radius}"
+    )
 
 
 _NAMED = {"U": hyperbolic_plane(), "E8minus": e8_minus(), "K3": k3_lattice()}

@@ -109,8 +109,8 @@ def check_polarization(p: PolarizationData, x: GeneralizedK3) -> PolarizationRep
     attached rather than judged.
     """
     clauses: list[Clause] = []
-    sig_k = p.k_emb.induced_lattice().signature()
-    sig_l = p.l_emb.induced_lattice().signature()
+    sig_k = p.k_emb.signature()
+    sig_l = p.l_emb.signature()
     clauses.append(
         Clause(
             "K signature (2, rank-2)",
@@ -280,7 +280,7 @@ def dolgachev_mirror(kp: Sublattice, radius: int = 3) -> DolgachevMirror | Failu
         raise ValidationError("mirror construction lives in the K3 lattice")
     if not is_primitive(kp):
         raise ValidationError("polarization sublattice must be primitive")
-    sig = kp.induced_lattice().signature()
+    sig = kp.signature()
     if sig.n_plus != 1 or sig.n_zero != 0:
         raise ValidationError(
             f"polarization must have signature (1, t), got {sig.as_tuple()}"

@@ -356,7 +356,7 @@ class GenericClass:
             raise ValidationError("generic support must live in the Mukai lattice")
         if self.type_tag not in ("A", "B"):
             raise ValidationError(f"type tag must be 'A' or 'B', got {self.type_tag!r}")
-        sig = self.support.induced_lattice().signature()
+        sig = self.support.signature()
         if sig.n_plus < 2:
             raise ValidationError(
                 f"generic support needs at least 2 positive directions, got {sig.n_plus}"

@@ -145,8 +145,8 @@ def signature_profile(x: GeneralizedK3) -> SignatureProfile:
     their intersection.  Each side has at most 2 positive directions,
     since the complement of a lattice containing a positive 2-plane sits
     in signature (4, 20)."""
-    sig_ns = neron_severi(x).induced_lattice().signature()
-    sig_t = transcendental(x).induced_lattice().signature()
+    sig_ns = neron_severi(x).signature()
+    sig_t = transcendental(x).signature()
     for label, sig in (("NS", sig_ns), ("T", sig_t)):
         if sig.n_plus > 2:
             raise ValidationError(
@@ -154,7 +154,7 @@ def signature_profile(x: GeneralizedK3) -> SignatureProfile:
             )
     supports = x.phi_b.support.basis + x.phi_a.support.basis
     inter = ortho_complement(Sublattice(MUKAI, hnf_basis(supports)))
-    sig_i = inter.induced_lattice().signature()
+    sig_i = inter.signature()
     return SignatureProfile(
         sig_ns.as_tuple(), sig_t.as_tuple(), inter.rank, sig_i.as_tuple()
     )

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 import gk3.intlinalg
+import gk3.lattices
 from gk3.lattices import Sublattice
 
 
@@ -29,3 +30,17 @@ def hnf_passes(monkeypatch) -> list:
         gk3.intlinalg, "_hnf_reduce", lambda *a, **k: calls.append(1) or reduce(*a, **k)
     )
     return calls
+
+
+@pytest.fixture
+def signature_sizes(monkeypatch) -> list:
+    """Record the size of each signature elimination: wraps
+    ``lattices._sym_signature``, which every lattice's and sublattice's
+    ``signature()`` runs when it eliminates; the returned list grows by
+    ``len(gram)`` per call."""
+    sym_signature = gk3.lattices._sym_signature
+    sizes = []
+    monkeypatch.setattr(
+        gk3.lattices, "_sym_signature", lambda g: sizes.append(len(g)) or sym_signature(g)
+    )
+    return sizes

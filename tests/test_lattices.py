@@ -3,10 +3,20 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 import gk3.lattices
 from gk3.errors import ValidationError
-from gk3.intlinalg import gram_entries, gram_rows, int_kernel, matmul, saturate, transpose
+from gk3.intlinalg import (
+    _sym_signature,
+    gram_entries,
+    gram_rows,
+    int_kernel,
+    matmul,
+    saturate,
+    transpose,
+)
 from gk3.lattices import (
     HyperbolicSplit,
     IntegralLattice,
@@ -28,6 +38,7 @@ from gk3.lattices import (
     rescale,
     saturation,
 )
+from gk3.mukai import MUKAI
 
 
 def _random_sublattice(rng: random.Random, ambient: IntegralLattice) -> Sublattice:
@@ -148,6 +159,10 @@ def test_double_complement_shortcut_stays_out_of_a_degenerate_ambient():
     assert c.basis == ((0, 0, 1),)
     with pytest.raises(ValidationError, match="degenerate ambient"):
         ortho_complement(c)
+    # nor does its signature come from sig(L) - sig(S), which would lose the
+    # zero direction: (1, 1, 1) - (1, 1, 0)
+    assert c._complement_of is None
+    assert c.signature().as_tuple() == (0, 0, 1)
 
 
 def test_complement_involution():
@@ -173,6 +188,59 @@ def test_double_complement_runs_no_kernel(monkeypatch):
     assert len(calls) == 1
     assert ortho_complement(c).basis == saturation(s).basis
     assert len(calls) == 1
+
+
+@st.composite
+def _nondegenerate_indefinite(draw) -> IntegralLattice:
+    n = draw(st.integers(2, 6))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(st.integers(-4, 4))
+    if draw(st.booleans()):
+        g[0][0] = 0  # e_0 isotropic, so isotropic and degenerate S can be drawn
+    sig = _sym_signature(g)
+    assume(sig.n_zero == 0 and sig.n_plus and sig.n_minus)
+    return IntegralLattice(g)
+
+
+@st.composite
+def _sublattices(draw) -> Sublattice:
+    """Rank 0-5 sublattices of K3, Mukai or a random nondegenerate
+    indefinite ambient; isotropic, degenerate and non-primitive ones are
+    drawn on purpose."""
+    amb = draw(st.sampled_from((k3_lattice(), MUKAI)) | _nondegenerate_indefinite())
+    n = amb.rank
+    r = draw(st.integers(0, min(5, n - 1)))
+    rows = [
+        [draw(st.integers(-2, 2)) if draw(st.integers(0, 3)) == 0 else 0 for _ in range(n)]
+        for _ in range(r)
+    ]
+    e0 = [int(i == 0) for i in range(n)]
+    if r and amb.gram[0][0] == 0 and draw(st.booleans()):
+        rows[0] = e0  # isotropic
+        if r > 1 and draw(st.booleans()):
+            # a vector of e0^⊥ beside e0 leaves S degenerate
+            perp = int_kernel(gram_rows(gram_entries(amb.gram), (e0,)), n)
+            rows[1] = list(perp[draw(st.integers(0, len(perp) - 1))])
+    if r and draw(st.booleans()):
+        rows[-1] = [draw(st.integers(2, 3)) * x for x in rows[-1]]  # non-primitive
+    try:
+        return Sublattice(amb, rows)
+    except ValidationError:  # dependent rows
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_sublattices())
+@example(Sublattice(k3_lattice(), ((1,) + (0,) * 21,)))  # <e> for isotropic e: e in S^⊥
+@example(Sublattice(k3_lattice(), ((1,) + (0,) * 21, (0, 0, 1) + (0,) * 19)))
+@example(Sublattice(MUKAI, ((0, 0, 2, 2) + (0,) * 20,)))
+def test_complement_signature_from_the_complemented_lattice(s):
+    c = ortho_complement(s)
+    cc = ortho_complement(c)
+    assert c.signature() == _sym_signature(c.induced_gram)
+    assert cc.signature() == _sym_signature(cc.induced_gram)
 
 
 def test_saturation_is_two_hnf_passes_and_primitivity_one(hnf_passes):
@@ -292,7 +360,9 @@ def test_split_of_a_degenerate_lattice():
     assert (out.e, out.f, out.complement_basis) == ((1, 0, 0), (0, 1, 0), ((0, 0, 1),))
     assert out.complement.gram == ((0,),)
     out = find_hyperbolic_split(diag_lattice((2, 0)))
-    assert out == SplitNotFound("no isotropic vector within radius 3")
+    assert out == SplitNotFound(
+        "no primitive isotropic vector of divisibility 1 with support <= 3 within radius 3"
+    )
 
 
 def test_split_radius_exhaustion_message():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import gk3.mukai
 from gk3.errors import ValidationError
 from gk3.intlinalg import det, matmul
-from gk3.lattices import IntegralLattice, Sublattice, gauss_reduce2
+from gk3.lattices import IntegralLattice, Sublattice, gauss_reduce2, ortho_complement
 from gk3.mukai import (
     DEG2_RANK,
     MUKAI,
@@ -331,6 +331,18 @@ def test_generic_class_validation():
         GenericClass(Sublattice(MUKAI, ((0, 0, 1, 0) + (0,) * 20,)), "B")
     with pytest.raises(ValidationError, match="type tag"):
         GenericClass(sup, "C")
+
+
+def test_generic_complement_with_one_positive_direction():
+    # S = U(-1) + U + U has signature (3, 3), so T = S^⊥ = U + E8(-1)^2 has
+    # signature (4, 20) - (3, 3) = (1, 17): read off S, T's Gram never built
+    s = Sublattice(MUKAI, tuple(tuple(int(i == j) for i in range(24)) for j in range(6)))
+    t = ortho_complement(s)
+    with pytest.raises(ValidationError) as err:
+        GenericClass(t, "B")
+    assert str(err.value) == "generic support needs at least 2 positive directions, got 1"
+    assert "_induced" not in t.__dict__
+    assert t.signature().as_tuple() == (1, 17, 0)
 
 
 def test_member_helpers_on_explicit_classes():

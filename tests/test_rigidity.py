@@ -8,6 +8,7 @@ from gk3.errors import ValidationError
 from gk3.lattices import IntegralLattice, gauss_reduce2, ortho_complement
 from gk3.mirror import build_si_mirror
 from gk3.mukai import (
+    MUKAI,
     GCYClass,
     GenericClass,
     check_gcy,
@@ -62,6 +63,21 @@ def test_kahler_rigidity_reads_the_pair_lattices(ortho_complement_calls):
     assert len(ortho_complement_calls) == 1  # T of the pair
     assert transcendental(pair) is transcendental(pair)
     assert len(ortho_complement_calls) == 1
+
+
+def test_rank22_case_eliminates_no_signature_above_2x2(signature_sizes):
+    MUKAI.signature()  # the ambient's, computed once per process
+    signature_sizes.clear()
+    bfield = [Fraction(k % 5 - 2, 1 + k % 3) for k in range(22)]
+    omega = tuple(as_quad(u + 2 * v) for u, v in zip(DEFAULT_H1, DEFAULT_H2))
+    cls = check_gcy(exponential_class(bfield, omega))
+    support = support_lattice(cls)
+    t = ortho_complement(support)
+    report = is_kahler_rigid(validate_gk3(cls, GenericClass(t, "B")))
+    assert report.kind == "KahlerRigid"
+    assert t.rank == 22 and t.signature().as_tuple() == (2, 20, 0)
+    assert signature_sizes and max(signature_sizes) <= 2
+    assert "_induced" not in t.__dict__
 
 
 def test_complex_rigid_wrong_type():
