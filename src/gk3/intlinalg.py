@@ -12,7 +12,13 @@ Conventions:
 * ``hnf(m)`` returns ``(h, u)`` with ``h = u @ m``, ``u`` unimodular,
   pivots positive and entries above each pivot reduced modulo the pivot.
 * ``int_kernel(m)`` is the right kernel ``{x : m @ x^T = 0}`` returned as
-  HNF rows; it is automatically saturated.
+  HNF rows; it is automatically saturated.  It eliminates m^T with its
+  rows (the coordinates) in reverse order and reads each kernel row back
+  forwards.  Pivots then come from the last coordinates and each kernel
+  row leads at its own coordinate, so the closing ``hnf_basis`` reorders
+  the rows and reduces above the pivots instead of eliminating again.  A
+  pivot search that swaps rows past a zero of m can break that pattern;
+  the closing HNF still runs in full, so the result never rests on it.
 * ``saturate(m)`` returns the HNF basis of ``(Q-span of rows) ∩ Z^n`` for
   k independent rows.  One elimination U m^T = [H; 0] over the k columns
   of m^T carries ``inv = U^-T`` (each row operation E is applied to it as
@@ -41,7 +47,7 @@ IntVec = tuple[int, ...]
 
 
 def freeze(rows) -> IntMat:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 def identity(n: int) -> IntMat:
@@ -216,8 +222,9 @@ def int_kernel(m, ncols: int | None = None) -> IntMat:
         ncols = len(rows[0])
     if not rows:
         return identity(ncols)
-    h, u = hnf(transpose(rows), len(rows))
-    ker = [urow for hrow, urow in zip(h, u) if not any(hrow)]
+    # reverse coordinate order in, and back out (module docstring)
+    h, u = hnf(transpose(rows)[::-1], len(rows))
+    ker = [urow[::-1] for hrow, urow in zip(h, u) if not any(hrow)][::-1]
     if not ker:
         return ()
     return hnf_basis(ker, ncols)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, compress, count, product
 from math import gcd
 from operator import mul
 
@@ -63,6 +63,11 @@ class IntegralLattice:
     def is_even(self) -> bool:
         # recomputed from the Gram, never stored
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
+
+    @cached_property
+    def entries(self) -> tuple:
+        """The ``gram_entries`` of the Gram, scanned once per lattice."""
+        return gram_entries(self.gram)
 
     @cached_property
     def _signature(self) -> SymDiagResult:
@@ -160,7 +165,11 @@ class Sublattice:
             raise ValidationError(
                 f"sublattice basis rows must have ambient rank {n}"
             )
-        if self.basis and q_rank(self.basis) != len(self.basis):
+        # nonzero rows whose leading columns strictly increase, as in every
+        # HNF basis, are independent; any other basis is eliminated
+        leads = [next(compress(count(), row), n) for row in self.basis]
+        echelon = all(a < b for a, b in zip(leads, leads[1:] + [n]))
+        if not echelon and q_rank(self.basis) != len(self.basis):
             raise ValidationError("dependent basis")
 
     @property
@@ -169,8 +178,7 @@ class Sublattice:
 
     @cached_property
     def _induced(self) -> IntegralLattice:
-        entries = gram_entries(self.ambient.gram)
-        return IntegralLattice(pairing_block(entries, self.basis, self.basis))
+        return IntegralLattice(pairing_block(self.ambient.entries, self.basis, self.basis))
 
     @property
     def induced_gram(self) -> IntMat:
@@ -203,7 +211,7 @@ class Sublattice:
         if not self.basis:
             comp = Sublattice(amb, identity(amb.rank))
         else:
-            conditions = gram_rows(gram_entries(amb.gram), self.basis)
+            conditions = gram_rows(amb.entries, self.basis)
             comp = Sublattice(amb, int_kernel(conditions, amb.rank))
         if not degenerate:
             object.__setattr__(comp, "_complement_of", self)
@@ -474,15 +482,14 @@ def find_hyperbolic_split(
         raise ValidationError("odd lattice: hyperbolic split needs an even lattice")
     if l.is_definite:
         return SplitNotFound("definite lattice has no nonzero isotropic vector")
-    entries = gram_entries(l.gram)
     for e in _candidate_vectors(l.rank, radius):
-        (w,) = gram_rows(entries, (e,))
+        (w,) = gram_rows(l.entries, (e,))
         if sum(map(mul, e, w)) != 0:
             continue
         f0 = _solve_pairing_one(w)
         if f0 is None:
             continue  # divisibility > 1
-        t = pairing_block(entries, (f0,), (f0,))[0][0] // 2  # even lattice, so f0^2 is even
+        t = pairing_block(l.entries, (f0,), (f0,))[0][0] // 2  # even lattice, so f0^2 is even
         f = tuple(a - t * b for a, b in zip(f0, e))
         comp = ortho_complement(Sublattice(l, (e, f)))
         return HyperbolicSplit(

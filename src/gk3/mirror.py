@@ -23,7 +23,7 @@ from functools import cached_property
 from math import prod
 
 from .errors import ValidationError
-from .intlinalg import IntMat, gram_entries, hnf_basis, in_q_span, matmul, pairing_block
+from .intlinalg import IntMat, hnf_basis, in_q_span, matmul, pairing_block
 from .lattices import (
     IntegralLattice,
     MatchResult,
@@ -41,6 +41,7 @@ from .lattices import (
 from .mukai import (
     K3,
     GenericClass,
+    MUKAI,
     MUKAI_GRAM,
     Member,
     check_gcy,
@@ -168,7 +169,7 @@ def check_polarization(p: PolarizationData, x: GeneralizedK3) -> PolarizationRep
     joint_index = (
         prod(row[i] for i, row in enumerate(stack)) if (independent and rank_sum == 24) else None
     )
-    kl = pairing_block(gram_entries(MUKAI_GRAM), p.k_emb.basis, p.l_emb.basis)
+    kl = pairing_block(MUKAI.entries, p.k_emb.basis, p.l_emb.basis)
     return PolarizationReport(tuple(clauses), joint_index, kl)
 
 

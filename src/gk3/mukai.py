@@ -28,7 +28,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import ValidationError
-from .intlinalg import IntMat, freeze, gram_entries, gram_rows, hnf_basis, pairing_block, saturate
+from .intlinalg import IntMat, freeze, gram_rows, hnf_basis, pairing_block, saturate
 from .lattices import IntegralLattice, Sublattice, named_lattice
 from .scalars import ComplexQuad, QuadScalar, as_quad, is_positive_definite, join_tags, quad_sign
 
@@ -55,8 +55,6 @@ def _mukai_gram() -> IntMat:
 MUKAI = IntegralLattice(_mukai_gram(), name="Mukai")
 MUKAI_GRAM = MUKAI.gram
 
-
-_MUKAI_ENTRIES = gram_entries(MUKAI_GRAM)
 _ZERO_ROW = (0,) * MUKAI_RANK
 
 
@@ -213,7 +211,7 @@ def mukai_pairing(x, y):
     """
     u, v = (z if isinstance(z, CohClass) else CohClass.from_rows(*_rows_of(z)) for z in (x, y))
     d = join_tags(u.d, v.d)
-    nums = _numerators(pairing_block(_MUKAI_ENTRIES, u.rows, v.rows), d)
+    nums = _numerators(pairing_block(MUKAI.entries, u.rows, v.rows), d)
     value = _complex(nums, u.den * v.den, d)
     if isinstance(x, CohClass) or isinstance(y, CohClass):
         return value
@@ -263,7 +261,7 @@ def bfield_transform(b, x: CohClass) -> CohClass:
     rb = _times(bc.rows, r, d)
     # <x, B> and <B, B> share G B; the units commute, so <x, B> has the
     # numerators of <B, x>
-    block = pairing_block(_MUKAI_ENTRIES, x.rows + bc.rows, bc.rows)
+    block = pairing_block(MUKAI.entries, x.rows + bc.rows, bc.rows)
     b_x, bsq = _numerators(block[:4], d), _numerators(block[4:], d)
     r_bsq = _times([[v] for v in bsq], r, d)
     rows = []
@@ -284,7 +282,7 @@ def bfield_matrix(b_int) -> IntMat:
     b = tuple(int(v) for v in b_int)
     if len(b) != DEG2_RANK:
         raise ValidationError(f"b-field must have {DEG2_RANK} integer coordinates")
-    (bk,) = gram_rows(gram_entries(K3_GRAM), (b,))  # <B, v> for each generator v
+    (bk,) = gram_rows(K3.entries, (b,))  # <B, v> for each generator v
     bsq = sum(map(mul, b, bk))
     m = [[0] * MUKAI_RANK for _ in range(MUKAI_RANK)]
     # degree-0 unit -> (1, B, B^2/2)
@@ -335,7 +333,7 @@ def gcy_norm(entries, den: int, d: int | None, rows) -> tuple[int, int]:
 
 def check_gcy(x: CohClass) -> GCYClass:
     """Validate <x,x> = 0 and <x, conj x> > 0; classify as type A or B."""
-    norm = _quad(*gcy_norm(_MUKAI_ENTRIES, x.den, x.d, x.rows), x.den * x.den, x.d)
+    norm = _quad(*gcy_norm(MUKAI.entries, x.den, x.d, x.rows), x.den * x.den, x.d)
     return GCYClass(x, "A" if any(row[DEG0] for row in x.rows) else "B", norm)
 
 
@@ -421,7 +419,7 @@ def exponential_class(b, omega, scale=1) -> CohClass:
     B + i omega = rows / e, the class is (2e^2, 2e rows, <rows, rows>) / 2e^2.
     """
     e, d, rows = _complexify(_real_deg2(b), _real_deg2(omega))
-    sq = _numerators(pairing_block(_MUKAI_ENTRIES, rows, rows), d)
+    sq = _numerators(pairing_block(MUKAI.entries, rows, rows), d)
     rows = [[2 * e * v for v in row] for row in rows]
     rows[0][DEG0] = 2 * e * e
     for row, v in zip(rows, sq):

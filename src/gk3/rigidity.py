@@ -30,7 +30,7 @@ from .lattices import (
 )
 from .mukai import (
     DEG2_RANK,
-    K3_GRAM,
+    K3,
     MUKAI,
     MUKAI_RANK,
     GCYClass,
@@ -213,7 +213,7 @@ def _survey_kappas(sqrt_d) -> tuple[tuple[int, QuadScalar], ...]:
 
 def _plane_gram(h1, h2) -> tuple[int, int, int]:
     """(H1^2, H1.H2, H2^2) in the K3 lattice."""
-    (g11, g12), (_, g22) = pairing_block(gram_entries(K3_GRAM), (h1, h2), (h1, h2))
+    (g11, g12), (_, g22) = pairing_block(K3.entries, (h1, h2), (h1, h2))
     return g11, g12, g22
 
 

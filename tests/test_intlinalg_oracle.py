@@ -27,6 +27,7 @@ from gk3.intlinalg import (
     hnf_basis,
     identity,
     int_kernel,
+    is_saturated,
     matmul,
     pairing_block,
     saturate,
@@ -281,3 +282,60 @@ def test_saturate_and_is_primitive_match_sympy(m):
     assert sat == (int_kernel(kernel, n) if kernel else identity(n))
     s = Sublattice(IntegralLattice(identity(n)), m)
     assert is_primitive(s) == (_maximal_minor_gcd(m) == 1) == (hnf_basis(m) == sat)
+
+
+# G v for the two support rows v of exp(B + i omega) in the Mukai lattice,
+# with B = ((i % 5) - 2) / (1 + i % 3) on every degree-2 slot i and
+# omega = e1 + f1: the condition matrix of a rank-22 complement
+RANK22_CONDITIONS = (
+    (-4, -18, -123, -150, 18, 0, -12, 18, 36, -12, 33, -84)
+    + (66, -6, -6, -12, -60, 75, -36, 9, -18, -30, 42, 27),
+    (-5, 0, -2, -2) + (0,) * 20,
+)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(m, n): k <= 6 rows of width n <= 9, often with a dependent row, a
+    zero row or zero columns; k > n happens, and k = 0 leaves the width."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(0, 6))
+    m = [draw(st.lists(ENTRY, min_size=n, max_size=n)) for _ in range(k)]
+    if k > 1 and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        m[draw(st.integers(0, k - 1))] = [
+            sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(n)
+        ]
+    if k and draw(st.booleans()):
+        m[draw(st.integers(0, k - 1))] = [0] * n
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=3)):
+        for row in m:
+            row[j] = 0
+    return tuple(map(tuple, m)), n
+
+
+def _forward_kernel(m, n: int):
+    """The kernel read off the HNF transform of m^T in forward coordinate
+    order, then HNF-normalized."""
+    if not m:
+        return identity(n)
+    h, u = hnf(transpose(m), len(m))
+    kernel = [urow for hrow, urow in zip(h, u) if not any(hrow)]
+    return hnf_basis(kernel, n) if kernel else ()
+
+
+@SETTINGS
+@given(kernel_inputs())
+@example(((), 3))
+@example((((0, 0, 0), (0, 0, 0)), 3))
+@example((((1, 2, 3), (2, 4, 6), (0, 0, 1), (5, 0, 0)), 3))
+@example((RANK22_CONDITIONS, 24))
+def test_int_kernel_matches_sympy(case):
+    m, n = case
+    kernel = int_kernel(m, n)
+    assert len(kernel) == n - (Matrix(m).rank() if m else 0)
+    if m and kernel:
+        assert (Matrix(m) * Matrix(kernel).T).is_zero_matrix
+    assert is_saturated(kernel)
+    assert hnf_basis(kernel, n) == kernel
+    assert kernel == _forward_kernel(m, n)

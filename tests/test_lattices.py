@@ -92,8 +92,12 @@ def test_lattice_predicates():
 
 
 def test_sublattice_rejects_dependent_rows():
-    with pytest.raises(ValidationError, match="dependent basis"):
-        Sublattice(hyperbolic_plane(), ((1, 1), (2, 2)))
+    # echelon rows are independent on sight; any other basis is eliminated
+    u = hyperbolic_plane()
+    for rows in (((1, 1), (2, 2)), ((1, 2), (2, 4)), ((1, 0), (1, 0)), ((0, 0),), ((1, 0), (0, 0))):
+        with pytest.raises(ValidationError, match="dependent basis"):
+            Sublattice(u, rows)
+    assert Sublattice(u, ((0, 1), (1, 0))).rank == 2
 
 
 def test_induced_gram_and_membership():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gk3.lattices
 import gk3.mukai
 from gk3.errors import ValidationError
 from gk3.intlinalg import det, matmul
@@ -343,6 +344,24 @@ def test_generic_complement_with_one_positive_direction():
     assert str(err.value) == "generic support needs at least 2 positive directions, got 1"
     assert "_induced" not in t.__dict__
     assert t.signature().as_tuple() == (1, 17, 0)
+
+
+def test_rank22_complement_runs_no_rank_check_and_no_gram_scan(monkeypatch):
+    # every basis on the way to T is an HNF basis, independent on sight, and
+    # the Mukai Gram is scanned once, into the lattice's own entries
+    assert MUKAI.entries is MUKAI.entries
+    q_rank, gram_entries = gk3.lattices.q_rank, gk3.lattices.gram_entries
+    ranks, scans = [], []
+    monkeypatch.setattr(gk3.lattices, "q_rank", lambda m: ranks.append(len(m)) or q_rank(m))
+    monkeypatch.setattr(
+        gk3.lattices, "gram_entries", lambda g: scans.append(len(g)) or gram_entries(g)
+    )
+    bfield = [Fraction((i % 5) - 2, 1 + i % 3) for i in range(DEG2_RANK)]
+    g = check_gcy(exponential_class(bfield, deg2_vector({0: 1, 1: 1})))
+    t = GenericClass(ortho_complement(support_lattice(g)), "B").support
+    assert t.rank == 22
+    assert ranks == []
+    assert scans == []
 
 
 def test_member_helpers_on_explicit_classes():
