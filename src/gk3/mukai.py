@@ -21,7 +21,7 @@ r B^2/2), an isometry that fixes degree 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -30,7 +30,7 @@ from operator import mul
 from .errors import ValidationError
 from .intlinalg import IntMat, freeze, gram_rows, hnf_basis, pairing_block, saturate
 from .lattices import IntegralLattice, Sublattice, named_lattice
-from .scalars import ComplexQuad, QuadScalar, as_quad, is_positive_definite, join_tags, quad_sign
+from .scalars import ComplexQuad, QuadScalar, as_quad, join_tags, quad_sign
 
 DEG2_RANK = 22
 MUKAI_RANK = 24
@@ -299,20 +299,6 @@ def bfield_matrix(b_int) -> IntMat:
     return freeze(m)
 
 
-@dataclass(frozen=True)
-class GCYClass:
-    """A validated generalized Calabi-Yau class with its type tag."""
-
-    coh: CohClass
-    type_tag: str  # "A" | "B"
-    norm: QuadScalar  # <phi, conj phi>, positive
-
-    @cached_property
-    def support(self) -> Sublattice:
-        """Smallest saturated sublattice of the Mukai lattice containing coh."""
-        return support_in(MUKAI, self.coh)
-
-
 def gcy_norm(entries, den: int, d: int | None, rows) -> tuple[int, int]:
     """Numerators (a, b) of <phi, conj phi> = (a + b sqrt d) / den^2 for
     phi = sum_t rows[t] c_t / den, after checking <phi, phi> = 0 and
@@ -331,10 +317,31 @@ def gcy_norm(entries, den: int, d: int | None, rows) -> tuple[int, int]:
     return a, b
 
 
+@dataclass(frozen=True)
+class GCYClass:
+    """A generalized Calabi-Yau class.  Building one checks <phi, phi> = 0
+    and <phi, conj phi> > 0 and sets the type tag and the norm from coh, so
+    no class holds a tag or norm that disagrees with its coh."""
+
+    coh: CohClass
+    type_tag: str = field(init=False)  # "A" | "B"
+    norm: QuadScalar = field(init=False)  # <phi, conj phi>, positive
+
+    def __post_init__(self):
+        x = self.coh
+        norm = _quad(*gcy_norm(MUKAI.entries, x.den, x.d, x.rows), x.den * x.den, x.d)
+        object.__setattr__(self, "type_tag", "A" if any(row[DEG0] for row in x.rows) else "B")
+        object.__setattr__(self, "norm", norm)
+
+    @cached_property
+    def support(self) -> Sublattice:
+        """Smallest saturated sublattice of the Mukai lattice containing coh."""
+        return support_in(MUKAI, self.coh)
+
+
 def check_gcy(x: CohClass) -> GCYClass:
     """Validate <x,x> = 0 and <x, conj x> > 0; classify as type A or B."""
-    norm = _quad(*gcy_norm(MUKAI.entries, x.den, x.d, x.rows), x.den * x.den, x.d)
-    return GCYClass(x, "A" if any(row[DEG0] for row in x.rows) else "B", norm)
+    return GCYClass(x)
 
 
 @dataclass(frozen=True)
@@ -403,11 +410,11 @@ class PeriodPlane:
 
 def period_plane(g: GCYClass) -> PeriodPlane:
     """Real and imaginary parts of a generalized Calabi-Yau class with
-    their 2x2 Gram matrix, which is positive definite."""
+    their 2x2 Gram matrix.  <phi, phi> = 0 gives Re^2 = Im^2 and
+    Re.Im = 0, so the Gram is (N/2) I for the norm N = <phi, conj phi> > 0:
+    positive definite for every ``GCYClass``."""
     re, im = g.coh.real_part(), g.coh.imag_part()
-    gram = real_gram((re, im))  # singular when Re and Im are dependent
-    if not is_positive_definite(gram):
-        raise ValidationError("period plane is not positive definite")
+    gram = real_gram((re, im))
     return PeriodPlane(*(tuple(c.re for c in v.coords24()) for v in (re, im)), gram)
 
 
@@ -456,5 +463,12 @@ def type_a_parts(g: GCYClass) -> tuple[CohClass, CohClass]:
     degree-2 classes."""
     if g.type_tag != "A":
         raise ValidationError("decomposition needs a type A class")
-    e = g.coh.scale(g.coh.deg0.inverse()).deg2_part()
+    # phi / z = phi conj(z) (n0 - n1 sqrt d) / (n0^2 - d n1^2) for the
+    # degree-0 numerators z, with z conj(z) = n0 + n1 sqrt d.  That is
+    # totally positive, so its field norm, the new denominator, is > 0.
+    x, d = g.coh, g.coh.d
+    z = [row[DEG0] for row in x.rows]
+    n0, n1 = _numerators([[u * v for v in z] for u in z], d, conj=True)[:2]
+    rows = _times(_times(x.rows, (z[0], z[1], -z[2], -z[3]), d), (n0, -n1, 0, 0), d)
+    e = CohClass.from_rows(n0 * n0 - (d or 0) * n1 * n1, d, rows).deg2_part()
     return e.real_part(), e.imag_part()

@@ -4,7 +4,9 @@ A pair (phi_A, phi_B) is a generalized K3 surface when the period planes
 of the two classes are pointwise orthogonal (four vanishing cross
 pairings, stronger than <phi_A, phi_B> = 0) and the two norms
 <phi, conj phi> agree.  The four real vectors then span a positive
-definite 4-space Pi.
+definite 4-space Pi: isotropy of each class gives Re^2 = Im^2 = N/2 and
+Re.Im = 0, the cross pairings vanish and the norms N agree, so the Gram
+of Pi is (N/2) I with N > 0.
 
 From a pair the module computes the generalized Neron-Severi lattice
 (the orthogonal complement of the support of phi_B), the generalized
@@ -33,7 +35,7 @@ from .mukai import (
     real_gram,
     type_a_parts,
 )
-from .scalars import QuadScalar, is_positive_definite
+from .scalars import QuadScalar
 
 
 def _coerce_member(x) -> Member:
@@ -100,10 +102,10 @@ def validate_gk3(phi_a, phi_b) -> GeneralizedK3:
     """Validate a pair of classes as a generalized K3 surface.
 
     Explicit/explicit pairs are checked exactly: the four cross pairings
-    must vanish and the norms must agree; the 4x4 Gram of Pi, whose
-    off-diagonal block holds the cross pairings, is built once and must be
-    positive definite.  A pair with a generic member only gets
-    support-level checks and is marked FormalGeneric.
+    must vanish and the norms N must agree.  The 4x4 Gram of Pi, whose
+    off-diagonal block holds the cross pairings, is built once; once both
+    checks pass it is (N/2) I, positive definite.  A pair with a generic
+    member only gets support-level checks and is marked FormalGeneric.
     """
     a = _coerce_member(phi_a)
     b = _coerce_member(phi_b)
@@ -117,8 +119,6 @@ def validate_gk3(phi_a, phi_b) -> GeneralizedK3:
             )
     if a.norm != b.norm:
         raise ValidationError(f"norm mismatch: {a.norm} vs {b.norm}")
-    if not is_positive_definite(pi.gram):
-        raise ValidationError("positive 4-space is degenerate")
     return GeneralizedK3(a, b, "Verified", pi)
 
 

@@ -38,12 +38,11 @@ from .mukai import (
     deg2_vector,
     gcy_norm,
     mukai_pairing,
-    real_gram,
     support_in,
     type_a_parts,
 )
 from .pairs import GeneralizedK3, neron_severi, transcendental
-from .scalars import ComplexQuad, QuadScalar, as_quad
+from .scalars import QuadScalar, check_field_tag
 
 FULL_RANK = 22  # rank of NS/T certifying rigidity (codimension-2 support)
 
@@ -119,19 +118,15 @@ def is_complex_rigid(x: GeneralizedK3) -> RigidityReport:
 def _tail_b_rational(b: GCYClass) -> bool:
     """Whether some rational degree-2 class B solves deg4 = <B, sigma>.
 
-    Only the projection of B to the period plane acts, so the test solves
-    the 2x2 system on the plane and asks for rational coordinates.
+    Only the projection of B to the period plane acts.  sigma is isotropic,
+    so the plane's Gram is (N/2) I for the class's norm N = <sigma, conj
+    sigma> = n0 + n1 sqrt d, and the projection is Re(conj(t) sigma) / (N/2)
+    for the tail t = deg4.  N (n0 - n1 sqrt d) is rational, so the
+    projection is rational exactly when Re(conj(t) sigma) (n0 - n1 sqrt d) is.
     """
-    sigma = b.coh.deg2_part()
-    (g11, g12), (_, g22) = real_gram((sigma.real_part(), sigma.imag_part()))
-    det = g11 * g22 - g12 * g12
-    if det.is_zero:
-        return False
-    t_re, t_im = b.coh.deg4.re, b.coh.deg4.im
-    alpha = (g22 * t_re - g12 * t_im) / det
-    beta = (g11 * t_im - g12 * t_re) / det
-    # alpha Re + beta Im is the real part of (alpha - i beta) sigma
-    return sigma.scale(ComplexQuad(alpha, -beta)).real_part().field_tag is None
+    n = b.norm
+    tail = b.coh.deg2_part().scale(b.coh.deg4.conjugate()).real_part()
+    return tail.scale(QuadScalar.tagged(n.a, -n.b, n.d)).field_tag is None
 
 
 def is_kahler_rigid(x: GeneralizedK3) -> RigidityReport:
@@ -203,12 +198,21 @@ class SurveyReport:
     witnesses: tuple[tuple[IntMat, SurveyWitness], ...]  # parallel to achieved
 
 
-def _survey_kappas(sqrt_d) -> tuple[tuple[int, QuadScalar], ...]:
-    """(kappa^2, kappa) for kappa = 1 and each sqrt(d), in sorted order."""
-    kappas = [(1, as_quad(1))]
-    for d in sorted(set(sqrt_d)):
-        kappas.append((d, QuadScalar(0, 1, d)))
-    return tuple(kappas)
+def _survey_kappas(sqrt_d) -> tuple[int, ...]:
+    """kappa^2 for kappa = 1 and each sqrt(d), in sorted order."""
+    return (1,) + tuple(check_field_tag(d) for d in sorted(set(sqrt_d)))
+
+
+def _witness(config: SurveyConfig, k: int, a, b, p, q, denom) -> SurveyWitness:
+    """B = (p H1 + q H2) / D and omega = kappa (a H1 + b H2), kappa^2 = k,
+    built from their integer coordinates."""
+    hs = tuple(zip(config.h1, config.h2))
+    bfield = tuple(QuadScalar(Fraction(p * u + q * v, denom)) for u, v in hs)
+    w = [a * u + b * v for u, v in hs]
+    omega = tuple(
+        QuadScalar(c) if k == 1 else QuadScalar.tagged(Fraction(0), Fraction(c), k) for c in w
+    )
+    return SurveyWitness(bfield, omega)
 
 
 def _plane_gram(h1, h2) -> tuple[int, int, int]:
@@ -335,10 +339,8 @@ def kahler_rigid_survey(config: SurveyConfig) -> SurveyReport:
     target_set = set(targets)
     found: dict[IntMat, SurveyWitness] = {}
     sc = _sat_coords(config.h1, config.h2)
-    h1q = tuple(as_quad(v) for v in config.h1)
-    h2q = tuple(as_quad(v) for v in config.h2)
     omegas = _positive_omegas(config)
-    for k, kappa in kappas:
+    for k in kappas:
         for a, b in omegas:
             for denom in range(1, config.denominator_bound + 1):
                 for p in range(denom):
@@ -347,12 +349,7 @@ def kahler_rigid_survey(config: SurveyConfig) -> SurveyReport:
                             continue
                         gram = _grid_invariant(sc, k, a, b, p, q, denom)
                         if gram in target_set and gram not in found:
-                            bfield = tuple(
-                                Fraction(p, denom) * u + Fraction(q, denom) * v
-                                for u, v in zip(h1q, h2q)
-                            )
-                            omega = tuple(kappa * (a * u + b * v) for u, v in zip(h1q, h2q))
-                            found[gram] = SurveyWitness(bfield, omega)
+                            found[gram] = _witness(config, k, a, b, p, q, denom)
     achieved = tuple(g for g in targets if g in found)
     missing = tuple(g for g in targets if g not in found)
     witnesses = tuple((g, found[g]) for g in achieved)

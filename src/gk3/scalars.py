@@ -2,7 +2,11 @@
 
 A ``QuadScalar`` is a + b*sqrt(d) with rational a, b and a squarefree
 integer tag d >= 2; a ``ComplexQuad`` is built from two of them.  They are
-the parse, print and result types; classes are integer rows (``mukai``).
+the parse, print and result types, and keep only the ring operations
+(sum, difference, product), exact sign and equality.  Classes are
+integer rows (``mukai``), and every division in Q(sqrt d) happens there,
+on the rows: dividing by z multiplies by conj(z) and the Galois conjugate
+of z conj(z), which leaves a positive integer denominator.
 Rational values carry no tag and combine with anything; combining two
 different tags is an error, so a computation never mixes sqrt(2) with
 sqrt(3).  A tag is validated once, where a value is built from outside;
@@ -161,20 +165,6 @@ class QuadScalar:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> QuadScalar:
-        if self.is_zero:
-            raise ZeroDivisionError("division by zero QuadScalar")
-        # (a + b sqrt d)^-1 = (a - b sqrt d) / (a^2 - d b^2); the norm is
-        # nonzero because sqrt(d) is irrational for squarefree d >= 2.
-        n = self.a * self.a - (self.d or 0) * self.b * self.b
-        return QuadScalar.tagged(self.a / n, -self.b / n, self.d)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
     # -- exact ordering --------------------------------------------------
 
     def sign(self) -> int:
@@ -214,27 +204,6 @@ class QuadScalar:
             return irr
         sign = "+" if self.b > 0 else "-"
         return f"{self.a} {sign} {irr.lstrip('-')}"
-
-
-
-
-def is_positive_definite(gram) -> bool:
-    """Exact positive definiteness of a symmetric matrix of QuadScalars.
-
-    Symmetric Gaussian elimination without pivoting: the k-th pivot is the
-    ratio of the k-th and (k-1)-th leading principal minors, so every pivot
-    is positive exactly when Sylvester's criterion holds.
-    """
-    a = [list(row) for row in gram]
-    for k, top in enumerate(a):
-        p = top[k]
-        if p.sign() <= 0:
-            return False
-        for row in a[k + 1 :]:
-            f = row[k] / p
-            for j in range(k + 1, len(top)):
-                row[j] = row[j] - f * top[j]
-    return True
 
 
 def as_quad(x) -> QuadScalar:
@@ -293,12 +262,6 @@ class ComplexQuad:
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
-
-    def inverse(self) -> ComplexQuad:
-        if self.is_zero:
-            raise ZeroDivisionError("division by zero ComplexQuad")
-        n = (self.re * self.re + self.im * self.im).inverse()
-        return ComplexQuad(self.re * n, -self.im * n)
 
     def __eq__(self, other):
         other = self._coerce(other)

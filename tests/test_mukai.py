@@ -18,6 +18,7 @@ from gk3.mukai import (
     MUKAI,
     MUKAI_GRAM,
     CohClass,
+    GCYClass,
     GenericClass,
     bfield_matrix,
     bfield_transform,
@@ -303,8 +304,9 @@ def test_period_plane_examples():
 def test_period_plane_rejects_real_classes():
     g = check_gcy(exponential_class([0] * 22, deg2_vector({0: 1, 1: 1})))
     real_only = CohClass(g.coh.deg0, tuple(ComplexQuad(c.re) for c in g.coh.deg2), g.coh.deg4)
-    with pytest.raises(ValidationError):
-        period_plane(check_gcy(real_only) if False else type(g)(real_only, "A", g.norm))
+    # a class is checked where it is built, so no real class reaches period_plane
+    with pytest.raises(ValidationError, match="not isotropic"):
+        GCYClass(real_only)
 
 
 def test_decompose_type_a_roundtrip():
@@ -431,6 +433,14 @@ def _scalars(draw, d, real=False):
     return re if real else ComplexQuad(re, QuadScalar(Fraction(ia, den), Fraction(ib, den), d))
 
 
+def _inverse(k: ComplexQuad) -> ComplexQuad:
+    """1/k = conj(k) (p - q sqrt d) / (p^2 - d q^2) for |k|^2 = p + q sqrt d,
+    built from the Fraction parts."""
+    n = k.re * k.re + k.im * k.im
+    m = n.a * n.a - (n.d or 0) * n.b * n.b
+    return k.conjugate() * QuadScalar.tagged(n.a / m, -n.b / m, n.d)
+
+
 @st.composite
 def _vectors(draw, d, size, real=False):
     """A sparse or dense vector over Q(sqrt d) (d None: rational)."""
@@ -480,7 +490,8 @@ def test_row_form_is_a_normal_form(case):
     x = _class_of(xs)
     if not k.is_zero:
         # the same value through a common factor and back
-        again = x.scale(k).scale(k.inverse())
+        assert k * _inverse(k) == as_complex(1)
+        again = x.scale(k).scale(_inverse(k))
         assert again == x and hash(again) == hash(x)
         assert (again.den, again.d, again.rows) == (x.den, x.d, x.rows)
     shifted = bfield_transform([-v for v in b], bfield_transform(b, x))
@@ -494,3 +505,49 @@ def test_normal_form_of_a_cancelled_class():
     assert (x.den, x.d) == (2, None)
     assert x.rows[0][:3] == (1, 0, 3)
     assert x == coh_class(Fraction(1, 2), [Fraction(3, 2)] + [0] * 21, 0)
+
+
+def _h(i: int) -> tuple:
+    """e_i + f_i in the i-th copy of U (i = 0, 1, 2), square 2."""
+    return deg2_vector({2 * i: 1, 2 * i + 1: 1})
+
+
+@st.composite
+def _type_a_cases(draw):
+    """(lambda, B, omega) with lambda non-real, irrational when d is set,
+    and omega in the positive 3-space of the three U copies."""
+    d = draw(st.sampled_from((None, 2, 3)))
+    im = Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    lam = ComplexQuad(draw(_scalars(d, real=True)), QuadScalar(im, 1 if d else 0, d))
+    b = draw(_vectors(d, 22, real=True))
+    s = [draw(_scalars(d, real=True)) for _ in range(3)]
+    if all(c.is_zero for c in s):
+        s[0] = as_quad(1)
+    omega = [c0 * s[0] + c1 * s[1] + c2 * s[2] for c0, c1, c2 in zip(_h(0), _h(1), _h(2))]
+    return lam, tuple(b), tuple(omega)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_type_a_cases())
+def test_decompose_type_a_recovers_lambda_b_omega(case):
+    lam, b, omega = case
+    g = check_gcy(exponential_class(b, omega, scale=lam))
+    assert g.type_tag == "A"
+    assert decompose_type_a(g) == (lam, tuple(map(as_quad, b)), omega)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_type_a_cases(), st.booleans())
+def test_period_plane_gram_is_half_the_norm(case, type_b):
+    lam, b, omega = case
+    if type_b:
+        # sigma = lambda (w + i w') for w = s0 h0 + s1 h1 and the right-angle
+        # turn w' = -s1 h0 + s0 h1: w^2 = w'^2 and w.w' = 0
+        s0, s1 = omega[0] or as_quad(1), omega[2]
+        zeros = (as_quad(0),) * 18
+        w, turned = (s0, s0, s1, s1) + zeros, (-s1, -s1, s0, s0) + zeros
+        g = GCYClass(two_form_class(w, turned).scale(lam))
+    else:
+        g = GCYClass(exponential_class(b, omega, scale=lam))
+    half = g.norm * Fraction(1, 2)
+    assert period_plane(g).gram == ((half, as_quad(0)), (as_quad(0), half))

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gk3.errors import ValidationError
 from gk3.lattices import discriminant
 from gk3.mukai import (
     GenericClass,
+    bfield_transform,
     check_gcy,
     coh_class,
     deg2_vector,
     exponential_class,
+    period_plane,
     support_lattice,
     two_form_class,
 )
@@ -24,7 +29,7 @@ from gk3.pairs import (
     transform_pair,
     validate_gk3,
 )
-from gk3.scalars import as_complex
+from gk3.scalars import ComplexQuad, QuadScalar, as_complex, as_quad
 
 
 def _kahler_class(n: int = 1):
@@ -204,3 +209,54 @@ def test_transform_pair_moves_generic_supports():
     assert moved.status == "FormalGeneric"
     assert isinstance(moved.phi_a, GenericClass)
     assert len(moved.phi_a.support.basis) == 22
+
+
+def _quad(draw, d, nonzero=False):
+    a, b = draw(st.integers(-3, 3)), draw(st.integers(-2, 2)) if d else 0
+    if nonzero and not (a or b):
+        a = 1
+    return QuadScalar(Fraction(a, draw(st.integers(1, 3))), b, d)
+
+
+@st.composite
+def _explicit_pairs(draw):
+    """(case, phi_A, phi_B): a B-with-A or A-with-A pair over Q(sqrt d),
+    scaled by lambda and lambda u for |u| = 1 and moved by a common
+    b-field.  The base pairs have norm 4 s^2 on both sides:
+    exp(i s h0) with s (p h1 + q h2) + i s (-q h1 + p h2), p^2 + q^2 = 1,
+    or with exp(s (e2 + 2 f2) + i s h1), where B_rel^2 = omega^2 + omega'^2."""
+    d = draw(st.sampled_from((None, 2, 3)))
+    case = draw(st.sampled_from(("B-with-A", "A-with-A")))
+    s = _quad(draw, d, nonzero=True)
+    lam = ComplexQuad(_quad(draw, d, nonzero=True), _quad(draw, d))
+    r, t = Fraction(draw(st.integers(-4, 4)), 3), Fraction(draw(st.integers(-4, 4)), 3)
+    u = ComplexQuad((1 - r * r) / (1 + r * r), 2 * r / (1 + r * r))
+    p, q = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+    h = [deg2_vector({2 * i: 1, 2 * i + 1: 1}) for i in range(3)]
+    phi_a = exponential_class([0] * 22, [s * v for v in h[0]])
+    if case == "B-with-A":
+        phi_b = two_form_class(
+            [s * (p * v + q * w) for v, w in zip(h[1], h[2])],
+            [s * (p * w - q * v) for v, w in zip(h[1], h[2])],
+        )
+    else:
+        b_rel = [s * v for v in deg2_vector({4: 1, 5: 2})]
+        phi_b = exponential_class(b_rel, [s * v for v in h[1]])
+    b = [_quad(draw, draw(st.sampled_from((None, d)))) for _ in range(22)]
+    phi_a, phi_b = (bfield_transform(b, x.scale(k)) for x, k in ((phi_a, lam), (phi_b, lam * u)))
+    return case, phi_a, phi_b
+
+
+@settings(max_examples=40, deadline=None)
+@given(_explicit_pairs())
+def test_pi_gram_is_half_the_norm(case):
+    name, phi_a, phi_b = case
+    x = validate_gk3(phi_a, phi_b)
+    half = x.phi_a.norm * Fraction(1, 2)
+    zero = as_quad(0)
+    assert x.pi.gram == tuple(tuple(half if i == j else zero for j in range(4)) for i in range(4))
+    for member in (x.phi_a, x.phi_b):
+        assert period_plane(member).gram == ((half, zero), (zero, half))
+    out = classify_hk_pair(x)
+    assert out.case == name and out.orthogonal and out.norms_match
+    assert all(i.holds for i in out.identities)

@@ -3,14 +3,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from gk3.errors import ValidationError
 from gk3.lattices import IntegralLattice, gauss_reduce2, ortho_complement
 from gk3.mirror import build_si_mirror
 from gk3.mukai import (
+    K3_GRAM,
     MUKAI,
     GCYClass,
     GenericClass,
+    bfield_transform,
     check_gcy,
     coh_class,
     deg2_vector,
@@ -108,12 +114,70 @@ def test_complex_rigid_generic_needs_explicit_class():
 
 
 def test_tail_b_rationality():
-    # sigma = (e2 + f2) + i sqrt2 (e3 + f3); B = alpha Re + beta Im solves
-    # deg4 = <B, sigma> with alpha = Re deg4 / 2 and beta = Im deg4 / 4
-    deg2 = [ComplexQuad(u, SQRT2 * v) for u, v in zip(deg2_vector({2: 1, 3: 1}), deg2_vector({4: 1, 5: 1}))]
-    for tail, rational in ((ComplexQuad(1, 1), False), (ComplexQuad(1, SQRT2), True), (0, True)):
-        sigma = GCYClass(coh_class(0, deg2, tail), "B", as_quad(6))
+    # sigma = sqrt2 ((e2 + f2) + i (e3 + f3)) is isotropic with norm 8; the
+    # projection of B is Re(conj(t) sigma) / 4 = sqrt2 (Re t (e2 + f2) +
+    # Im t (e3 + f3)) / 4, rational exactly when Re t and Im t lie in sqrt2 Q
+    h1, h2 = deg2_vector({2: 1, 3: 1}), deg2_vector({4: 1, 5: 1})
+    deg2 = [ComplexQuad(SQRT2 * u, SQRT2 * v) for u, v in zip(h1, h2)]
+    cases = (
+        (0, True),
+        (SQRT2, True),
+        (ComplexQuad(SQRT2, SQRT2), True),
+        (1, False),
+        (ComplexQuad(1, 1), False),
+        (ComplexQuad(1, SQRT2), False),
+        (ComplexQuad(SQRT2, 1), False),
+    )
+    for tail, rational in cases:
+        sigma = GCYClass(coh_class(0, deg2, tail))
+        assert (sigma.type_tag, sigma.norm) == ("B", as_quad(8))
         assert _tail_b_rational(sigma) is rational
+
+
+def _solve_tail(g: GCYClass) -> bool:
+    """The 2x2 system on the period plane, solved by sympy over Q(sqrt d):
+    is the projection alpha Re + beta Im of B rational?"""
+    d = g.coh.d
+    field = sympy.QQ.algebraic_field(sympy.sqrt(d)) if d else sympy.QQ
+
+    def elt(q: QuadScalar):
+        return field.from_sympy(sympy.Rational(q.a) + sympy.Rational(q.b) * sympy.sqrt(q.d or 1))
+
+    deg2, t = g.coh.deg2, g.coh.deg4
+    plane = DomainMatrix([[elt(c.re) for c in deg2], [elt(c.im) for c in deg2]], (2, 22), field)
+    gram = DomainMatrix.from_Matrix(sympy.Matrix(K3_GRAM)).convert_to(field)
+    rhs = DomainMatrix([[elt(t.re)], [elt(t.im)]], (2, 1), field)
+    coeffs = (plane * gram * plane.transpose()).lu_solve(rhs)
+    projection = (coeffs.transpose() * plane).to_Matrix()
+    return all(x.is_rational for x in projection)
+
+
+@st.composite
+def _type_b_classes(draw):
+    """mu (E + i F) with E = p h1 + q h2, F = -q h1 + p h2 over Q(sqrt d),
+    moved by exp(B) for a rational B (a solvable tail) plus a random tail."""
+    d = draw(st.sampled_from((None, 2, 3)))
+
+    def quad(nonzero=False):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-2, 2)) if d else 0
+        return QuadScalar(Fraction(a or int(nonzero), draw(st.integers(1, 3))), b, d)
+
+    p, q, mu = quad(nonzero=True), quad(), ComplexQuad(quad(nonzero=True), quad())
+    h1, h2 = deg2_vector({2: 1, 3: 1}), deg2_vector({4: 1, 5: 1})
+    sigma = two_form_class(
+        [p * v + q * w for v, w in zip(h1, h2)], [p * w - q * v for v, w in zip(h1, h2)]
+    ).scale(mu)
+    b = [Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))) for _ in range(22)]
+    moved = bfield_transform(b, sigma)  # (0, sigma, <B, sigma>)
+    tail = ComplexQuad(quad(), quad()) if draw(st.booleans()) else 0
+    return GCYClass(coh_class(0, moved.deg2, moved.deg4 + tail))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_type_b_classes())
+def test_tail_b_rational_matches_the_plane_solve(g):
+    assert g.type_tag == "B"
+    assert _tail_b_rational(g) is _solve_tail(g)
 
 
 def test_kahler_rigid_on_shioda_inose_member():

@@ -118,7 +118,7 @@ def _reference_survey(config: SurveyConfig) -> SurveyReport:
     found = {}
     samples = 0
     amax = isqrt(config.max_det)
-    for _, kappa in _survey_kappas(config.sqrt_d):
+    for kappa in map(_kappa, _survey_kappas(config.sqrt_d)):
         for a in range(amax + 1):
             for b in range(amax + 1):
                 if (a == 0 and b == 0) or _omega_sq(config.h1, config.h2, a, b) <= 0:
@@ -176,10 +176,9 @@ def test_integer_gcy_check_reports_as_check_gcy():
     h1, h2 = PLANES["indefinite"]
     sc = _sat_coords(h1, h2)
     kappa = _kappa(2)
-    hq = _quads(h1)
     # Re = (1, H1/2, -1), Im = sqrt(2) (0, H1, 0): not isotropic
     r1, r2 = (2, -2, 1, 0), (0, 0, 1, 0)
-    cls = coh_class(1, [ComplexQuad(v / 2, kappa * v) for v in hq], -1)
+    cls = coh_class(1, [ComplexQuad(Fraction(v, 2), kappa * v) for v in h1], -1)
     with pytest.raises(ValidationError) as e:
         gcy_norm(sc.entries_p, 2, 2, _exp_rows(r1, r2, 2, 1))
     assert str(e.value) == _gcy_error(cls)
