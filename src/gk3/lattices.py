@@ -8,7 +8,9 @@ hyperbolic plane U, the negative definite E8 lattice, diagonal lattices,
 direct sums, rescalings, the K3 lattice U^3 + E8(-1)^2), orthogonal
 complements, primitivity and saturation, discriminant groups, Gauss
 reduction of rank-2 positive definite forms, genus-level invariant
-comparison, and a search for hyperbolic-plane direct summands.
+comparison, and a search for hyperbolic-plane direct summands.  A
+sublattice computes its complement and saturation once and keeps them; a
+saturation and a complement are their own saturation.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .intlinalg import (
     gram_entries,
     gram_rows,
     hnf_basis,
-    identity,
     int_kernel,
     in_row_lattice,
     is_saturated,
@@ -201,6 +202,12 @@ class Sublattice:
         return self._signature  # a complement's is read off S (ortho_complement)
 
     @cached_property
+    def _saturation(self) -> "Sublattice":
+        sat = Sublattice(self.ambient, saturate(self.basis, self.ambient.rank))
+        sat.__dict__["_saturation"] = sat  # where cached_property keeps it
+        return sat
+
+    @cached_property
     def _complement(self) -> "Sublattice":
         if self._complement_of is not None:
             return saturation(self._complement_of)
@@ -208,13 +215,10 @@ class Sublattice:
         degenerate = amb.is_degenerate
         if degenerate and abs(self._induced.det()) != 1:
             raise ValidationError("degenerate ambient: complement needs a unimodular sublattice")
-        if not self.basis:
-            comp = Sublattice(amb, identity(amb.rank))
-        else:
-            conditions = gram_rows(amb.entries, self.basis)
-            comp = Sublattice(amb, int_kernel(conditions, amb.rank))
+        comp = Sublattice(amb, int_kernel(gram_rows(amb.entries, self.basis), amb.rank))
         if not degenerate:
             object.__setattr__(comp, "_complement_of", self)
+        comp.__dict__["_saturation"] = comp  # a kernel is saturated
         return comp
 
     def contains(self, other: "Sublattice") -> bool:
@@ -252,7 +256,7 @@ def is_primitive(s: Sublattice) -> bool:
 
 
 def saturation(s: Sublattice) -> Sublattice:
-    return Sublattice(s.ambient, saturate(s.basis, s.ambient.rank))
+    return s._saturation  # (Q-span of s) ∩ ambient
 
 
 def discriminant(l: IntegralLattice) -> tuple[int, ...]:

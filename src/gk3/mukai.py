@@ -28,8 +28,8 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import ValidationError
-from .intlinalg import IntMat, freeze, gram_rows, hnf_basis, pairing_block, saturate
-from .lattices import IntegralLattice, Sublattice, named_lattice
+from .intlinalg import IntMat, freeze, gram_rows, hnf_basis, pairing_block
+from .lattices import IntegralLattice, Sublattice, named_lattice, saturation
 from .scalars import ComplexQuad, QuadScalar, as_quad, join_tags, quad_sign
 
 DEG2_RANK = 22
@@ -89,8 +89,7 @@ def _times(rows, c, d: int | None) -> list[list[int]]:
     return out
 
 
-def _quad(a: int, b: int, den: int, d: int | None) -> QuadScalar:
-    return QuadScalar.tagged(Fraction(a, den), Fraction(b, den), d)
+_quad = QuadScalar.from_ints  # (a + b sqrt d) / den from integer numerators
 
 
 def _complex(nums, den: int, d: int | None) -> ComplexQuad:
@@ -101,20 +100,20 @@ def _rows_of(coords) -> tuple[int, int | None, tuple[tuple[int, ...], ...]]:
     """(den, d, rows) of a sequence of exact scalars: the rational and sqrt(d)
     parts of the real and imaginary parts as four integer rows over one
     denominator.  Mixed square-root tags are rejected."""
-    parts, d = [], None
+    parts, d = [], None  # (numerator, denominator) of each part
     for c in coords:
         if isinstance(c, ComplexQuad):
             re, im = c.re, c.im
             d = join_tags(join_tags(d, re.d), im.d)
-            parts += (re.a, re.b, im.a, im.b)
+            parts += ((re.p, re.n), (re.q, re.n), (im.p, im.n), (im.q, im.n))
         elif isinstance(c, (int, Fraction)) and not isinstance(c, bool):
-            parts += (c, 0, 0, 0)  # ints and Fractions both have numerator/denominator
+            parts += ((c.numerator, c.denominator), (0, 1), (0, 1), (0, 1))
         else:
             q = as_quad(c)
             d = join_tags(d, q.d)
-            parts += (q.a, q.b, 0, 0)
-    den = lcm(*{f.denominator for f in parts})
-    flat = [f.numerator * (den // f.denominator) for f in parts]
+            parts += ((q.p, q.n), (q.q, q.n), (0, 1), (0, 1))
+    den = lcm(*{n for _, n in parts})
+    flat = [p * (den // n) for p, n in parts]
     return den, d, tuple(tuple(flat[t::4]) for t in range(4))
 
 
@@ -386,9 +385,7 @@ def support_in(ambient: IntegralLattice, coords) -> Sublattice:
     n = ambient.rank
     rows = coords.rows if isinstance(coords, CohClass) else _rows_of(coords)[2]
     rows = [row for row in rows if any(row)]
-    if not rows:
-        return Sublattice(ambient, ())
-    return Sublattice(ambient, saturate(hnf_basis(rows, n), n))
+    return saturation(Sublattice(ambient, hnf_basis(rows, n)))
 
 
 def support_lattice(x: CohClass | GCYClass) -> Sublattice:

@@ -17,7 +17,6 @@ is an open question; the survey reports, it never asserts completeness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import ValidationError
@@ -116,17 +115,20 @@ def is_complex_rigid(x: GeneralizedK3) -> RigidityReport:
 
 
 def _tail_b_rational(b: GCYClass) -> bool:
-    """Whether some rational degree-2 class B solves deg4 = <B, sigma>.
+    """Whether a B with rational projection to the period plane solves deg4 =
+    <B, sigma>.  Only for a rank-2 degree-2 support of sigma, as checked in
+    ``is_complex_rigid``, is the plane defined over Q and this the question
+    whether a rational B solves it; elsewhere it can refuse a rational B.
 
     Only the projection of B to the period plane acts.  sigma is isotropic,
     so the plane's Gram is (N/2) I for the class's norm N = <sigma, conj
-    sigma> = n0 + n1 sqrt d, and the projection is Re(conj(t) sigma) / (N/2)
-    for the tail t = deg4.  N (n0 - n1 sqrt d) is rational, so the
+    sigma> = (n0 + n1 sqrt d) / n, and the projection is Re(conj(t) sigma)
+    / (N/2) for the tail t = deg4.  N (n0 - n1 sqrt d) is rational, so the
     projection is rational exactly when Re(conj(t) sigma) (n0 - n1 sqrt d) is.
     """
     n = b.norm
     tail = b.coh.deg2_part().scale(b.coh.deg4.conjugate()).real_part()
-    return tail.scale(QuadScalar.tagged(n.a, -n.b, n.d)).field_tag is None
+    return tail.scale(QuadScalar.from_ints(n.p, -n.q, n.n, n.d)).field_tag is None
 
 
 def is_kahler_rigid(x: GeneralizedK3) -> RigidityReport:
@@ -207,11 +209,10 @@ def _witness(config: SurveyConfig, k: int, a, b, p, q, denom) -> SurveyWitness:
     """B = (p H1 + q H2) / D and omega = kappa (a H1 + b H2), kappa^2 = k,
     built from their integer coordinates."""
     hs = tuple(zip(config.h1, config.h2))
-    bfield = tuple(QuadScalar(Fraction(p * u + q * v, denom)) for u, v in hs)
+    make = QuadScalar.from_ints
+    bfield = tuple(make(p * u + q * v, 0, denom, None) for u, v in hs)
     w = [a * u + b * v for u, v in hs]
-    omega = tuple(
-        QuadScalar(c) if k == 1 else QuadScalar.tagged(Fraction(0), Fraction(c), k) for c in w
-    )
+    omega = tuple(make(c, 0, 1, None) if k == 1 else make(0, c, 1, k) for c in w)
     return SurveyWitness(bfield, omega)
 
 

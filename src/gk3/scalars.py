@@ -1,25 +1,26 @@
 """Exact scalars: rationals and elements of a real quadratic field Q(sqrt d).
 
-A ``QuadScalar`` is a + b*sqrt(d) with rational a, b and a squarefree
-integer tag d >= 2; a ``ComplexQuad`` is built from two of them.  They are
-the parse, print and result types, and keep only the ring operations
-(sum, difference, product), exact sign and equality.  Classes are
-integer rows (``mukai``), and every division in Q(sqrt d) happens there,
-on the rows: dividing by z multiplies by conj(z) and the Galois conjugate
-of z conj(z), which leaves a positive integer denominator.
+A ``QuadScalar`` is (p + q*sqrt(d)) / n in the normal form n > 0,
+gcd(p, q, n) = 1, with a squarefree integer tag d >= 2, None exactly
+when q = 0 (the form of class rows, ``mukai``); a = p/n and b = q/n are
+Fractions built when read.  A ``ComplexQuad`` is built from two of them.
+They are the parse, print and result types, and keep only the ring
+operations (integer arithmetic, then one gcd), exact sign and equality.
+Division in Q(sqrt d) runs only on class rows (``mukai.type_a_parts``).
 Rational values carry no tag and combine with anything; combining two
 different tags is an error, so a computation never mixes sqrt(2) with
 sqrt(3).  A tag is validated once, where a value is built from outside;
 arithmetic results inherit the tag of their operands.
 
-The sign of a + b*sqrt(d) is decided exactly by case analysis on the
-signs of a and b, falling back to comparing a^2 against d*b^2 when they
+The sign of p + q*sqrt(d) is decided exactly by case analysis on the
+signs of p and q, falling back to comparing p^2 against d*q^2 when they
 disagree; no floating point is involved anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import ValidationError
 
@@ -76,122 +77,126 @@ def quad_sign(a, b, d: int | None) -> int:
     return -1
 
 
-class QuadScalar:
-    """An exact element a + b*sqrt(d) of Q or of a real quadratic field."""
+def _parts(x):
+    """(p, q, n, d) of a QuadScalar, int or Fraction; None for anything else."""
+    if isinstance(x, QuadScalar):
+        return x.p, x.q, x.n, x.d
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator, None
+    return None
 
-    __slots__ = ("a", "b", "d")
+
+class QuadScalar:
+    """An exact element (p + q*sqrt(d)) / n of Q or of a real quadratic field."""
+
+    __slots__ = ("p", "q", "n", "d")
 
     def __init__(self, a=0, b=0, d: int | None = None):
-        a = a if isinstance(a, Fraction) else Fraction(a)
-        b = b if isinstance(b, Fraction) else Fraction(b)
+        a, b = (x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (a, b))
         if b == 0:
             d = None  # a rational value lives in every field
         elif d is None:
             raise ValidationError("irrational part requires a square-root tag d")
         else:
             check_field_tag(d)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        _fill(self, an * bd, bn * ad, ad * bd, d)
 
     @classmethod
-    def tagged(cls, a: Fraction, b: Fraction, d: int | None) -> QuadScalar:
-        """a + b*sqrt(d) for Fractions a, b and a tag d that was validated
-        before, as another value's tag or by ``check_field_tag``."""
-        q = object.__new__(cls)
-        object.__setattr__(q, "a", a)
-        object.__setattr__(q, "b", b)
-        object.__setattr__(q, "d", d if b else None)
-        return q
+    def from_ints(cls, p: int, q: int, n: int, d: int | None) -> QuadScalar:
+        """(p + q*sqrt(d)) / n for integers, n > 0, and a tag validated before."""
+        return _fill(object.__new__(cls), p, q, n, d)
+
+    @classmethod
+    def tagged(cls, a, b, d: int | None) -> QuadScalar:
+        """a + b*sqrt(d) for ints or Fractions a, b and a validated tag d."""
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        return cls.from_ints(an * bd, bn * ad, ad * bd, d)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("QuadScalar is immutable")
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.n)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.n)
 
     # -- predicates ------------------------------------------------------
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.q == 0
 
     @property
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.p == 0 and self.q == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
-    # -- coercion and field-tag bookkeeping ------------------------------
+    # -- arithmetic: integer operations, then one gcd ----------------------
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, QuadScalar):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QuadScalar(x)
-        return None
-
-    # -- arithmetic ------------------------------------------------------
+    def _sum(self, other, s: int):
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        p, q, n, d = o
+        m = self.n
+        return QuadScalar.from_ints(
+            self.p * n + s * p * m, self.q * n + s * q * m, m * n, join_tags(self.d, d)
+        )
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return QuadScalar.tagged(self.a + other.a, self.b + other.b, join_tags(self.d, other.d))
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadScalar.tagged(-self.a, -self.b, self.d)
+        return QuadScalar.from_ints(-self.p, -self.q, self.n, self.d)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return QuadScalar.tagged(self.a - other.a, self.b - other.b, join_tags(self.d, other.d))
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        d = join_tags(self.d, other.d)
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return QuadScalar.tagged(a1 * a2 + (d or 0) * b1 * b2, a1 * b2 + b1 * a2, d)
+        p, q, n, d = o
+        d = join_tags(self.d, d)
+        p1, q1 = self.p, self.q
+        return QuadScalar.from_ints(p1 * p + (d or 0) * q1 * q, p1 * q + q1 * p, self.n * n, d)
 
     __rmul__ = __mul__
 
     # -- exact ordering --------------------------------------------------
 
     def sign(self) -> int:
-        return quad_sign(self.a, self.b, self.d)
+        return quad_sign(self.p, self.q, self.d)  # n > 0
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        if self.b != 0 and other.b != 0 and self.d != other.d:
-            return False
-        return self.a == other.a and self.b == other.b
+        return (self.p, self.q, self.n, self.d) == o  # both in normal form
 
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+    def __hash__(self):  # a rational hashes as the equal int or Fraction
+        return hash((self.p, self.q, self.n, self.d)) if self.q else hash(self.a)
 
     # -- conversions -----------------------------------------------------
 
     def __repr__(self) -> str:
-        if self.b == 0:
+        if not self.q:
             return f"QuadScalar({self.a})"
         return f"QuadScalar({self.a}, {self.b}, d={self.d})"
 
     def __str__(self) -> str:
-        if self.b == 0:
+        if not self.q:
             return str(self.a)
         root = f"sqrt({self.d})"
         if self.b == 1:
@@ -206,12 +211,24 @@ class QuadScalar:
         return f"{self.a} {sign} {irr.lstrip('-')}"
 
 
+# slot setters that pass the immutability guard, for values being built
+_SETTERS = tuple(vars(QuadScalar)[s].__set__ for s in QuadScalar.__slots__)
+
+
+def _fill(x: QuadScalar, p: int, q: int, n: int, d: int | None) -> QuadScalar:
+    """Store (p + q*sqrt(d)) / n, n > 0, in x in normal form."""
+    g = gcd(p, q, n)
+    for put, v in zip(_SETTERS, (p // g, q // g, n // g, d if q else None)):
+        put(x, v)
+    return x
+
+
 def as_quad(x) -> QuadScalar:
     """Coerce an int, Fraction or QuadScalar to a QuadScalar."""
-    q = QuadScalar._coerce(x)
-    if q is None:
+    o = _parts(x)
+    if o is None:
         raise ValidationError(f"cannot interpret {x!r} as an exact scalar")
-    return q
+    return x if isinstance(x, QuadScalar) else QuadScalar.from_ints(*o)
 
 
 class ComplexQuad:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from gk3.errors import ValidationError
-from gk3.lattices import IntegralLattice, gauss_reduce2, ortho_complement
+from gk3.lattices import IntegralLattice, gauss_reduce2, ortho_complement, saturation
 from gk3.mirror import build_si_mirror
 from gk3.mukai import (
     K3_GRAM,
     MUKAI,
+    MUKAI_GRAM,
     GCYClass,
     GenericClass,
     bfield_transform,
@@ -21,10 +23,12 @@ from gk3.mukai import (
     coh_class,
     deg2_vector,
     exponential_class,
+    mukai_pairing,
+    support_in,
     support_lattice,
     two_form_class,
 )
-from gk3.pairs import transcendental, validate_gk3
+from gk3.pairs import neron_severi, transcendental, validate_gk3
 from gk3.rigidity import (
     DEFAULT_H1,
     DEFAULT_H2,
@@ -34,7 +38,7 @@ from gk3.rigidity import (
     is_kahler_rigid,
     kahler_rigid_survey,
 )
-from gk3.scalars import ComplexQuad, QuadScalar, as_quad
+from gk3.scalars import ComplexQuad, QuadScalar, as_complex, as_quad
 
 SQRT2 = QuadScalar(Fraction(0), Fraction(1), 2)
 
@@ -132,6 +136,22 @@ def test_tail_b_rationality():
         sigma = GCYClass(coh_class(0, deg2, tail))
         assert (sigma.type_tag, sigma.norm) == ("B", as_quad(8))
         assert _tail_b_rational(sigma) is rational
+
+
+def test_tail_b_rational_needs_a_rational_period_plane():
+    # sigma = (h1 + sqrt2 h2) + i (e3 + 3 f3), h_i = e_i + f_i, spans a plane
+    # not defined over Q: its degree-2 support has rank 3, outside the
+    # precondition.  The rational B = h2 / 2 solves the tail sqrt2, and the
+    # projection test still refuses it.
+    h1, h2 = deg2_vector({0: 1, 1: 1}), deg2_vector({2: 1, 3: 1})
+    im = deg2_vector({4: 1, 5: 3})
+    deg2 = [ComplexQuad(u + SQRT2 * v, w) for u, v, w in zip(h1, h2, im)]
+    sigma = GCYClass(coh_class(0, deg2, SQRT2))
+    assert (sigma.type_tag, sigma.norm) == ("B", as_quad(12))
+    assert support_in(MUKAI, sigma.coh.deg2_part()).rank == 3
+    b = coh_class(0, [Fraction(v, 2) for v in h2], 0)
+    assert mukai_pairing(b, sigma.coh) == sigma.coh.deg4 == as_complex(SQRT2)
+    assert _tail_b_rational(sigma) is False
 
 
 def _solve_tail(g: GCYClass) -> bool:
@@ -268,3 +288,62 @@ def test_survey_achieved_forms_are_reduced_fixed_points():
     assert ((2, 0), (0, 4)) in report.achieved
     for gram in report.achieved:
         assert gauss_reduce2(IntegralLattice(gram)).lattice.gram == gram
+
+
+# --- the rank-22 Kaehler case, step by step as the benchmark runs it ---------
+
+
+def _rank22_cases():
+    """12 fixed cases (B, omega0, kappa): kappa = sqrt2 for every third,
+    omega0 = a H1 + b H2, and B-fields with 2 to 22 nonzero slots."""
+    rng = random.Random(15)
+    for i, nonzero in enumerate((2, 11, 20, 7, 16, 3, 12, 22, 9, 18, 5, 14)):
+        height = 1 + i % 4
+        a, b = rng.randint(0, 3), rng.randint(1, 3)
+        bfield = [Fraction(0)] * 22
+        for s in rng.sample(range(22), nonzero):
+            bfield[s] = Fraction(rng.randint(-height, height), rng.randint(1, height))
+        omega0 = [a * u + b * v for u, v in zip(DEFAULT_H1, DEFAULT_H2)]
+        yield bfield, omega0, SQRT2 if i % 3 == 0 else as_quad(1)
+
+
+def _rank22_case(bfield, omega0, kappa):
+    """omega = kappa omega0, exp(B + i omega), its support and a generic
+    partner on the complement, the pair and its Kaehler verdict."""
+    omega = tuple(kappa * as_quad(v) for v in omega0)
+    cls = check_gcy(exponential_class(bfield, omega))
+    support = support_lattice(cls)
+    pair = validate_gk3(cls, GenericClass(ortho_complement(support), "B"))
+    return cls, pair, is_kahler_rigid(pair)
+
+
+def _int_pair(gram, x, y) -> int:
+    return sum(u * g * v for u, row in zip(x, gram) for g, v in zip(row, y))
+
+
+def test_rank22_op_sequence_on_fixed_cases():
+    for bfield, omega0, kappa in _rank22_cases():
+        cls, pair, report = _rank22_case(bfield, omega0, kappa)
+        ns, t = neron_severi(pair), transcendental(pair)
+        assert (report.kind, report.b_rational) == ("KahlerRigid", True)
+        assert pair.status == "FormalGeneric"
+        assert (ns.rank, t.rank) == (2, 22)
+        kappa_sq = 2 if kappa == SQRT2 else 1
+        assert report.omega_sq == kappa_sq * _int_pair(K3_GRAM, omega0, omega0)
+        assert all(_int_pair(MUKAI_GRAM, x, y) == 0 for x in t.basis for y in ns.basis)
+        assert gauss_reduce2(ns.induced_lattice()).lattice.gram == report.invariant
+
+
+def test_neron_severi_of_a_rank22_pair_is_its_support(hnf_passes):
+    # the support is a saturation and T a kernel, both their own saturation,
+    # so NS = (T^perp) = Sat(support) is the support object itself
+    cls, pair, _ = _rank22_case(*next(_rank22_cases()))
+    t = transcendental(pair)
+    passes = len(hnf_passes)
+    ns = neron_severi(pair)
+    assert len(hnf_passes) == passes
+    assert ns.basis == support_lattice(cls).basis
+    s = support_in(MUKAI, cls.coh)
+    passes = len(hnf_passes)
+    assert saturation(s) is s and saturation(t) is t
+    assert len(hnf_passes) == passes

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gk3.errors import ValidationError
 from gk3.scalars import (
@@ -68,10 +72,14 @@ def test_field_arithmetic():
 
 
 def test_mixing_field_tags_is_an_error():
-    with pytest.raises(ValidationError, match="cannot mix"):
-        _q(1, 1, 2) + _q(1, 1, 3)
+    x, y = _q(1, 1, 2), _q(1, -2, 3)
+    for op in (operator.add, operator.sub, operator.mul):
+        for u, v in ((x, y), (y, x)):
+            with pytest.raises(ValidationError, match="cannot mix"):
+                op(u, v)
     with pytest.raises(ValidationError):
         _q(0, 1, 2) * _q(0, 1, 5)
+    assert x != y and x * 0 + y == y  # a rational zero joins any field
 
 
 def test_sign_exact_cases():
@@ -149,3 +157,80 @@ def test_field_tag_is_checked_once_at_the_boundary(monkeypatch):
     assert calls == [999983]
     with pytest.raises(ValidationError, match="squarefree"):
         QuadScalar(0, 1, 4)
+
+
+# --- the integer normal form against a Fraction-pair reference --------------
+
+
+def _ref(x, d):
+    """(a, b) with x = a + b*sqrt(d), read from a QuadScalar, int or Fraction
+    without the class's own arithmetic."""
+    if isinstance(x, QuadScalar):
+        return Fraction(x.p, x.n), Fraction(x.q, x.n)
+    return Fraction(x), Fraction(0)
+
+
+def _ref_sign(a: Fraction, b: Fraction, d) -> int:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        v = Decimal(a.numerator) / a.denominator
+        if b:
+            v += Decimal(b.numerator) / b.denominator * Decimal(d).sqrt()
+    return (v > 0) - (v < 0)
+
+
+def _ref_str(a: Fraction, b: Fraction, d) -> str:
+    if not b:
+        return str(a)
+    irr = {1: "", -1: "-"}.get(b, f"{b}*") + f"sqrt({d})"
+    return irr if not a else f"{a} {'+' if b > 0 else '-'} {irr.lstrip('-')}"
+
+
+def _assert_matches(x: QuadScalar, a: Fraction, b: Fraction, d) -> None:
+    assert math.gcd(x.p, x.q, x.n) == 1 and x.n > 0
+    assert (x.d is None) == (x.q == 0)
+    assert (x.a, x.b, x.d) == (a, b, d if b else None)
+    assert x.is_zero == (a == 0 and b == 0) and x.is_rational == (b == 0)
+    assert x.sign() == _ref_sign(a, b, d)
+    assert str(x) == _ref_str(a, b, d)
+    assert repr(x) == (f"QuadScalar({a})" if not b else f"QuadScalar({a}, {b}, d={d})")
+    if not b:  # equal to, and hashed as, the plain rational
+        assert x == a and a == x and hash(x) == hash(a)
+        if a.denominator == 1:
+            assert x == a.numerator and hash(x) == hash(a.numerator)
+        assert x in {a} and a in {x}
+    else:
+        assert x != a and x == QuadScalar(a, b, d) and hash(x) == hash(QuadScalar(a, b, d))
+
+
+@st.composite
+def _operands(draw, d):
+    """A QuadScalar on the tag d (possibly rational), an int or a Fraction."""
+    a = Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 12)))
+    kind = draw(st.sampled_from(("quad", "int", "fraction")))
+    if kind == "int":
+        return a.numerator
+    if kind == "fraction":
+        return a
+    b = Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 12))) if d else 0
+    return QuadScalar(a, b, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from((None, 2, 3)))
+def test_integer_form_matches_a_fraction_pair_reference(data, d):
+    x = QuadScalar(*_ref(data.draw(_operands(d)), d), d)  # a QuadScalar side
+    y = data.draw(_operands(d))  # any operand type, on either side
+    (a1, b1), (a2, b2) = _ref(x, d), _ref(y, d)
+    _assert_matches(x, a1, b1, d)
+    _assert_matches(-x, -a1, -b1, d)
+    for got, want in (
+        ((x + y, y + x), (a1 + a2, b1 + b2)),
+        ((x - y,), (a1 - a2, b1 - b2)),
+        ((y - x,), (a2 - a1, b2 - b1)),
+        ((x * y, y * x), (a1 * a2 + (d or 0) * b1 * b2, a1 * b2 + b1 * a2)),
+    ):
+        for z in got:
+            assert isinstance(z, QuadScalar)
+            _assert_matches(z, *want, d)
+    assert (x == y) == ((a1, b1) == (a2, b2))
