@@ -526,7 +526,12 @@ def main(argv=None) -> int:
     except ValidationError as e:
         sys.stdout.write(dumps_canonical({"error": str(e)}))
         return 1
-    sys.stdout.write(dumps_canonical(report))
+    try:
+        text = dumps_canonical(report)
+    except ValueError as e:  # an integer over 4,300 digits has no decimal form
+        sys.stdout.write(dumps_canonical({"error": f"result not printable: {e}"}))
+        return 1
+    sys.stdout.write(text)
     return 0
 
 

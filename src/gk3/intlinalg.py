@@ -403,8 +403,8 @@ def _sym_signature(g) -> SymDiagResult:
 
 
 def hnf_coords(basis_hnf, x) -> IntVec | None:
-    """Integer coordinates of x in an HNF basis (independent echelon rows
-    with positive pivots), or None when x is outside its row lattice."""
+    """Integer coordinates of x in echelon rows (strictly increasing leading
+    columns, as in an HNF basis), or None when x is outside their row lattice."""
     rem = list(map(int, x))
     coords = []
     for row in basis_hnf:
@@ -417,23 +417,3 @@ def hnf_coords(basis_hnf, x) -> IntVec | None:
             rem = [a - q * b for a, b in zip(rem, row)]
     return None if any(rem) else tuple(coords)
 
-
-def in_row_lattice(basis_hnf, x) -> bool:
-    """Membership of an integer vector in the row lattice of an HNF basis."""
-    return hnf_coords(basis_hnf, x) is not None
-
-
-def in_q_span(rows, x) -> bool:
-    """Membership of an integer vector in the Q-span of integer rows."""
-    base = [tuple(map(int, r)) for r in rows]
-    if not any(x):
-        return True
-    if not base:
-        return False
-    return q_rank(base) == q_rank(base + [tuple(map(int, x))])
-
-
-def clear_denominators(vec) -> IntVec:
-    """Scale a rational vector by the lcm of denominators to an integer one."""
-    scale = lcm(*(v.denominator for v in vec))
-    return tuple(v.numerator * (scale // v.denominator) for v in vec)

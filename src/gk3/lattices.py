@@ -32,8 +32,8 @@ from .intlinalg import (
     gram_entries,
     gram_rows,
     hnf_basis,
+    hnf_coords,
     int_kernel,
-    in_row_lattice,
     is_saturated,
     is_symmetric,
     pairing_block,
@@ -49,7 +49,6 @@ class IntegralLattice:
     """A lattice given by its symmetric integer Gram matrix."""
 
     gram: IntMat
-    name: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "gram", freeze(self.gram))
@@ -97,7 +96,7 @@ class IntegralLattice:
 
 def hyperbolic_plane() -> IntegralLattice:
     """U: the even unimodular plane [[0,1],[1,0]] of signature (1,1)."""
-    return IntegralLattice(((0, 1), (1, 0)), name="U")
+    return IntegralLattice(((0, 1), (1, 0)))
 
 
 # E8 Dynkin diagram: chain 0-1-2-3-4-5-6 with node 7 attached to node 2
@@ -112,7 +111,7 @@ def e8_minus() -> IntegralLattice:
         g[i][i] = -2
     for a, b in _E8_EDGES:
         g[a][b] = g[b][a] = 1
-    return IntegralLattice(freeze(g), name="E8minus")
+    return IntegralLattice(freeze(g))
 
 
 def diag_lattice(entries) -> IntegralLattice:
@@ -146,8 +145,14 @@ def rescale(l: IntegralLattice, k: int) -> IntegralLattice:
 def k3_lattice() -> IntegralLattice:
     """The K3 lattice U^3 + E8(-1)^2, even unimodular of signature (3,19)."""
     u, e8m = hyperbolic_plane(), e8_minus()
-    l = direct_sum(u, u, u, e8m, e8m)
-    return IntegralLattice(l.gram, name="K3")
+    return direct_sum(u, u, u, e8m, e8m)
+
+
+def _is_echelon(rows, n: int) -> bool:
+    """Whether nonzero rows lead at strictly increasing columns, as in an HNF
+    basis: then they are independent, and ``hnf_coords`` reads them."""
+    leads = [next(compress(count(), row), n) for row in rows]
+    return all(a < b for a, b in zip(leads, leads[1:] + [n]))
 
 
 @dataclass(frozen=True)
@@ -166,11 +171,7 @@ class Sublattice:
             raise ValidationError(
                 f"sublattice basis rows must have ambient rank {n}"
             )
-        # nonzero rows whose leading columns strictly increase, as in every
-        # HNF basis, are independent; any other basis is eliminated
-        leads = [next(compress(count(), row), n) for row in self.basis]
-        echelon = all(a < b for a, b in zip(leads, leads[1:] + [n]))
-        if not echelon and q_rank(self.basis) != len(self.basis):
+        if not _is_echelon(self.basis, n) and q_rank(self.basis) != len(self.basis):
             raise ValidationError("dependent basis")
 
     @property
@@ -222,11 +223,13 @@ class Sublattice:
         return comp
 
     def contains(self, other: "Sublattice") -> bool:
-        """Whether every basis row of ``other`` lies in this lattice."""
+        """Whether every basis row of ``other`` lies in this lattice, read by
+        ``hnf_coords`` in this basis (put in HNF first unless echelon).  For the
+        Q-span ask ``saturation(self)``: it is the Q-span's integer points."""
         if other.ambient.gram != self.ambient.gram:
             raise ValidationError("containment needs a common ambient lattice")
-        basis = hnf_basis(self.basis, self.ambient.rank)
-        return all(in_row_lattice(basis, row) for row in other.basis)
+        basis = self.basis if _is_echelon(self.basis, self.ambient.rank) else hnf_basis(self.basis)
+        return all(hnf_coords(basis, row) is not None for row in other.basis)
 
 
 def ortho_complement(s: Sublattice) -> Sublattice:

@@ -13,7 +13,8 @@ fails exactly when the complement is definite, which happens for the
 rank-20 attractive surfaces.  The second construction sidesteps that
 obstruction by pairing the rank-22 complement of a degree-2 period with
 the rank-2 support of a pure Kaehler class, giving a mirror family for
-every n at moduli dimensions (20, 0) and (0, 20).
+every n at moduli dimensions (20, 0) and (0, 20), certified by one
+signed permutation of the Mukai lattice.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 from math import prod
 
 from .errors import ValidationError
-from .intlinalg import IntMat, hnf_basis, in_q_span, matmul, pairing_block
+from .intlinalg import IntMat, hnf_basis, matmul, pairing_block
 from .lattices import (
     IntegralLattice,
     MatchResult,
@@ -37,12 +38,14 @@ from .lattices import (
     invariants_match,
     is_primitive,
     ortho_complement,
+    saturation,
 )
 from .mukai import (
     K3,
     GenericClass,
     MUKAI,
     MUKAI_GRAM,
+    MUKAI_RANK,
     Member,
     check_gcy,
     deg2_vector,
@@ -95,10 +98,6 @@ class PolarizationReport:
         return tuple(c.name for c in self.clauses if not c.ok)
 
 
-def _span_contains(outer: Sublattice, inner: Sublattice) -> bool:
-    return all(in_q_span(outer.basis, row) for row in inner.basis)
-
-
 def check_polarization(p: PolarizationData, x: GeneralizedK3) -> PolarizationReport:
     """Verify the polarization conditions of (K, L) against a member pair.
 
@@ -106,8 +105,10 @@ def check_polarization(p: PolarizationData, x: GeneralizedK3) -> PolarizationRep
     primitivity of each embedding, independence of the two spans, witness
     types and span memberships, and the containments K inside the
     Neron-Severi lattice and L inside the transcendental lattice of the
-    member.  The joint saturation index and the K-L pairing matrix are
-    attached rather than judged.
+    member.  Every membership is ``Sublattice.contains``; a witness lies in
+    the span of a slot when its support lies in the slot's saturation.
+    The joint saturation index and the K-L pairing matrix are attached
+    rather than judged.
     """
     clauses: list[Clause] = []
     sig_k = p.k_emb.signature()
@@ -143,7 +144,7 @@ def check_polarization(p: PolarizationData, x: GeneralizedK3) -> PolarizationRep
     clauses.append(
         Clause(
             "witness A lies in the K span",
-            _span_contains(p.k_emb, p.witness_a.support),
+            saturation(p.k_emb).contains(p.witness_a.support),
         )
     )
     clauses.append(
@@ -156,7 +157,7 @@ def check_polarization(p: PolarizationData, x: GeneralizedK3) -> PolarizationRep
     clauses.append(
         Clause(
             "witness B lies in the L span",
-            _span_contains(p.l_emb, p.witness_b.support),
+            saturation(p.l_emb).contains(p.witness_b.support),
         )
     )
     clauses.append(
@@ -307,6 +308,16 @@ def dolgachev_mirror(kp: Sublattice, radius: int = 3) -> DolgachevMirror | Failu
     )
 
 
+# g: the signed permutation of the Mukai lattice, acting on rows as x -> x g,
+# that swaps coordinate i < 8 with i ^ 4 (deg0 <-> e2, deg4 <-> -f2, e1 <-> e3,
+# f1 <-> f3) and fixes the rest.  An involution and an isometry, it maps
+# exp(i H) onto sigma in ``build_si_mirror``.
+SI_MIRROR_ISOMETRY: IntMat = tuple(
+    tuple((-1 if i in (1, 5) else 1) * (j == (i ^ 4 if i < 8 else i)) for j in range(MUKAI_RANK))
+    for i in range(MUKAI_RANK)
+)
+
+
 def build_si_mirror(n: int) -> tuple[FamilySpec, FamilySpec]:
     """The mirror pair that works where the classical construction fails.
 
@@ -319,6 +330,10 @@ def build_si_mirror(n: int) -> tuple[FamilySpec, FamilySpec]:
     K = NS and L = T, so the rank-2 slots have Gram diag(2n, 2n).
     Witnesses are exp(i H) (type A) and sigma (type B) for both families.
     The moduli dimensions are (20, 0) and (0, 20).
+
+    The pair is certified by one integer isometry, ``SI_MIRROR_ISOMETRY``:
+    it preserves the Mukai pairing and carries NS(X) onto T(X') and T(X)
+    onto NS(X') as equal HNF bases, or the builder raises ValidationError.
     """
     n = int(n)
     if n < 1:
@@ -339,23 +354,17 @@ def build_si_mirror(n: int) -> tuple[FamilySpec, FamilySpec]:
 
 
 def _assert_si_shape(fam1: FamilySpec, fam2: FamilySpec, n: int) -> None:
-    """Internal consistency of the builder output, checked exactly."""
-    expected_l = ((2 * n, 0), (0, 2 * n))
-    t1 = transcendental(fam1.member)
-    if gauss_reduce2(t1.induced_lattice()).lattice.gram != expected_l:
+    """The builder output, checked by integer products with g."""
+    x1, x2 = fam1.member, fam2.member
+    t1 = transcendental(x1)
+    if gauss_reduce2(t1.induced_lattice()).lattice.gram != ((2 * n, 0), (0, 2 * n)):
         raise ValidationError("transcendental lattice of X is not diag(2n, 2n)")
-    ns2 = neron_severi(fam2.member)
-    if gauss_reduce2(ns2.induced_lattice()).lattice.gram != expected_l:
-        raise ValidationError("Neron-Severi lattice of the mirror is not diag(2n, 2n)")
-    ns1 = neron_severi(fam1.member).induced_lattice()
-    t2 = transcendental(fam2.member).induced_lattice()
-    if ns1.rank != 22 or t2.rank != 22:
-        raise ValidationError("rank-22 slots have the wrong rank")
-    if not invariants_match(ns1, t2).matched:
-        raise ValidationError("rank-22 slots disagree at invariant level")
+    g = SI_MIRROR_ISOMETRY
+    if pairing_block(MUKAI.entries, g, g) != MUKAI_GRAM:
+        raise ValidationError("mirror certificate is not an isometry of the Mukai lattice")
+    for a, b in ((neron_severi(x1), transcendental(x2)), (t1, neron_severi(x2))):
+        if hnf_basis(matmul(a.basis, g)) != b.basis:
+            raise ValidationError("mirror certificate does not swap NS and T")
     for fam in (fam1, fam2):
-        report = fam.report
-        if not report.passed:
-            raise ValidationError(
-                f"polarization clauses failed: {report.failed_names()}"
-            )
+        if not fam.report.passed:
+            raise ValidationError(f"polarization clauses failed: {fam.report.failed_names()}")

@@ -52,7 +52,7 @@ def _mukai_gram() -> IntMat:
     return freeze(g)
 
 
-MUKAI = IntegralLattice(_mukai_gram(), name="Mukai")
+MUKAI = IntegralLattice(_mukai_gram())
 MUKAI_GRAM = MUKAI.gram
 
 _ZERO_ROW = (0,) * MUKAI_RANK

@@ -92,7 +92,9 @@ class QuadScalar:
     __slots__ = ("p", "q", "n", "d")
 
     def __init__(self, a=0, b=0, d: int | None = None):
-        a, b = (x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (a, b))
+        for x in (a, b):
+            if not isinstance(x, (int, Fraction)):  # a float or a string is not exact
+                raise ValidationError(f"cannot interpret {x!r} as an exact scalar")
         if b == 0:
             d = None  # a rational value lives in every field
         elif d is None:

@@ -258,7 +258,7 @@ def parse_document(text: str) -> Document:
     """Parse and schema-check a JSON document; exact scalars throughout."""
     try:
         root = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer literal over 4,300 digits
         raise SchemaError(f"invalid JSON: {e}") from None
     except RecursionError:
         raise SchemaError("invalid JSON: nesting too deep") from None

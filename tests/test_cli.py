@@ -337,11 +337,19 @@ def test_class_and_pair_commands_are_pinned(tmp_path, capsys, doc_name):
     assert got == PINNED_STDOUT_SHA256[doc_name]
 
 
-# sha256 of the canonical stdout of the mirror builder, and of `mirror check`
-# on the two families it emits for n = 1
+# sha256 of the canonical stdout of the mirror builder for n = 1..10, and of
+# `mirror check` on the two families it emits for n = 1
 PINNED_MIRROR_SHA256 = {
     "mirror shioda-inose --n 1": "650ce2643cd1c5fe7870ac63b6683153c5061ad3e0cea74f52d0c0c10f9630c6",
     "mirror shioda-inose --n 2": "02b89c4f546333b8b9da8421c05521039f212573c2d27aafbb77645c87abbda7",
+    "mirror shioda-inose --n 3": "df1001f55179c3fdba5ece7d1a4d30f53ec4ac92562680b56d829eaef51f6eba",
+    "mirror shioda-inose --n 4": "3057a09ff7827270b9d2d5fec319248a1bc53628b6fb2c9d05857b5efb5c45f1",
+    "mirror shioda-inose --n 5": "d6d05e15273ff038302c9fa456e6e7869e466d1670d6530817c79ebf64297721",
+    "mirror shioda-inose --n 6": "e617c65e242c739cd6dffcef391febc7de06480c992db89890b5aa3da68fbc12",
+    "mirror shioda-inose --n 7": "db92cbe459e323d7d12be30d8ed55cbd36dda7b42764478d4ae63136abce2c42",
+    "mirror shioda-inose --n 8": "dd14c3b3d66ff1d442a078ad64837db83a605b867308e2e097b3ffe361f0b717",
+    "mirror shioda-inose --n 9": "aa4d92e953085cc018ce0714c959abbc7ae9a596b56c814f22678c541b92391f",
+    "mirror shioda-inose --n 10": "4cdad3544d1e3ae13758474c500e32398f12c4e7abdafaf0a64d00524da8b6d8",
     "mirror check": "a7b6d704ebbc42ed83308ed61546ec6c73ce92221964e7c30a1ab28d52978af6",
 }
 
@@ -381,7 +389,7 @@ PINNED_SPLIT_U_SHA256 = {
 
 def test_mirror_commands_are_pinned(tmp_path, capsys):
     got = {}
-    for n in (1, 2):
+    for n in range(1, 11):
         assert main(["mirror", "shioda-inose", "--n", str(n)]) == 0
         out = capsys.readouterr().out
         got[f"mirror shioda-inose --n {n}"] = hashlib.sha256(out.encode("utf-8")).hexdigest()
@@ -438,6 +446,25 @@ def test_huge_sqrt_d_flag_is_a_field_tag_error():
     proc = _gk3(["rigid", "survey", "--max-det", "4", "--denom-bound", "1", "--sqrt-d", "4"])
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["error"] == "field tag must be a squarefree integer >= 2, got 4"
+
+
+def test_integer_literal_over_the_digit_limit_is_a_schema_error(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"lattice": {"diag": [' + "7" * 5001 + "]}}", encoding="utf-8")
+    proc = _gk3(["lattice", "info", str(path)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error.startswith("invalid JSON:") and "4300 digits" in error
+
+
+def test_result_over_the_digit_limit_is_a_json_error(tmp_path):
+    body = {"lattice": {"named": {"rescale": {"of": "K3", "by": 10**500}}}}
+    proc = _gk3(["lattice", "info", _write(tmp_path, "k3.json", body)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error.startswith("result not printable:") and "4300 digits" in error
 
 
 def test_lattice_info_on_a_dense_even_gram_finishes(tmp_path):

@@ -1,18 +1,15 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from gk3.intlinalg import (
-    clear_denominators,
     det,
     hnf,
     hnf_basis,
+    hnf_coords,
     identity,
-    in_q_span,
-    in_row_lattice,
     int_kernel,
     matmul,
     q_rank,
@@ -21,6 +18,7 @@ from gk3.intlinalg import (
     sym_signature,
     transpose,
 )
+from gk3.lattices import IntegralLattice, Sublattice, saturation
 from gk3.mukai import MUKAI_GRAM
 
 
@@ -161,15 +159,16 @@ def test_counts_sum_to_dimension():
 
 def test_membership_helpers():
     basis, _ = hnf(((2, 0), (0, 3)))
-    assert in_row_lattice(basis, (4, 3))
-    assert not in_row_lattice(basis, (1, 0))
-    assert in_q_span(((2, 2),), (1, 1))
-    assert not in_q_span(((2, 2),), (1, 0))
-
-
-def test_clear_denominators_produces_primitive_ints():
-    vec = clear_denominators((Fraction(1, 2), Fraction(3, 4), Fraction(0)))
-    assert vec == (2, 3, 0)
+    assert hnf_coords(basis, (4, 3)) == (2, 1)
+    assert hnf_coords(basis, (1, 0)) is None
+    plane = IntegralLattice(identity(2))
+    s = Sublattice(plane, ((2, 2),))
+    half = Sublattice(plane, ((1, 1),))
+    assert s.contains(Sublattice(plane, ((4, 4),)))
+    assert not s.contains(half)
+    # membership in the Q-span is membership in the saturation
+    assert saturation(s).contains(half)
+    assert not saturation(s).contains(Sublattice(plane, ((1, 0),)))
 
 
 def test_hnf_basis_drops_dependent_rows():

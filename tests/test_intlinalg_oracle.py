@@ -12,7 +12,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix, eye
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
@@ -35,7 +35,7 @@ from gk3.intlinalg import (
     sym_signature,
     transpose,
 )
-from gk3.lattices import IntegralLattice, Sublattice, is_primitive
+from gk3.lattices import IntegralLattice, Sublattice, is_primitive, saturation
 
 # a dense even Gram on which a smallest-pivot-and-swap Smith elimination
 # never finishes: its clearing passes grow the entries without bound
@@ -282,6 +282,50 @@ def test_saturate_and_is_primitive_match_sympy(m):
     assert sat == (int_kernel(kernel, n) if kernel else identity(n))
     s = Sublattice(IntegralLattice(identity(n)), m)
     assert is_primitive(s) == (_maximal_minor_gcd(m) == 1) == (hnf_basis(m) == sat)
+
+
+@st.composite
+def membership_cases(draw):
+    """(m, x): k <= 4 independent rows of width n <= 6 (entries -6..6) and a
+    nonzero vector, often an integer combination of the rows divided by 2 or
+    3 where that stays integral, so that it lies in the span but perhaps not
+    in the lattice."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(n, 4)))
+    m = tuple(tuple(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))) for _ in range(k))
+    assume(Matrix(m).rank() == k)
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        x = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(n)]
+        q = draw(st.sampled_from((1, 2, 3)))
+        if all(v % q == 0 for v in x):
+            x = [v // q for v in x]
+    else:
+        x = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    assume(any(x))
+    return m, tuple(x)
+
+
+@SETTINGS
+@given(membership_cases())
+@example((((2, 2),), (1, 1)))
+@example((((1, 2, 0), (0, 3, 3)), (1, 5, 3)))
+@example((((1, 2, 0), (0, 3, 3)), (1, 3, 1)))
+def test_contains_matches_minor_gcd_and_rank_oracles(case):
+    m, x = case
+    k = len(m)
+    in_span = Matrix(m + (x,)).rank() == k
+    # x = sum c_i m_i over Q; by Cramer, replacing row i by x scales every
+    # maximal minor by c_i, so c_i is an integer iff the gcd stays divisible
+    g = _maximal_minor_gcd(m)
+    in_lattice = in_span and all(
+        _maximal_minor_gcd(m[:i] + (x,) + m[i + 1 :]) % g == 0 for i in range(k)
+    )
+    amb = IntegralLattice(identity(len(x)))
+    s, t = Sublattice(amb, m), Sublattice(amb, (x,))
+    assert s.contains(t) == in_lattice
+    assert Sublattice(amb, hnf_basis(m)).contains(t) == in_lattice  # an echelon basis
+    assert saturation(s).contains(t) == in_span
 
 
 # G v for the two support rows v of exp(B + i omega) in the Mukai lattice,

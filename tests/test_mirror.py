@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+import gk3.mirror
 from gk3.errors import ValidationError
-from gk3.intlinalg import matmul, transpose
+from gk3.intlinalg import identity, matmul, transpose
 from gk3.lattices import (
     Sublattice,
     diag_lattice,
@@ -21,13 +22,14 @@ from gk3.mirror import (
     DolgachevMirror,
     FamilySpec,
     PolarizationData,
+    SI_MIRROR_ISOMETRY,
     build_si_mirror,
     check_polarization,
     dolgachev_mirror,
     mirror_check,
     moduli_dims,
 )
-from gk3.mukai import GenericClass, check_gcy, deg2_vector, exponential_class
+from gk3.mukai import CohClass, GenericClass, check_gcy, deg2_vector, exponential_class
 from gk3.pairs import neron_severi, transcendental, validate_gk3
 
 EXPECTED_CLAUSES = (
@@ -91,16 +93,20 @@ def test_containment_clauses_on_the_mukai_ambient():
     fam_x, _ = build_si_mirror(1)
     p = fam_x.polarization
     doubled = Sublattice(p.l_emb.ambient, tuple(tuple(2 * v for v in row) for row in p.l_emb.basis))
+    # the last two flags are the witness span clauses: a doubled L has the
+    # span of L, read as containment in its saturation
     cases = (
-        (p.k_emb, p.l_emb, True, True),
-        (p.l_emb, p.k_emb, False, False),
-        (p.k_emb, doubled, True, True),
+        (p.k_emb, p.l_emb, True, True, True, True),
+        (p.l_emb, p.k_emb, False, False, False, False),
+        (p.k_emb, doubled, True, True, True, True),
     )
-    for k, l, k_in_ns, l_in_t in cases:
+    for k, l, k_in_ns, l_in_t, a_in_k, b_in_l in cases:
         report = check_polarization(PolarizationData(k, l, p.witness_a, p.witness_b), fam_x.member)
         verdicts = {c.name: c.ok for c in report.clauses}
         assert verdicts["K inside the Neron-Severi lattice"] is k_in_ns
         assert verdicts["L inside the transcendental lattice"] is l_in_t
+        assert verdicts["witness A lies in the K span"] is a_in_k
+        assert verdicts["witness B lies in the L span"] is b_in_l
 
 
 def test_moduli_dimensions():
@@ -154,6 +160,43 @@ def test_mirror_check_distinguishes_wrong_partner():
     report = mirror_check(fam_x, wrong_dual)
     assert not report.verified
     assert report.l1_vs_k2.verdict == "Distinguished"
+
+
+def test_si_certificate_is_an_involution_mapping_exp_ih_onto_sigma():
+    g = SI_MIRROR_ISOMETRY
+    assert matmul(g, g) == identity(24)
+    for n in (1, 2, 3):
+        p = build_si_mirror(n)[0].polarization
+        exp_h, sigma = p.witness_a.coh, p.witness_b.coh
+        assert CohClass.from_rows(exp_h.den, exp_h.d, matmul(exp_h.rows, g)) == sigma
+
+
+def test_si_builder_checks_one_isometry_and_no_rank22_genus(monkeypatch, signature_sizes, hnf_passes):
+    calls = []
+    match = gk3.mirror.invariants_match
+    monkeypatch.setattr(gk3.mirror, "invariants_match", lambda a, b: calls.append(1) or match(a, b))
+    for n in (1, 2, 3):
+        families = build_si_mirror(n)
+    assert calls == []
+    assert 22 not in signature_sizes
+    hnf_passes.clear()
+    for fam in families:
+        check_polarization(fam.polarization, fam.member)
+    # per family: two primitivity tests and the stacked spans; every
+    # containment reads coordinates in an echelon basis without elimination
+    assert len(hnf_passes) == 6
+
+
+@pytest.mark.parametrize(
+    "flip", [(1, 5, 1), (8, 8, -1), (0, 4, -1)], ids=["deg4-f2 unsigned", "E8 node negated", "deg0-e2 negated"]
+)
+def test_si_builder_refuses_a_certificate_wrong_in_one_sign(monkeypatch, flip):
+    i, j, sign = flip
+    g = [list(row) for row in SI_MIRROR_ISOMETRY]
+    g[i][j] = g[j][i] = sign
+    monkeypatch.setattr(gk3.mirror, "SI_MIRROR_ISOMETRY", tuple(map(tuple, g)))
+    with pytest.raises(ValidationError, match="mirror certificate"):
+        build_si_mirror(1)
 
 
 def test_si_mirror_rejects_bad_degree():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
 
 import gk3.lattices
 import gk3.mukai
@@ -277,18 +278,10 @@ def test_class_lies_in_span_of_its_support():
         x = _random_class(rng, d=rng.choice([None, 2]))
         sup = support_lattice(x)
         assert len(sup.basis) <= 4
-        # every rational component vector must be in the Q-span
-        from gk3.intlinalg import in_q_span, clear_denominators
-
-        for part in (
-            [c.re.a for c in x.coords24()],
-            [c.re.b for c in x.coords24()],
-            [c.im.a for c in x.coords24()],
-            [c.im.b for c in x.coords24()],
-        ):
-            v = clear_denominators(part)
-            if any(v):
-                assert in_q_span(sup.basis, v)
+        # every nonzero component row lies in the Q-span: adding it keeps the rank
+        for row in x.rows:
+            if any(row):
+                assert Matrix(sup.basis + (row,)).rank() == len(sup.basis)
 
 
 def test_period_plane_examples():
@@ -402,11 +395,16 @@ def _ref_exponential(b, w) -> list:
 
 def _ref_support_basis(xs) -> tuple:
     """Saturated span of the four rational component vectors of the coordinates."""
-    from gk3.intlinalg import clear_denominators, hnf_basis, saturate
+    from gk3.intlinalg import hnf_basis, saturate
 
     parts = [[c.re.a for c in xs], [c.re.b for c in xs], [c.im.a for c in xs], [c.im.b for c in xs]]
-    rows = [v for v in map(clear_denominators, parts) if any(v)]
+    rows = [v for v in map(_clear_denominators, parts) if any(v)]
     return saturate(hnf_basis(rows, 24), 24) if rows else ()
+
+
+def _clear_denominators(vec) -> tuple:
+    scale = math.lcm(*(v.denominator for v in vec))
+    return tuple(int(v * scale) for v in vec)
 
 
 def _ref_check(xs):

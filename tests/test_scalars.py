@@ -159,6 +159,13 @@ def test_field_tag_is_checked_once_at_the_boundary(monkeypatch):
         QuadScalar(0, 1, 4)
 
 
+@pytest.mark.parametrize("args", [(0.1,), ("1/2",), (1, 0.5, 2), (Fraction(1, 2), "1", 2), (None,)])
+def test_quad_scalar_refuses_inexact_parts(args):
+    """A float or a string never becomes a value, as ``as_quad`` refuses it."""
+    with pytest.raises(ValidationError, match="cannot interpret .* as an exact scalar"):
+        QuadScalar(*args)
+
+
 # --- the integer normal form against a Fraction-pair reference --------------
 
 
