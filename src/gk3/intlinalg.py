@@ -37,6 +37,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -47,7 +48,13 @@ IntVec = tuple[int, ...]
 
 
 def freeze(rows) -> IntMat:
-    return tuple(tuple(map(int, row)) for row in rows)
+    """rows as a tuple of tuples.  An entry whose type is not int (bool,
+    float and Fraction included) is refused, never truncated."""
+    m = tuple(map(tuple, rows))
+    bad = {*map(type, chain.from_iterable(m))} - {int}
+    if bad:
+        raise ValidationError(f"matrix entries must be int, got {min(t.__name__ for t in bad)}")
+    return m
 
 
 def identity(n: int) -> IntMat:

@@ -30,7 +30,7 @@ from operator import mul
 from .errors import ValidationError
 from .intlinalg import IntMat, freeze, gram_rows, hnf_basis, pairing_block
 from .lattices import IntegralLattice, Sublattice, named_lattice, saturation
-from .scalars import ComplexQuad, QuadScalar, as_quad, join_tags, quad_sign
+from .scalars import ComplexQuad, QuadScalar, as_quad, join_tags, quad_sign, shown
 
 DEG2_RANK = 22
 MUKAI_RANK = 24
@@ -309,10 +309,10 @@ def gcy_norm(entries, den: int, d: int | None, rows) -> tuple[int, int]:
     block = pairing_block(entries, rows, rows)
     iso = _numerators(block, d)
     if any(iso):
-        raise ValidationError(f"not isotropic: <phi,phi> = {_complex(iso, den * den, d)}")
+        raise ValidationError(f"not isotropic: <phi,phi> = {shown(_complex(iso, den * den, d))}")
     a, b = _numerators(block, d, conj=True)[:2]
     if quad_sign(a, b, d) <= 0:
-        raise ValidationError(f"not positive: <phi,conj phi> = {_quad(a, b, den * den, d)}")
+        raise ValidationError(f"not positive: <phi,conj phi> = {shown(_quad(a, b, den * den, d))}")
     return a, b
 
 

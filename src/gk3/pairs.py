@@ -35,7 +35,7 @@ from .mukai import (
     real_gram,
     type_a_parts,
 )
-from .scalars import QuadScalar
+from .scalars import QuadScalar, shown
 
 
 def _coerce_member(x) -> Member:
@@ -114,11 +114,9 @@ def validate_gk3(phi_a, phi_b) -> GeneralizedK3:
     pi = _pi_space(a, b)
     for (name_u, name_v), value in zip(_CROSS_NAMES, pi.cross_pairings):
         if not value.is_zero:
-            raise ValidationError(
-                f"planes not orthogonal: <{name_u}, {name_v}> = {value}"
-            )
+            raise ValidationError(f"planes not orthogonal: <{name_u}, {name_v}> = {shown(value)}")
     if a.norm != b.norm:
-        raise ValidationError(f"norm mismatch: {a.norm} vs {b.norm}")
+        raise ValidationError(f"norm mismatch: {shown(a.norm)} vs {shown(b.norm)}")
     return GeneralizedK3(a, b, "Verified", pi)
 
 

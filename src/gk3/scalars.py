@@ -19,6 +19,7 @@ disagree; no floating point is involved anywhere.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -311,3 +312,15 @@ def as_complex(x) -> ComplexQuad:
     if z is None:
         raise ValidationError(f"cannot interpret {x!r} as an exact complex scalar")
     return z
+
+
+def shown(x) -> str:
+    """str(x) for an error message.  When a part of x has more digits than
+    Python converts to text (``sys.get_int_max_str_digits``), the size of
+    its largest part in bits instead, read without converting."""
+    reals = (x.re, x.im) if isinstance(x, ComplexQuad) else (as_quad(x),)
+    largest = max(abs(f) for r in reals for v in (r.a, r.b) for f in (v.numerator, v.denominator))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and largest >= 10**limit:
+        return f"<a {largest.bit_length()}-bit value, over the {limit}-digit print limit>"
+    return str(x)

@@ -8,14 +8,17 @@ or family) and optionally a "bfield" vector.  Unknown keys
 are rejected, and every schema error names the JSON path of the first
 violation.  Serialization is canonical: sorted keys, fixed indentation,
 rationals always in lowest terms, so equal values produce identical
-bytes.
+bytes.  ``dumps_canonical`` writes gk3 values by type (scalars, classes,
+sublattices, pairs) and any other dataclass record as an object of its
+fields, so a record's field names are its JSON keys.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
 from .errors import SchemaError, ValidationError
@@ -75,8 +78,9 @@ def parse_rational(node, path: str) -> Fraction:
     try:
         p = int(num)
         q = int(den) if sep else 1
-    except ValueError:  # beyond int()'s digit limit
-        _fail(path, f"not a rational: {node!r}")
+    except ValueError:  # well formed, so a part is beyond int()'s digit limit
+        limit = sys.get_int_max_str_digits()
+        _fail(path, f"a rational with a part over the limit ({limit} digits): {node[:24]!r}...")
     if q == 0:
         _fail(path, "zero denominator")
     return Fraction(p, q)
@@ -291,10 +295,7 @@ def parse_document(text: str) -> Document:
 
 
 def rational_json(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))  # "p/q" in lowest terms, or "p"
 
 
 def quad_json(q: QuadScalar):
@@ -305,18 +306,6 @@ def quad_json(q: QuadScalar):
 
 def cplx_json(c: ComplexQuad):
     return {"re": quad_json(c.re), "im": quad_json(c.im)}
-
-
-def quad_vector_json(vec):
-    return [quad_json(v) for v in vec]
-
-
-def quad_matrix_json(m):
-    return [[quad_json(v) for v in row] for row in m]
-
-
-def int_matrix_json(m) -> list:
-    return [list(map(int, row)) for row in m]
 
 
 def class_json(x: CohClass | GCYClass) -> dict:
@@ -335,9 +324,9 @@ def sublattice_json(s: Sublattice) -> dict:
     ambient = (
         {"named": "Mukai"}
         if s.ambient.gram == MUKAI.gram
-        else {"gram": int_matrix_json(s.ambient.gram)}
+        else {"gram": [list(row) for row in s.ambient.gram]}
     )
-    return {"ambient": ambient, "basis": int_matrix_json(s.basis)}
+    return {"ambient": ambient, "basis": [list(row) for row in s.basis]}
 
 
 def member_json(m: Member | CohClass) -> dict:
@@ -350,6 +339,29 @@ def pair_json(x: GeneralizedK3) -> dict:
     return {"phiA": member_json(x.phi_a), "phiB": member_json(x.phi_b)}
 
 
+_WRITERS = {
+    QuadScalar: quad_json,
+    ComplexQuad: cplx_json,
+    CohClass: class_json,
+    GCYClass: class_json,
+    GenericClass: member_json,
+    Sublattice: sublattice_json,
+    GeneralizedK3: pair_json,
+}
+
+
+def _by_type(x):
+    """JSON form of a value the json module cannot write: a gk3 value by its
+    writer above, any other dataclass record as a dict of its fields."""
+    write = _WRITERS.get(type(x))
+    if write is not None:
+        return write(x)
+    if is_dataclass(x):
+        return {f.name: getattr(x, f.name) for f in fields(x)}
+    raise TypeError(f"cannot write a {type(x).__name__} as JSON")
+
+
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent, no floats."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Deterministic JSON text: sorted keys, two-space indent, no floats;
+    gk3 values and records are written by ``_by_type``."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_by_type) + "\n"

@@ -4,13 +4,15 @@ import hashlib
 import json
 import os
 import subprocess
+import re
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from gk3.cli import main
+from gk3.cli import COMMANDS, main
 from gk3.lattices import MAX_SPLIT_RADIUS
 from gk3.mukai import check_gcy, deg2_vector, exponential_class, two_form_class
 from gk3.rigidity import MAX_FORMS_DET, MAX_SURVEY_SAMPLES
@@ -467,6 +469,32 @@ def test_result_over_the_digit_limit_is_a_json_error(tmp_path):
     assert error.startswith("result not printable:") and "4300 digits" in error
 
 
+def test_long_value_in_an_error_message_is_named_by_its_size(tmp_path):
+    # <phi, phi> = -2 deg0 deg4 has a 6,001-digit denominator, over the print limit
+    big = 10**3000
+    doc = {"class": {"deg0": f"1/{big}", "deg2": ["0"] * 22, "deg4": f"1/{big + 3}"}}
+    path = _write(tmp_path, "c.json", doc)
+    proc = _gk3(["class", "check", path])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error.startswith("not isotropic: <phi,phi> = <a ") and "-bit value" in error
+    assert "4300-digit" in error and len(error) < 200
+    start = time.perf_counter()
+    assert main(["class", "check", path]) == 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_rational_over_the_digit_limit_is_a_short_schema_error(tmp_path, capsys):
+    doc = {"class": {"deg0": "1/1" + "0" * 4400, "deg2": ["0"] * 22, "deg4": "1"}}
+    code = main(["class", "check", _write(tmp_path, "c.json", doc)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert len(out.encode("utf-8")) < 1024
+    error = json.loads(out)["error"]
+    assert error.startswith("at document.class.deg0: ") and "limit (4300 digits)" in error
+
+
 def test_lattice_info_on_a_dense_even_gram_finishes(tmp_path):
     # 6x6 even Gram whose discriminant group is cyclic of order 229717
     gram = [
@@ -683,3 +711,54 @@ def test_console_script_entry_point(tmp_path):
     proc = subprocess.run(["gk3", "lattice", "info", path], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rank"] == 2
+
+
+def _readme_synopsis() -> list[tuple[str, str]]:
+    """The (group, command) pairs of the README's `gk3 <group> a|b|c ...` lines."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    pairs = []
+    for group, names in re.findall(r"^gk3 (\S+) (\S+)", text, flags=re.M):
+        pairs += [(group, name) for name in names.split("|")]
+    return pairs
+
+
+def test_readme_synopsis_lists_exactly_the_registered_commands():
+    pairs = _readme_synopsis()
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == set(COMMANDS)
+
+
+_ONE_DOC_OF_EACH_KIND = {
+    "lattice": {"lattice": {"named": "U"}},
+    "sublattice": {"sublattice": {"ambient": {"named": "U"}, "basis": [[1, 1]]}},
+    "class": _kahler_doc(),
+}
+_READS_A_DOCUMENT = [
+    key
+    for key, entry in COMMANDS.items()
+    if entry.kinds or any(not flags[0].startswith("-") for flags, _ in entry.arguments)
+]
+
+
+@pytest.mark.parametrize("key", _READS_A_DOCUMENT, ids=" ".join)
+def test_every_command_refuses_a_body_kind_it_does_not_accept(tmp_path, capsys, key):
+    entry = COMMANDS[key]
+    files = 1 if entry.kinds else sum(not f[0].startswith("-") for f, _ in entry.arguments)
+    kind = next(k for k in _ONE_DOC_OF_EACH_KIND if k not in entry.kinds)
+    path = _write(tmp_path, "d.json", _ONE_DOC_OF_EACH_KIND[kind])
+    code, out = _run(capsys, [*key, *[path] * files])
+    assert code == 2
+    assert out["error"].startswith("this command needs a document with body ")
+    assert out["error"].endswith(f", got {kind}")
+    if entry.kinds:
+        assert out["error"] == (
+            f"this command needs a document with body {' or '.join(entry.kinds)}, got {kind}"
+        )
+
+
+@pytest.mark.parametrize("key", list(COMMANDS), ids=" ".join)
+def test_every_command_has_help(capsys, key):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*key, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: gk3 {' '.join(key)}")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -10,6 +11,7 @@ import gk3.lattices
 from gk3.errors import ValidationError
 from gk3.intlinalg import (
     _sym_signature,
+    freeze,
     gram_entries,
     gram_rows,
     int_kernel,
@@ -98,6 +100,25 @@ def test_sublattice_rejects_dependent_rows():
         with pytest.raises(ValidationError, match="dependent basis"):
             Sublattice(u, rows)
     assert Sublattice(u, ((0, 1), (1, 0))).rank == 2
+
+
+@pytest.mark.parametrize("entry", [1.5, 0.9, 2.0, Fraction(3, 2), Fraction(2), True, "1"], ids=repr)
+def test_integer_matrices_refuse_entries_that_are_not_int(entry):
+    # int() would truncate 1.5 and Fraction(3, 2) to 1 and 0.9 to 0, and pass a bool
+    with pytest.raises(ValidationError, match="matrix entries must be int"):
+        IntegralLattice(((entry, 0), (0, 1)))
+    with pytest.raises(ValidationError, match="matrix entries must be int"):
+        Sublattice(hyperbolic_plane(), ((entry, 1),))
+    with pytest.raises(ValidationError, match="matrix entries must be int"):
+        freeze([[0, 1], [1, entry]])
+
+
+def test_freeze_keeps_int_rows():
+    rows = ((1, -2), (3, 10**40))
+    assert freeze(rows) == rows and freeze(rows)[1] is rows[1]
+    assert freeze([[1, -2], [3, 10**40]]) == rows
+    assert freeze(iter(())) == ()
+    assert IntegralLattice([[0, 1], [1, 0]]).gram == ((0, 1), (1, 0))
 
 
 def test_induced_gram_and_membership():

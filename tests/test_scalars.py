@@ -4,6 +4,7 @@ import json
 import math
 import operator
 import random
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from gk3.scalars import (
     as_quad,
     check_field_tag,
     is_squarefree,
+    shown,
 )
 
 
@@ -134,6 +136,18 @@ def test_coercions():
     assert as_complex(Fraction(2)) == ComplexQuad(_q(2), _q(0))
     with pytest.raises(ValidationError):
         as_quad(0.5)
+
+
+def test_shown_prints_a_value_unless_a_part_is_over_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    small = (_q(Fraction(-3, 4), 2, 2), ComplexQuad(_q(1, -1, 3), _q(Fraction(5, 7))), 7, Fraction(1, 3))
+    for x in small:
+        assert shown(x) == str(x)
+    top = 10**limit - 1  # the longest printable integer
+    assert shown(Fraction(1, top)) == f"1/{top}"
+    for x in (10**limit, Fraction(1, 10**limit), _q(0, Fraction(1, 10**limit), 2),
+              ComplexQuad(_q(0), _q(-(10**limit)))):
+        assert shown(x) == f"<a {(10**limit).bit_length()}-bit value, over the {limit}-digit print limit>"
 
 
 def test_field_tag_is_checked_once_at_the_boundary(monkeypatch):
