@@ -22,8 +22,8 @@ from typing import Callable, NamedTuple
 
 from .errors import SchemaError, ValidationError
 from .lattices import (
-    IntegralLattice, SplitNotFound, Sublattice, discriminant, find_hyperbolic_split,
-    gauss_reduce2, ortho_complement,
+    Lattice, SplitNotFound, Sublattice, discriminant, find_hyperbolic_split, gauss_reduce2,
+    ortho_complement,
 )
 from .mukai import (
     CohClass, GenericClass, bfield_transform, check_gcy, mukai_pairing, period_plane,
@@ -96,11 +96,7 @@ def _load(path: str, kinds: tuple[str, ...]) -> Document:
     return doc
 
 
-def _as_lattice(doc: Document) -> IntegralLattice:
-    return doc.value.induced_lattice() if doc.kind == "sublattice" else doc.value
-
-
-def _lattice_report(l: IntegralLattice) -> dict:
+def _lattice_report(l: Lattice) -> dict:
     return {
         "rank": l.rank,
         "even": l.is_even,
@@ -111,14 +107,13 @@ def _lattice_report(l: IntegralLattice) -> dict:
 
 
 def _sublattice_report(s: Sublattice) -> dict:
-    ind = s.induced_lattice()
     sig = s.signature()
     return {
         "basis": s.basis,
-        "gram": ind.gram,
+        "gram": s.gram,
         "rank": s.rank,
         "signature": sig.as_tuple(),
-        "discriminant": None if sig.n_zero else discriminant(ind),
+        "discriminant": None if sig.n_zero else discriminant(s),
     }
 
 
@@ -127,12 +122,12 @@ def _sublattice_report(s: Sublattice) -> dict:
 
 @command("lattice", "info", "rank, signature, parity, determinant", LATTICES)
 def _(doc, args):
-    return _lattice_report(_as_lattice(doc))
+    return _lattice_report(doc.value)
 
 
 @command("lattice", "reduce2", "Gauss-reduce a rank-2 positive form", LATTICES)
 def _(doc, args):
-    reduced = gauss_reduce2(_as_lattice(doc))
+    reduced = gauss_reduce2(doc.value)
     return {"reduced": reduced.lattice.gram, "transform": reduced.transform}
 
 
@@ -143,7 +138,7 @@ def _(doc, args):
 
 @command("lattice", "split-u", "split off a hyperbolic plane summand", LATTICES, RADIUS)
 def _(doc, args):
-    split = find_hyperbolic_split(_as_lattice(doc), radius=args.radius)
+    split = find_hyperbolic_split(doc.value, radius=args.radius)
     if isinstance(split, SplitNotFound):
         return {"result": "none", "reason": split.reason}
     return {
@@ -186,7 +181,7 @@ def _(doc, args):
     report["reduced"] = None
     if support.rank == 2:
         try:
-            report["reduced"] = gauss_reduce2(support.induced_lattice()).lattice.gram
+            report["reduced"] = gauss_reduce2(support).lattice.gram
         except ValidationError:
             pass  # indefinite or degenerate rank-2 support: no reduced form
     return report
@@ -282,28 +277,6 @@ def _family_of(doc: Document) -> FamilySpec:
     return FamilySpec(PolarizationData(k_emb, l_emb, *witnesses), validate_gk3(*pair))
 
 
-def _polarization_json(report) -> dict:
-    return {
-        "passed": report.passed,
-        "clauses": report.clauses,
-        "joint_index": report.joint_index,
-        "kl_pairing": report.kl_pairing,
-    }
-
-
-def _mirror_json(report) -> dict:
-    return {
-        "verified": report.verified,
-        "k1_vs_l2": report.k1_vs_l2,
-        "l1_vs_k2": report.l1_vs_k2,
-        "dims": [report.dims_1, report.dims_2],
-        "dims_swap": report.dims_swap,
-        "ns1_vs_t2": report.ns1_vs_t2,
-        "t1_vs_ns2": report.t1_vs_ns2,
-        "polarizations_passed": [report.polarization_1_passed, report.polarization_2_passed],
-    }
-
-
 @command(
     "mirror", "check", "compare two families as mirror partners", (),
     arg("file1", help="first family document"),
@@ -312,7 +285,7 @@ def _mirror_json(report) -> dict:
 def _(doc, args):
     f1 = _family_of(_load(args.file1, ("family",)))
     f2 = _family_of(_load(args.file2, ("family",)))
-    return _mirror_json(mirror_check(f1, f2))
+    return mirror_check(f1, f2)
 
 
 @command("mirror", "dolgachev", "classical mirror of a K3 polarization", ("sublattice",), RADIUS)
@@ -322,7 +295,7 @@ def _(doc, args):
         return {
             "result": "mirror",
             "n_gram": result.n.gram,
-            "n_basis": result.n_basis,
+            "n_basis": result.n.basis,
             "e": result.e,
             "f": result.f,
             "duality": result.duality,
@@ -349,17 +322,16 @@ def _family_json(fam: FamilySpec) -> dict:
 )
 def _(doc, args):
     fam1, fam2 = build_si_mirror(args.n)
-    t1 = gauss_reduce2(transcendental(fam1.member).induced_lattice())
-    ns2 = gauss_reduce2(neron_severi(fam2.member).induced_lattice())
-    ns1 = neron_severi(fam1.member).induced_lattice()
+    t1 = gauss_reduce2(transcendental(fam1.member))
+    ns2 = gauss_reduce2(neron_severi(fam2.member))
     return {
         "n": args.n,
         "moduli_dims": [moduli_dims(fam1.polarization), moduli_dims(fam2.polarization)],
         "t_x_reduced": t1.lattice.gram,
         "ns_dual_reduced": ns2.lattice.gram,
-        "ns_x": _lattice_report(ns1),
-        "polarizations": [_polarization_json(fam1.report), _polarization_json(fam2.report)],
-        "mirror": _mirror_json(mirror_check(fam1, fam2)),
+        "ns_x": _lattice_report(neron_severi(fam1.member)),
+        "polarizations": [fam1.report, fam2.report],
+        "mirror": mirror_check(fam1, fam2),
         "family1": _family_json(fam1),
         "family2": _family_json(fam2),
     }

@@ -203,7 +203,7 @@ def hnf(m, ncols: int | None = None) -> tuple[IntMat, IntMat]:
     entries above a pivot are reduced into [0, pivot), zero rows sink to
     the bottom.  The transform is carried as extra columns [m | I].
     """
-    rows = [list(map(int, r)) for r in m]
+    rows = list(map(list, freeze(m)))
     n = len(rows)
     width = len(rows[0]) if rows else 0
     for row, e in zip(rows, identity(n)):
@@ -215,14 +215,14 @@ def hnf(m, ncols: int | None = None) -> tuple[IntMat, IntMat]:
 def hnf_basis(m, ncols: int | None = None) -> IntMat:
     """Nonzero rows of the Hermite normal form (a canonical row-lattice basis),
     from the same elimination as ``hnf`` without the transform."""
-    rows = [list(map(int, r)) for r in m]
+    rows = list(map(list, freeze(m)))
     _hnf_reduce(rows, ncols)
     return tuple(tuple(row) for row in rows if any(row))
 
 
 def int_kernel(m, ncols: int | None = None) -> IntMat:
     """HNF basis of the integer kernel {x in Z^ncols : m @ x^T = 0}."""
-    rows = [tuple(map(int, r)) for r in m]
+    rows = freeze(m)
     if ncols is None:
         if not rows:
             raise ValidationError("kernel of an empty matrix needs an explicit width")
@@ -248,7 +248,7 @@ def saturate(m, ncols: int | None = None) -> IntMat:
     The rows must be Q-linearly independent.  One elimination of m^T
     carries U^-T, whose first k rows span the saturation (module docstring).
     """
-    rows = [tuple(map(int, r)) for r in m]
+    rows = freeze(m)
     if not rows:
         if ncols is None:
             raise ValidationError("saturation of an empty matrix needs an explicit width")
@@ -299,12 +299,12 @@ def snf_divisors(m) -> tuple[int, ...]:
 
 def det(m) -> int:
     """Signed determinant of a square integer matrix (Bareiss, exact)."""
-    n = len(m)
-    if any(len(row) != n for row in m):
+    a = list(map(list, freeze(m)))
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise ValidationError("determinant needs a square matrix")
     if n == 0:
         return 1
-    a = [list(map(int, r)) for r in m]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -381,14 +381,15 @@ def sym_signature(g) -> SymDiagResult:
     standard split of a hyperbolic 2x2 block.  Both are congruences of the
     trailing block alone, so exact division still holds.
     """
+    g = freeze(g)
     if not is_symmetric(g):
         raise ValidationError("matrix not symmetric")
     return _sym_signature(g)
 
 
 def _sym_signature(g) -> SymDiagResult:
-    """``sym_signature`` of a Gram already known to be symmetric."""
-    t = [[int(x) for x in row[i:]] for i, row in enumerate(g)]
+    """``sym_signature`` of a symmetric Gram with ``int`` entries."""
+    t = [list(row[i:]) for i, row in enumerate(g)]
     n_plus = n_minus = n_zero = 0
     prev = 1
     while t:
@@ -412,7 +413,7 @@ def _sym_signature(g) -> SymDiagResult:
 def hnf_coords(basis_hnf, x) -> IntVec | None:
     """Integer coordinates of x in echelon rows (strictly increasing leading
     columns, as in an HNF basis), or None when x is outside their row lattice."""
-    rem = list(map(int, x))
+    rem = list(freeze((x,))[0])
     coords = []
     for row in basis_hnf:
         piv = next(j for j, v in enumerate(row) if v)

@@ -2,7 +2,12 @@
 
 An ``IntegralLattice`` is a free Z-module with a symmetric integer Gram
 matrix; it may be indefinite or degenerate.  A ``Sublattice`` is a tuple of
-Q-linearly independent integer rows inside an ambient lattice.  On top of
+Q-linearly independent integer rows inside an ambient lattice.  Both are a
+``Lattice``: a sublattice answers every lattice query (rank, parity, Gram,
+signature, determinant, definiteness) under its induced Gram, which it
+builds on first use, so every function here that takes a lattice takes a
+sublattice as it is.  A complement reads its signature off the lattice it
+complements when that one is the smaller (``ortho_complement``).  On top of
 these the module provides the standard toolbox: named constructors (the
 hyperbolic plane U, the negative definite E8 lattice, diagonal lattices,
 direct sums, rescalings, the K3 lattice U^3 + E8(-1)^2), orthogonal
@@ -44,16 +49,12 @@ from .intlinalg import (
 )
 
 
-@dataclass(frozen=True)
-class IntegralLattice:
-    """A lattice given by its symmetric integer Gram matrix."""
+class Lattice:
+    """The queries of a symmetric integer Gram matrix ``gram``, shared by an
+    ``IntegralLattice``, which stores its Gram, and a ``Sublattice``, which
+    induces its Gram from the ambient on first use."""
 
     gram: IntMat
-
-    def __post_init__(self):
-        object.__setattr__(self, "gram", freeze(self.gram))
-        if not is_symmetric(self.gram):
-            raise ValidationError("Gram matrix must be symmetric")
 
     @property
     def rank(self) -> int:
@@ -71,7 +72,7 @@ class IntegralLattice:
 
     @cached_property
     def _signature(self) -> SymDiagResult:
-        return _sym_signature(self.gram)  # __post_init__ checked symmetry
+        return _sym_signature(self.gram)  # a Gram is symmetric by construction
 
     def signature(self) -> SymDiagResult:
         return self._signature
@@ -92,6 +93,18 @@ class IntegralLattice:
     def is_positive_definite(self) -> bool:
         sig = self.signature()
         return sig.n_minus == 0 and sig.n_zero == 0
+
+
+@dataclass(frozen=True)
+class IntegralLattice(Lattice):
+    """A lattice given by its symmetric integer Gram matrix."""
+
+    gram: IntMat
+
+    def __post_init__(self):
+        object.__setattr__(self, "gram", freeze(self.gram))
+        if not is_symmetric(self.gram):
+            raise ValidationError("Gram matrix must be symmetric")
 
 
 def hyperbolic_plane() -> IntegralLattice:
@@ -122,7 +135,7 @@ def diag_lattice(entries) -> IntegralLattice:
     return IntegralLattice(freeze(g))
 
 
-def direct_sum(*lattices: IntegralLattice) -> IntegralLattice:
+def direct_sum(*lattices: Lattice) -> IntegralLattice:
     """Orthogonal direct sum, Gram matrices on the block diagonal."""
     n = sum(l.rank for l in lattices)
     g = [[0] * n for _ in range(n)]
@@ -156,10 +169,11 @@ def _is_echelon(rows, n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class Sublattice:
-    """Q-independent integer rows spanning a sublattice of an ambient lattice."""
+class Sublattice(Lattice):
+    """Q-independent integer rows spanning a sublattice of an ambient lattice,
+    itself a lattice under the induced form."""
 
-    ambient: IntegralLattice
+    ambient: Lattice
     basis: IntMat
     # S, on S^⊥ computed in a nondegenerate ambient
     _complement_of: Sublattice | None = field(default=None, init=False, repr=False, compare=False)
@@ -179,28 +193,19 @@ class Sublattice:
         return len(self.basis)
 
     @cached_property
-    def _induced(self) -> IntegralLattice:
-        return IntegralLattice(pairing_block(self.ambient.entries, self.basis, self.basis))
-
-    @property
-    def induced_gram(self) -> IntMat:
-        return self._induced.gram
-
-    def induced_lattice(self) -> IntegralLattice:
-        return self._induced
+    def gram(self) -> IntMat:
+        """The induced Gram, built on first use."""
+        return pairing_block(self.ambient.entries, self.basis, self.basis)
 
     @cached_property
     def _signature(self) -> SymDiagResult:
         s = self._complement_of
-        if s is not None:
+        if s is not None and s.rank <= self.rank:  # eliminate the smaller Gram
             sig_s = s.signature()
             if sig_s.n_zero == 0:  # then the ambient is S + S^⊥ over Q
                 sig_l = self.ambient.signature()
                 return SymDiagResult(sig_l.n_plus - sig_s.n_plus, sig_l.n_minus - sig_s.n_minus, 0)
-        return self._induced.signature()
-
-    def signature(self) -> SymDiagResult:
-        return self._signature  # a complement's is read off S (ortho_complement)
+        return _sym_signature(self.gram)
 
     @cached_property
     def _saturation(self) -> "Sublattice":
@@ -214,7 +219,7 @@ class Sublattice:
             return saturation(self._complement_of)
         amb = self.ambient
         degenerate = amb.is_degenerate
-        if degenerate and abs(self._induced.det()) != 1:
+        if degenerate and abs(self.det()) != 1:
             raise ValidationError("degenerate ambient: complement needs a unimodular sublattice")
         comp = Sublattice(amb, int_kernel(gram_rows(amb.entries, self.basis), amb.rank))
         if not degenerate:
@@ -247,7 +252,9 @@ def ortho_complement(s: Sublattice) -> Sublattice:
     The complement also knows its signature without building its Gram:
     sig(S^⊥) = sig(L) - sig(S), with no zero directions.  The rule needs
     a nondegenerate ambient L and a nondegenerate S, since then
-    L_Q = S_Q + S^⊥_Q.  Otherwise the signature comes from an elimination
+    L_Q = S_Q + S^⊥_Q, and it is taken only when S is the smaller lattice
+    (rank S <= rank S^⊥), so it never eliminates a larger Gram than the
+    complement's own.  Otherwise the signature comes from an elimination
     on the induced Gram: for an isotropic e, <e>^⊥ contains e.
     """
     return s._complement
@@ -262,7 +269,7 @@ def saturation(s: Sublattice) -> Sublattice:
     return s._saturation  # (Q-span of s) ∩ ambient
 
 
-def discriminant(l: IntegralLattice) -> tuple[int, ...]:
+def discriminant(l: Lattice) -> tuple[int, ...]:
     """Elementary divisors > 1 of the Gram matrix (the discriminant group).
 
     The product of the divisors is |det|; a unimodular lattice returns ().
@@ -282,7 +289,7 @@ class ReducedForm:
     transform: IntMat  # u with u^T @ gram @ u == reduced gram
 
 
-def gauss_reduce2(l: IntegralLattice) -> ReducedForm:
+def gauss_reduce2(l: Lattice) -> ReducedForm:
     """Unique GL_2(Z)-reduced representative [[a,b],[b,c]], 0 <= 2b <= a <= c.
 
     Returns the reduced lattice together with u in GL_2(Z) satisfying
@@ -353,7 +360,7 @@ class MatchResult:
         return self.verdict != "Distinguished"
 
 
-def invariants_match(l1: IntegralLattice, l2: IntegralLattice) -> MatchResult:
+def invariants_match(l1: Lattice, l2: Lattice) -> MatchResult:
     """Compare two lattices by computable invariants.
 
     Rank-2 positive definite pairs are compared by their unique reduced
@@ -394,8 +401,7 @@ class HyperbolicSplit:
 
     e: IntVec
     f: IntVec
-    complement: IntegralLattice
-    complement_basis: IntMat
+    complement: Sublattice  # N, a sublattice of the split lattice
 
 
 @dataclass(frozen=True)
@@ -471,9 +477,7 @@ def check_split_radius(radius: int) -> None:
         )
 
 
-def find_hyperbolic_split(
-    l: IntegralLattice, radius: int = 3
-) -> HyperbolicSplit | SplitNotFound:
+def find_hyperbolic_split(l: Lattice, radius: int = 3) -> HyperbolicSplit | SplitNotFound:
     """Search for a hyperbolic plane summand of an even lattice.
 
     Looks for a primitive isotropic vector e of divisibility 1 with
@@ -498,13 +502,7 @@ def find_hyperbolic_split(
             continue  # divisibility > 1
         t = pairing_block(l.entries, (f0,), (f0,))[0][0] // 2  # even lattice, so f0^2 is even
         f = tuple(a - t * b for a, b in zip(f0, e))
-        comp = ortho_complement(Sublattice(l, (e, f)))
-        return HyperbolicSplit(
-            e=tuple(e),
-            f=f,
-            complement=comp.induced_lattice(),
-            complement_basis=comp.basis,
-        )
+        return HyperbolicSplit(tuple(e), f, ortho_complement(Sublattice(l, (e, f))))
     return SplitNotFound(
         "no primitive isotropic vector of divisibility 1"
         f" with support <= {SPLIT_SUPPORT} within radius {radius}"

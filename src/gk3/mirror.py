@@ -5,7 +5,11 @@ the Mukai lattice together with witnesses: a type A generalized
 Calabi-Yau class inside the complex span of K and a type B class inside
 the span of L.  Two polarized families are mirror partners when the K of
 one matches the L of the other at invariant level and the moduli
-dimensions (rank K - 2, rank L - 2) swap.
+dimensions (rank K - 2, rank L - 2) swap.  The slots and the members' NS
+and T are compared as the sublattices they are, since a sublattice answers
+every lattice query; a complement reads its signature off the lattice it
+complements, sig(L) - sig(S), when S is the smaller one, so a rank-22
+complement of a rank-2 support never eliminates its rank-22 Gram.
 
 Two builders are provided.  The classical construction takes a
 hyperbolic summand off the complement of a degree-2 polarization and
@@ -19,14 +23,13 @@ signed permutation of the Mukai lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from math import prod
 
 from .errors import ValidationError
 from .intlinalg import IntMat, hnf_basis, matmul, pairing_block
 from .lattices import (
-    IntegralLattice,
     MatchResult,
     Sublattice,
     SplitNotFound,
@@ -89,10 +92,10 @@ class PolarizationReport:
     clauses: tuple[Clause, ...]
     joint_index: int | None
     kl_pairing: IntMat
+    passed: bool = field(init=False)
 
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.clauses)
+    def __post_init__(self):
+        object.__setattr__(self, "passed", all(c.ok for c in self.clauses))
 
     def failed_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.clauses if not c.ok)
@@ -194,29 +197,29 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class MirrorReport:
-    """Verdicts for a candidate mirror pair of polarized families."""
+    """Verdicts for a candidate mirror pair of polarized families; the moduli
+    dimensions and polarization verdicts are read off the two families."""
 
     k1_vs_l2: MatchResult
     l1_vs_k2: MatchResult
-    dims_1: tuple[int, int]
-    dims_2: tuple[int, int]
-    dims_swap: bool
     ns1_vs_t2: MatchResult
     t1_vs_ns2: MatchResult
-    polarization_1_passed: bool
-    polarization_2_passed: bool
+    f1: InitVar[FamilySpec]
+    f2: InitVar[FamilySpec]
+    dims: tuple[tuple[int, int], tuple[int, int]] = field(init=False)
+    dims_swap: bool = field(init=False)
+    polarizations_passed: tuple[bool, bool] = field(init=False)
+    verified: bool = field(init=False)
 
-    @property
-    def verified(self) -> bool:
-        return (
-            self.k1_vs_l2.matched
-            and self.l1_vs_k2.matched
-            and self.dims_swap
-            and self.ns1_vs_t2.matched
-            and self.t1_vs_ns2.matched
-            and self.polarization_1_passed
-            and self.polarization_2_passed
-        )
+    def __post_init__(self, f1: FamilySpec, f2: FamilySpec):
+        dims = moduli_dims(f1.polarization), moduli_dims(f2.polarization)
+        swap = dims[0] == dims[1][::-1]
+        passed = f1.report.passed, f2.report.passed
+        matches = self.k1_vs_l2, self.l1_vs_k2, self.ns1_vs_t2, self.t1_vs_ns2
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims_swap", swap)
+        object.__setattr__(self, "polarizations_passed", passed)
+        object.__setattr__(self, "verified", swap and all(passed) and all(m.matched for m in matches))
 
 
 def mirror_check(f1: FamilySpec, f2: FamilySpec) -> MirrorReport:
@@ -228,25 +231,14 @@ def mirror_check(f1: FamilySpec, f2: FamilySpec) -> MirrorReport:
     lattices of the designated members are cross-compared the same way.
     """
     p1, p2 = f1.polarization, f2.polarization
-    k1 = p1.k_emb.induced_lattice()
-    l1 = p1.l_emb.induced_lattice()
-    k2 = p2.k_emb.induced_lattice()
-    l2 = p2.l_emb.induced_lattice()
-    dims_1, dims_2 = moduli_dims(p1), moduli_dims(p2)
-    ns1 = neron_severi(f1.member).induced_lattice()
-    t1 = transcendental(f1.member).induced_lattice()
-    ns2 = neron_severi(f2.member).induced_lattice()
-    t2 = transcendental(f2.member).induced_lattice()
+    x1, x2 = f1.member, f2.member
     return MirrorReport(
-        k1_vs_l2=invariants_match(k1, l2),
-        l1_vs_k2=invariants_match(l1, k2),
-        dims_1=dims_1,
-        dims_2=dims_2,
-        dims_swap=dims_1 == (dims_2[1], dims_2[0]),
-        ns1_vs_t2=invariants_match(ns1, t2),
-        t1_vs_ns2=invariants_match(t1, ns2),
-        polarization_1_passed=f1.report.passed,
-        polarization_2_passed=f2.report.passed,
+        k1_vs_l2=invariants_match(p1.k_emb, p2.l_emb),
+        l1_vs_k2=invariants_match(p1.l_emb, p2.k_emb),
+        ns1_vs_t2=invariants_match(neron_severi(x1), transcendental(x2)),
+        t1_vs_ns2=invariants_match(transcendental(x1), neron_severi(x2)),
+        f1=f1,
+        f2=f2,
     )
 
 
@@ -257,10 +249,10 @@ class Failure:
 
 @dataclass(frozen=True)
 class DolgachevMirror:
-    """The mirror lattice N with its split witness and the duality check."""
+    """The mirror lattice N, a sublattice of the K3 lattice, with its split
+    witness and the duality check."""
 
-    n: IntegralLattice
-    n_basis: IntMat  # rows in ambient K3 coordinates
+    n: Sublattice
     e: tuple[int, ...]
     f: tuple[int, ...]
     duality: MatchResult
@@ -288,23 +280,16 @@ def dolgachev_mirror(kp: Sublattice, radius: int = 3) -> DolgachevMirror | Failu
             f"polarization must have signature (1, t), got {sig.as_tuple()}"
         )
     perp = ortho_complement(kp)
-    perp_lattice = perp.induced_lattice()
-    if perp_lattice.is_definite:
+    if perp.is_definite:
         return Failure("definite complement")
-    split = find_hyperbolic_split(perp_lattice, radius=radius)
+    split = find_hyperbolic_split(perp, radius=radius)
     if isinstance(split, SplitNotFound):
         return Failure(split.reason)
-    n_basis = matmul(split.complement_basis, perp.basis)
-    n_amb = Sublattice(K3, n_basis)
-    dual_side = ortho_complement(n_amb).induced_lattice()
-    expected = direct_sum(kp.induced_lattice(), hyperbolic_plane())
+    n = Sublattice(K3, matmul(split.complement.basis, perp.basis))
+    expected = direct_sum(kp, hyperbolic_plane())
     e_amb, f_amb = matmul((split.e, split.f), perp.basis)
     return DolgachevMirror(
-        n=split.complement,
-        n_basis=n_basis,
-        e=e_amb,
-        f=f_amb,
-        duality=invariants_match(expected, dual_side),
+        n=n, e=e_amb, f=f_amb, duality=invariants_match(expected, ortho_complement(n))
     )
 
 
@@ -357,7 +342,7 @@ def _assert_si_shape(fam1: FamilySpec, fam2: FamilySpec, n: int) -> None:
     """The builder output, checked by integer products with g."""
     x1, x2 = fam1.member, fam2.member
     t1 = transcendental(x1)
-    if gauss_reduce2(t1.induced_lattice()).lattice.gram != ((2 * n, 0), (0, 2 * n)):
+    if gauss_reduce2(t1).lattice.gram != ((2 * n, 0), (0, 2 * n)):
         raise ValidationError("transcendental lattice of X is not diag(2n, 2n)")
     g = SI_MIRROR_ISOMETRY
     if pairing_block(MUKAI.entries, g, g) != MUKAI_GRAM:

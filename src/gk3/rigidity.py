@@ -105,7 +105,7 @@ def is_complex_rigid(x: GeneralizedK3) -> RigidityReport:
             "NotRigid",
             reason=f"degree-2 period support has rank {sigma_support.rank}, needs 2",
         )
-    reduced = gauss_reduce2(sigma_support.induced_lattice())
+    reduced = gauss_reduce2(sigma_support)
     return RigidityReport(
         "ComplexRigid",
         invariant=reduced.lattice.gram,
@@ -144,7 +144,7 @@ def is_kahler_rigid(x: GeneralizedK3) -> RigidityReport:
     verdict = _plane_rank_checks(x, "A")
     if verdict is not None:
         return verdict
-    reduced = gauss_reduce2(a.support.induced_lattice())
+    reduced = gauss_reduce2(a.support)
     bfield, omega = type_a_parts(a)
     return RigidityReport(
         "KahlerRigid",
@@ -267,8 +267,7 @@ def _sat_coords(h1, h2) -> _SatCoords:
     gens = ((1, 0) + zeros, (0, 1) + zeros, (0, 0) + tuple(h1), (0, 0) + tuple(h2))
     sat = saturate(hnf_basis(gens, MUKAI_RANK), MUKAI_RANK)
     to_s = tuple(hnf_coords(sat, g) for g in gens)  # gens lie in their saturation
-    gram_s = Sublattice(MUKAI, sat).induced_gram
-    return _SatCoords(gram_p, gram_entries(gram_p), to_s, gram_entries(gram_s))
+    return _SatCoords(gram_p, gram_entries(gram_p), to_s, Sublattice(MUKAI, sat).entries)
 
 
 def _exp_rows(r1, r2, k: int, denom: int) -> tuple:

@@ -132,7 +132,7 @@ def test_criterion_3_support_ranks():
             cls = check_gcy(exponential_class([0] * 22, h))
             sup = support_lattice(cls)
             assert sup.rank == 2
-            assert gauss_reduce2(sup.induced_lattice()).lattice.gram == (
+            assert gauss_reduce2(sup).lattice.gram == (
                 (2 * n, 0),
                 (0, 2 * n),
             )
@@ -146,14 +146,14 @@ def test_criterion_4_shioda_inose_mirrors():
     with _Gate(4, "rank-22 mirror families for n=1..10: lattices, swap, moduli dims", 30.0):
         for n in range(1, 11):
             fam_x, fam_dual = build_si_mirror(n)
-            ns = neron_severi(fam_x.member).induced_lattice()
+            ns = neron_severi(fam_x.member)
             assert ns.rank == 22
             assert ns.signature().as_tuple() == (2, 20, 0)
             assert discriminant(ns) == (2 * n, 2 * n)
-            t = transcendental(fam_x.member).induced_lattice()
+            t = transcendental(fam_x.member)
             assert gauss_reduce2(t).lattice.gram == ((2 * n, 0), (0, 2 * n))
-            ns_dual = neron_severi(fam_dual.member).induced_lattice()
-            t_dual = transcendental(fam_dual.member).induced_lattice()
+            ns_dual = neron_severi(fam_dual.member)
+            t_dual = transcendental(fam_dual.member)
             assert gauss_reduce2(ns_dual).lattice.gram == ((2 * n, 0), (0, 2 * n))
             assert invariants_match(t_dual, ns).matched
             report = mirror_check(fam_x, fam_dual)
@@ -234,7 +234,7 @@ def _suite_complement_involution(rng: random.Random) -> int:
         if q_rank(rows) != r:
             continue
         s = Sublattice(ambient, rows)
-        if s.induced_lattice().is_degenerate:
+        if s.is_degenerate:
             continue
         cc = ortho_complement(ortho_complement(s))
         assert cc.basis == saturation(s).basis

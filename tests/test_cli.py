@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from gk3.cli import COMMANDS, main
-from gk3.lattices import MAX_SPLIT_RADIUS
+from gk3.intlinalg import matmul, transpose
+from gk3.lattices import MAX_SPLIT_RADIUS, k3_lattice
 from gk3.mukai import check_gcy, deg2_vector, exponential_class, two_form_class
 from gk3.rigidity import MAX_FORMS_DET, MAX_SURVEY_SAMPLES
 from gk3.serialize import class_json, dumps_canonical
@@ -108,6 +109,31 @@ def test_lattice_split_u(tmp_path, capsys):
         "result": "none",
         "reason": "definite lattice has no nonzero isotropic vector",
     }
+
+
+def _k3_rows(*supports: dict) -> list[list[int]]:
+    return [[support.get(i, 0) for i in range(22)] for support in supports]
+
+
+@pytest.mark.parametrize(
+    "command, rows",
+    [
+        ("info", _k3_rows({0: 1, 1: 1, 2: 1}, {1: 1, 3: 1}, {6: 1})),
+        ("reduce2", _k3_rows({0: 1, 1: 1}, {0: 1, 1: 1, 2: 1, 3: 1})),
+        # U + <2> + A2(-1): the complement is a sublattice of the sublattice
+        ("split-u", _k3_rows({0: 1}, {1: 1}, {2: 1, 3: 1}, {6: 1}, {7: 1})),
+    ],
+)
+def test_sublattice_prints_as_the_lattice_of_its_induced_gram(tmp_path, capsys, command, rows):
+    gram = matmul(matmul(rows, k3_lattice().gram), transpose(rows))
+    sub = _write(tmp_path, "s.json", {"sublattice": {"ambient": {"named": "K3"}, "basis": rows}})
+    lat = _write(tmp_path, "l.json", {"lattice": {"gram": gram}})
+    outs = []
+    for path in (sub, lat):
+        assert main(["lattice", command, path]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0]).get("result", "split") == "split"  # split-u found its plane
 
 
 def test_class_check(tmp_path, capsys):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from gk3.errors import ValidationError
 from gk3.intlinalg import (
     det,
     hnf,
@@ -173,3 +175,15 @@ def test_membership_helpers():
 
 def test_hnf_basis_drops_dependent_rows():
     assert hnf_basis(((1, 1), (2, 2), (0, 1)), 2) == ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("entry", [1.5, 0.9, Fraction(3, 2), True])
+@pytest.mark.parametrize(
+    "call",
+    [hnf, hnf_basis, int_kernel, saturate, det, sym_signature, lambda m: hnf_coords(m, m[0])],
+    ids=["hnf", "hnf_basis", "int_kernel", "saturate", "det", "sym_signature", "hnf_coords"],
+)
+def test_entry_points_refuse_entries_that_are_not_int(call, entry):
+    # int() would truncate: hnf_basis(((1.5, 2), (0.9, 1))) gave the identity
+    with pytest.raises(ValidationError, match="matrix entries must be int"):
+        call(((entry, 0), (0, 1)))

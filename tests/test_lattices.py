@@ -124,8 +124,7 @@ def test_freeze_keeps_int_rows():
 def test_induced_gram_and_membership():
     u = hyperbolic_plane()
     s = Sublattice(u, ((1, 1),))
-    assert s.induced_gram == ((2,),)
-    assert s.induced_lattice().gram == ((2,),)
+    assert s.gram == ((2,),)
     assert s.contains(Sublattice(u, ((2, 2),)))
     assert not s.contains(Sublattice(u, ((1, 0),)))
 
@@ -142,8 +141,8 @@ def test_signature_and_induced_lattice_are_computed_once(monkeypatch):
     assert l.signature().as_tuple() == (2, 2, 0)
     assert len(calls) == 1
     s = Sublattice(l, ((1, 1, 0, 0), (0, 0, 1, 0)))
-    assert s.induced_lattice() is s.induced_lattice()
-    assert s.induced_lattice().is_positive_definite and s.induced_lattice().is_definite
+    assert s.gram is s.gram
+    assert s.is_positive_definite and s.is_definite
     assert len(calls) == 2
 
 
@@ -151,7 +150,7 @@ def test_complement_of_isotropic_span_in_u():
     s = Sublattice(hyperbolic_plane(), ((1, 1),))
     c = ortho_complement(s)
     assert c.basis == ((1, -1),)
-    assert c.induced_gram == ((-2,),)
+    assert c.gram == ((-2,),)
 
 
 def test_complement_is_computed_once(ortho_complement_calls):
@@ -264,8 +263,8 @@ def _sublattices(draw) -> Sublattice:
 def test_complement_signature_from_the_complemented_lattice(s):
     c = ortho_complement(s)
     cc = ortho_complement(c)
-    assert c.signature() == _sym_signature(c.induced_gram)
-    assert cc.signature() == _sym_signature(cc.induced_gram)
+    assert c.signature() == _sym_signature(c.gram)
+    assert cc.signature() == _sym_signature(cc.gram)
 
 
 def test_saturation_is_two_hnf_passes_and_primitivity_one(hnf_passes):
@@ -382,7 +381,7 @@ def test_split_of_a_degenerate_lattice():
     # gives the radical as complement; diag(2, 0) has no usable e
     out = find_hyperbolic_split(direct_sum(hyperbolic_plane(), diag_lattice((0,))))
     assert isinstance(out, HyperbolicSplit)
-    assert (out.e, out.f, out.complement_basis) == ((1, 0, 0), (0, 1, 0), ((0, 0, 1),))
+    assert (out.e, out.f, out.complement.basis) == ((1, 0, 0), (0, 1, 0), ((0, 0, 1),))
     assert out.complement.gram == ((0,),)
     out = find_hyperbolic_split(diag_lattice((2, 0)))
     assert out == SplitNotFound(
@@ -408,5 +407,5 @@ def test_split_of_rank_21_example():
     g = amb.gram
     pair = matmul(matmul((out.e, out.f), g), transpose((out.e, out.f)))
     assert pair == ((0, 1), (1, 0))
-    cross = matmul(matmul(out.complement_basis, g), transpose((out.e, out.f)))
+    cross = matmul(matmul(out.complement.basis, g), transpose((out.e, out.f)))
     assert all(all(v == 0 for v in row) for row in cross)

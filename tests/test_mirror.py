@@ -118,16 +118,16 @@ def test_moduli_dimensions():
 def test_si_mirror_shape_per_degree():
     for n in (1, 2, 3):
         fam_x, fam_dual = build_si_mirror(n)
-        ns = neron_severi(fam_x.member).induced_lattice()
+        ns = neron_severi(fam_x.member)
         assert ns.rank == 22
         assert ns.signature().as_tuple() == (2, 20, 0)
         assert discriminant(ns) == (2 * n, 2 * n)
-        t = transcendental(fam_x.member).induced_lattice()
+        t = transcendental(fam_x.member)
         assert gauss_reduce2(t).lattice.gram == ((2 * n, 0), (0, 2 * n))
         # the dual family swaps the two lattices at invariant level
-        ns_dual = neron_severi(fam_dual.member).induced_lattice()
+        ns_dual = neron_severi(fam_dual.member)
         assert gauss_reduce2(ns_dual).lattice.gram == ((2 * n, 0), (0, 2 * n))
-        t_dual = transcendental(fam_dual.member).induced_lattice()
+        t_dual = transcendental(fam_dual.member)
         assert invariants_match(ns, t_dual).matched
 
 
@@ -147,11 +147,26 @@ def test_si_mirror_check_passes():
     fam_x, fam_dual = build_si_mirror(2)
     report = mirror_check(fam_x, fam_dual)
     assert report.verified
-    assert report.dims_1 == (20, 0)
-    assert report.dims_2 == (0, 20)
+    assert report.dims == ((20, 0), (0, 20))
     assert report.dims_swap
     assert report.l1_vs_k2.verdict == "Equal2"
     assert report.k1_vs_l2.verdict == "GenusInvariantsMatch"
+
+
+def test_si_mirror_check_eliminates_no_rank22_gram(signature_sizes):
+    # each rank-22 NS or T reads its signature off the rank-2 support it
+    # complements; each rank-2 slot eliminates its own Gram
+    for n in (1, 2, 3):
+        assert mirror_check(*build_si_mirror(n)).verified
+    assert signature_sizes and 22 not in signature_sizes
+
+
+def test_dolgachev_mirror_eliminates_neither_perp_nor_n(signature_sizes):
+    # kp^⊥ (rank 21) reads its signature off kp; the dual side N^⊥ (rank 3)
+    # eliminates its own Gram, not that of N (rank 19)
+    for n in (1, 2, 3):
+        assert dolgachev_mirror(Sublattice(k3_lattice(), ((1, n) + (0,) * 20,))).duality.matched
+    assert set(signature_sizes) <= {1, 3, 22}  # kp, N^⊥ and U + kp, the K3 lattice
 
 
 def test_mirror_check_distinguishes_wrong_partner():
@@ -218,7 +233,7 @@ def test_dolgachev_mirror_of_degree_2n():
         # the extracted pair really is a hyperbolic plane inside the K3 lattice
         pair = matmul(matmul((out.e, out.f), k3.gram), transpose((out.e, out.f)))
         assert pair == ((0, 1), (1, 0))
-        cross = matmul(matmul(out.n_basis, k3.gram), transpose((out.e, out.f)))
+        cross = matmul(matmul(out.n.basis, k3.gram), transpose((out.e, out.f)))
         assert all(all(v == 0 for v in row) for row in cross)
 
 
@@ -226,7 +241,7 @@ def test_dolgachev_definite_complement_is_a_hard_failure():
     k3 = k3_lattice()
     m = Sublattice(k3, ((1, 1) + (0,) * 20, (0, 0, 1, 1) + (0,) * 18))
     kp = ortho_complement(m)  # rank 20, signature (1, 19)
-    assert kp.induced_lattice().signature().as_tuple() == (1, 19, 0)
+    assert kp.signature().as_tuple() == (1, 19, 0)
     out = dolgachev_mirror(kp)
     assert isinstance(out, Failure)
     assert out.reason == "definite complement"

@@ -245,7 +245,7 @@ def test_support_rank2_family():
         h = deg2_vector({0: 1, 1: n})
         sup = support_lattice(check_gcy(exponential_class([0] * 22, h)))
         assert len(sup.basis) == 2
-        red = gauss_reduce2(sup.induced_lattice())
+        red = gauss_reduce2(sup)
         assert red.lattice.gram == ((2 * n, 0), (0, 2 * n))
 
 
@@ -255,7 +255,7 @@ def test_support_sqrt2_case():
     g = check_gcy(exponential_class([0] * 22, omega))
     sup = support_lattice(g)
     assert len(sup.basis) == 2
-    assert gauss_reduce2(sup.induced_lattice()).lattice.gram == ((2, 0), (0, 4))
+    assert gauss_reduce2(sup).lattice.gram == ((2, 0), (0, 4))
 
 
 def test_support_rank3_expansion():
@@ -337,7 +337,7 @@ def test_generic_complement_with_one_positive_direction():
     with pytest.raises(ValidationError) as err:
         GenericClass(t, "B")
     assert str(err.value) == "generic support needs at least 2 positive directions, got 1"
-    assert "_induced" not in t.__dict__
+    assert "gram" not in t.__dict__
     assert t.signature().as_tuple() == (1, 17, 0)
 
 

@@ -117,8 +117,8 @@ def test_cross_pairings_of_orthogonal_pair_vanish():
 
 def test_ns_and_transcendental_of_standard_pair():
     x = validate_gk3(_kahler_class(), _holomorphic_form())
-    ns_l = neron_severi(x).induced_lattice()
-    t_l = transcendental(x).induced_lattice()
+    ns_l = neron_severi(x)
+    t_l = transcendental(x)
     assert ns_l.rank == 22
     assert ns_l.signature().as_tuple() == (2, 20, 0)
     assert discriminant(ns_l) == (2, 2)
@@ -196,7 +196,7 @@ def test_transform_pair_is_equivariant():
         moved = transform_pair(b, x)
         assert moved.status == "Verified"
         # supports move together, so both complements just get relabeled
-        assert neron_severi(moved).induced_lattice().signature().as_tuple() == (2, 20, 0)
+        assert neron_severi(moved).signature().as_tuple() == (2, 20, 0)
         prof = signature_profile(moved)
         assert prof.ns_signature == (2, 20, 0)
 

@@ -87,7 +87,7 @@ def test_rank22_case_eliminates_no_signature_above_2x2(signature_sizes):
     assert report.kind == "KahlerRigid"
     assert t.rank == 22 and t.signature().as_tuple() == (2, 20, 0)
     assert signature_sizes and max(signature_sizes) <= 2
-    assert "_induced" not in t.__dict__
+    assert "gram" not in t.__dict__
 
 
 def test_complex_rigid_wrong_type():
@@ -274,7 +274,7 @@ def test_survey_small_grid():
     # replay the witness and confirm it reproduces the form
     cls = check_gcy(exponential_class(witness.bfield, witness.omega))
     sup = support_lattice(cls)
-    assert gauss_reduce2(sup.induced_lattice()).lattice.gram == gram
+    assert gauss_reduce2(sup).lattice.gram == gram
 
 
 def test_survey_is_deterministic():
@@ -331,7 +331,7 @@ def test_rank22_op_sequence_on_fixed_cases():
         kappa_sq = 2 if kappa == SQRT2 else 1
         assert report.omega_sq == kappa_sq * _int_pair(K3_GRAM, omega0, omega0)
         assert all(_int_pair(MUKAI_GRAM, x, y) == 0 for x in t.basis for y in ns.basis)
-        assert gauss_reduce2(ns.induced_lattice()).lattice.gram == report.invariant
+        assert gauss_reduce2(ns).lattice.gram == report.invariant
 
 
 def test_neron_severi_of_a_rank22_pair_is_its_support(hnf_passes):

@@ -97,7 +97,7 @@ def test_sublattice_document_defaults_to_mukai_ambient():
 
     explicit = {"sublattice": {"ambient": {"named": "U"}, "basis": [[1, 1]]}}
     doc2 = parse_document(_doc(explicit))
-    assert doc2.value.induced_gram == ((2,),)
+    assert doc2.value.gram == ((2,),)
 
 
 def test_class_document_roundtrip():

@@ -66,7 +66,7 @@ def _classes(h1, h2, kappa, a, b, p, q, denom):
 def _wide_invariant(bfield, omega):
     support = support_lattice(check_gcy(exponential_class(bfield, omega)))
     assert support.rank == 2
-    return gauss_reduce2(support.induced_lattice()).lattice.gram
+    return gauss_reduce2(support).lattice.gram
 
 
 def _omega_sq(h1, h2, a, b) -> int:
