@@ -9,6 +9,9 @@ JSON file in the formats of the serialize module, or "-" for standard
 input), refuses a body kind the entry does not list, and calls the
 handler.  A handler returns library values and records, which
 ``dumps_canonical`` writes by type as canonical JSON on standard output.
+Only the lattice layer and the document format are imported up front; a
+class, gk3, rigid or mirror handler imports the library names it calls in
+its own body, so a command loads its own group's modules and no others.
 Exit codes: 0 success, 1 domain validation failure (the report names the
 violated condition), 2 parse or schema error.
 """
@@ -18,27 +21,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import SchemaError, ValidationError
 from .lattices import (
-    Lattice, SplitNotFound, Sublattice, discriminant, find_hyperbolic_split, gauss_reduce2,
-    ortho_complement,
-)
-from .mukai import (
-    CohClass, GenericClass, bfield_transform, check_gcy, mukai_pairing, period_plane,
-    support_lattice,
-)
-from .pairs import classify_hk_pair, neron_severi, signature_profile, transcendental, validate_gk3
-from .rigidity import (
-    SurveyConfig, check_forms_det, enumerate_reduced_forms, is_complex_rigid, is_kahler_rigid,
-    kahler_rigid_survey,
-)
-from .mirror import (
-    DolgachevMirror, FamilySpec, PolarizationData, build_si_mirror, dolgachev_mirror,
-    mirror_check, moduli_dims,
+    Lattice, SplitNotFound, Sublattice, discriminant, enumerate_reduced_forms,
+    find_hyperbolic_split, gauss_reduce2, ortho_complement,
 )
 from .serialize import Document, dumps_canonical, parse_document
+
+if TYPE_CHECKING:
+    from .mirror import FamilySpec
 
 
 class Command(NamedTuple):
@@ -155,12 +148,16 @@ def _(doc, args):
 
 @command("class", "check", "validate a generalized Calabi-Yau class", ("class",))
 def _(doc, args):
+    from .mukai import check_gcy
+
     g = check_gcy(doc.value)
     return {"valid": True, "type": g.type_tag, "norm": g.norm}
 
 
 @command("class", "pairing", "Mukai pairing of the two classes of a pair", ("pair",))
 def _(doc, args):
+    from .mukai import GenericClass, mukai_pairing
+
     x, y = doc.value
     if isinstance(x, GenericClass) or isinstance(y, GenericClass):
         raise ValidationError("pairing needs explicit classes")
@@ -169,6 +166,8 @@ def _(doc, args):
 
 @command("class", "bfield", "apply the B-field transform in the document", ("class",))
 def _(doc, args):
+    from .mukai import bfield_transform
+
     if doc.bfield is None:
         raise SchemaError('this command needs a "bfield" key in the document')
     return {"class": bfield_transform(doc.bfield, doc.value)}
@@ -176,6 +175,8 @@ def _(doc, args):
 
 @command("class", "lpsi", "smallest saturated sublattice containing the class", ("class",))
 def _(doc, args):
+    from .mukai import support_lattice
+
     support = support_lattice(doc.value)
     report = _sublattice_report(support)
     report["reduced"] = None
@@ -189,6 +190,8 @@ def _(doc, args):
 
 @command("class", "plane", "period plane of a class with its Gram", ("class",))
 def _(doc, args):
+    from .mukai import check_gcy, period_plane
+
     return period_plane(check_gcy(doc.value))
 
 
@@ -197,6 +200,8 @@ def _(doc, args):
 
 @command("gk3", "validate", "validate a pair as a generalized K3", ("pair",))
 def _(doc, args):
+    from .pairs import validate_gk3
+
     pair = validate_gk3(*doc.value)
     return {
         "status": pair.status,
@@ -207,6 +212,8 @@ def _(doc, args):
 
 @command("gk3", "ns-t", "Neron-Severi and transcendental lattices", ("pair",))
 def _(doc, args):
+    from .pairs import neron_severi, transcendental, validate_gk3
+
     pair = validate_gk3(*doc.value)
     return {
         "status": pair.status,
@@ -221,11 +228,15 @@ def _(doc, args):
 
 @command("gk3", "classify-hk", "hyperKaehler partner case of a pair", ("pair",))
 def _(doc, args):
+    from .pairs import classify_hk_pair
+
     return classify_hk_pair(*doc.value)
 
 
 @command("gk3", "profile", "signature profile of the two lattices", ("pair",))
 def _(doc, args):
+    from .pairs import signature_profile, validate_gk3
+
     return signature_profile(validate_gk3(*doc.value))
 
 
@@ -234,11 +245,17 @@ def _(doc, args):
 
 @command("rigid", "complex", "complex rigidity of a pair", ("pair",))
 def _(doc, args):
+    from .pairs import validate_gk3
+    from .rigidity import is_complex_rigid
+
     return is_complex_rigid(validate_gk3(*doc.value))
 
 
 @command("rigid", "kahler", "Kaehler rigidity of a pair", ("pair",))
 def _(doc, args):
+    from .pairs import validate_gk3
+    from .rigidity import is_kahler_rigid
+
     return is_kahler_rigid(validate_gk3(*doc.value))
 
 
@@ -248,6 +265,8 @@ def _(doc, args):
     arg("--sqrt-d", type=int, action="append", default=None),
 )
 def _(doc, args):
+    from .rigidity import SurveyConfig, kahler_rigid_survey
+
     report = kahler_rigid_survey(
         SurveyConfig(args.max_det, args.denom_bound, tuple(args.sqrt_d or ()))
     )
@@ -264,6 +283,8 @@ def _(doc, args):
 
 @command("rigid", "forms", "reduced even positive forms up to a determinant", (), MAX_DET)
 def _(doc, args):
+    from .rigidity import check_forms_det
+
     check_forms_det(args.max_det)
     return {"forms": enumerate_reduced_forms(args.max_det)}
 
@@ -272,6 +293,10 @@ def _(doc, args):
 
 
 def _family_of(doc: Document) -> FamilySpec:
+    from .mirror import FamilySpec, PolarizationData
+    from .mukai import CohClass, check_gcy
+    from .pairs import validate_gk3
+
     (k_emb, l_emb, *witnesses), pair = doc.value
     witnesses = [check_gcy(w) if isinstance(w, CohClass) else w for w in witnesses]
     return FamilySpec(PolarizationData(k_emb, l_emb, *witnesses), validate_gk3(*pair))
@@ -283,6 +308,8 @@ def _family_of(doc: Document) -> FamilySpec:
     arg("file2", help="second family document"),
 )
 def _(doc, args):
+    from .mirror import mirror_check
+
     f1 = _family_of(_load(args.file1, ("family",)))
     f2 = _family_of(_load(args.file2, ("family",)))
     return mirror_check(f1, f2)
@@ -290,6 +317,8 @@ def _(doc, args):
 
 @command("mirror", "dolgachev", "classical mirror of a K3 polarization", ("sublattice",), RADIUS)
 def _(doc, args):
+    from .mirror import DolgachevMirror, dolgachev_mirror
+
     result = dolgachev_mirror(doc.value, radius=args.radius)
     if isinstance(result, DolgachevMirror):
         return {
@@ -321,6 +350,9 @@ def _family_json(fam: FamilySpec) -> dict:
     arg("--n", type=int, required=True, help="degree parameter, n >= 1"),
 )
 def _(doc, args):
+    from .mirror import build_si_mirror, mirror_check, moduli_dims
+    from .pairs import neron_severi, transcendental
+
     fam1, fam2 = build_si_mirror(args.n)
     t1 = gauss_reduce2(transcendental(fam1.member))
     ns2 = gauss_reduce2(neron_severi(fam2.member))

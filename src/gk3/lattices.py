@@ -510,10 +510,12 @@ def find_hyperbolic_split(l: Lattice, radius: int = 3) -> HyperbolicSplit | Spli
 
 
 _NAMED = {"U": hyperbolic_plane(), "E8minus": e8_minus(), "K3": k3_lattice()}
+# the degree-0 and degree-4 units span U(-1), then the degree-2 block is K3
+_NAMED["Mukai"] = direct_sum(rescale(_NAMED["U"], -1), _NAMED["K3"])
 
 
 def named_lattice(name: str) -> IntegralLattice:
-    """Look up a named lattice: U, E8minus or K3 (Mukai lives in gk3.mukai)."""
+    """Look up a named lattice: U, E8minus, K3 or Mukai."""
     if name not in _NAMED:
         raise ValidationError(f"unknown named lattice {name!r}")
     return _NAMED[name]

@@ -41,18 +41,7 @@ DEG0, DEG4, DEG2_START = 0, 1, 2
 
 K3 = named_lattice("K3")
 K3_GRAM = K3.gram
-
-
-def _mukai_gram() -> IntMat:
-    g = [[0] * MUKAI_RANK for _ in range(MUKAI_RANK)]
-    g[DEG0][DEG4] = g[DEG4][DEG0] = -1
-    for i in range(DEG2_RANK):
-        for j in range(DEG2_RANK):
-            g[DEG2_START + i][DEG2_START + j] = K3_GRAM[i][j]
-    return freeze(g)
-
-
-MUKAI = IntegralLattice(_mukai_gram())
+MUKAI = named_lattice("Mukai")
 MUKAI_GRAM = MUKAI.gram
 
 _ZERO_ROW = (0,) * MUKAI_RANK

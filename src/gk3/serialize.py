@@ -11,6 +11,10 @@ rationals always in lowest terms, so equal values produce identical
 bytes.  ``dumps_canonical`` writes gk3 values by type (scalars, classes,
 sublattices, pairs) and any other dataclass record as an object of its
 fields, so a record's field names are its JSON keys.
+
+The module loads only the lattice layer: a class or pair document imports
+the class types where it builds them, and a writer is found by the
+qualified name of a value's class, so finding one imports nothing.
 """
 
 from __future__ import annotations
@@ -20,20 +24,16 @@ import re
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import SchemaError, ValidationError
 from .intlinalg import IntMat, freeze
 from .lattices import IntegralLattice, Sublattice, diag_lattice, direct_sum, named_lattice, rescale
-from .mukai import (
-    DEG2_RANK,
-    MUKAI,
-    CohClass,
-    GCYClass,
-    GenericClass,
-    Member,
-)
-from .pairs import GeneralizedK3
 from .scalars import ComplexQuad, QuadScalar, check_field_tag
+
+if TYPE_CHECKING:
+    from .mukai import CohClass, GCYClass, GenericClass, Member
+    from .pairs import GeneralizedK3
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 BODY_KINDS = ("lattice", "sublattice", "class", "pair", "family")
@@ -147,8 +147,6 @@ def parse_lattice(node, path: str) -> IntegralLattice:
 
 def _parse_named(node, path: str) -> IntegralLattice:
     if isinstance(node, str):
-        if node == "Mukai":
-            return MUKAI
         try:
             return named_lattice(node)
         except ValidationError as e:
@@ -183,7 +181,9 @@ def _parse_named(node, path: str) -> IntegralLattice:
 def parse_sublattice(node, path: str) -> Sublattice:
     _expect_object(node, path, ("ambient", "basis"), ("basis",))
     ambient = (
-        parse_lattice(node["ambient"], f"{path}.ambient") if "ambient" in node else MUKAI
+        parse_lattice(node["ambient"], f"{path}.ambient")
+        if "ambient" in node
+        else named_lattice("Mukai")
     )
     basis = parse_int_matrix(node["basis"], f"{path}.basis", ambient.rank)
     try:
@@ -193,6 +193,8 @@ def parse_sublattice(node, path: str) -> Sublattice:
 
 
 def parse_class(node, path: str, sqrt_d: int | None) -> CohClass:
+    from .mukai import DEG2_RANK, CohClass
+
     _expect_object(node, path, ("deg0", "deg2", "deg4"), ("deg0", "deg2", "deg4"))
     deg2_node = node["deg2"]
     if not isinstance(deg2_node, list):
@@ -211,6 +213,8 @@ def parse_class(node, path: str, sqrt_d: int | None) -> CohClass:
 
 
 def parse_member(node, path: str, sqrt_d: int | None) -> CohClass | GenericClass:
+    from .mukai import GenericClass
+
     if isinstance(node, dict) and "generic" in node:
         _expect_object(node, path, ("generic", "type"), ("generic", "type"))
         support = parse_sublattice(node["generic"], f"{path}.generic")
@@ -281,6 +285,8 @@ def parse_document(text: str) -> Document:
     value = _BODY_PARSERS[kind](root[kind], f"document.{kind}", sqrt_d)
     bfield = None
     if "bfield" in root:
+        from .mukai import DEG2_RANK
+
         node = root["bfield"]
         if not isinstance(node, list) or len(node) != DEG2_RANK:
             _fail("document.bfield", f"expected {DEG2_RANK} real scalars")
@@ -309,7 +315,9 @@ def cplx_json(c: ComplexQuad):
 
 
 def class_json(x: CohClass | GCYClass) -> dict:
-    if isinstance(x, GCYClass):
+    from .mukai import GCYClass
+
+    if type(x) is GCYClass:
         x = x.coh
     return {
         "deg0": cplx_json(x.deg0),
@@ -323,13 +331,15 @@ def sublattice_json(s: Sublattice) -> dict:
     ambient is written as its Gram."""
     ambient = (
         {"named": "Mukai"}
-        if s.ambient.gram == MUKAI.gram
+        if s.ambient.gram == named_lattice("Mukai").gram
         else {"gram": [list(row) for row in s.ambient.gram]}
     )
     return {"ambient": ambient, "basis": [list(row) for row in s.basis]}
 
 
 def member_json(m: Member | CohClass) -> dict:
+    from .mukai import GenericClass
+
     if isinstance(m, GenericClass):
         return {"generic": sublattice_json(m.support), "type": m.type_tag}
     return class_json(m)
@@ -339,21 +349,24 @@ def pair_json(x: GeneralizedK3) -> dict:
     return {"phiA": member_json(x.phi_a), "phiB": member_json(x.phi_b)}
 
 
+# keyed by the qualified name of the exact class, so that no writer needs
+# the module of its class loaded
 _WRITERS = {
-    QuadScalar: quad_json,
-    ComplexQuad: cplx_json,
-    CohClass: class_json,
-    GCYClass: class_json,
-    GenericClass: member_json,
-    Sublattice: sublattice_json,
-    GeneralizedK3: pair_json,
+    "gk3.scalars.QuadScalar": quad_json,
+    "gk3.scalars.ComplexQuad": cplx_json,
+    "gk3.mukai.CohClass": class_json,
+    "gk3.mukai.GCYClass": class_json,
+    "gk3.mukai.GenericClass": member_json,
+    "gk3.lattices.Sublattice": sublattice_json,
+    "gk3.pairs.GeneralizedK3": pair_json,
 }
 
 
 def _by_type(x):
     """JSON form of a value the json module cannot write: a gk3 value by its
     writer above, any other dataclass record as a dict of its fields."""
-    write = _WRITERS.get(type(x))
+    cls = type(x)
+    write = _WRITERS.get(f"{cls.__module__}.{cls.__qualname__}")
     if write is not None:
         return write(x)
     if is_dataclass(x):

@@ -705,6 +705,51 @@ def test_python_dash_m_gk3(tmp_path):
 
 
 
+# gk3 modules that every command loads: the parser, the document format and
+# the lattice layer under it
+_CLI_CORE = {
+    "gk3", "gk3.cli", "gk3.errors", "gk3.intlinalg", "gk3.lattices", "gk3.scalars", "gk3.serialize"
+}
+_LOADED_BY_GROUP = {
+    "lattice": _CLI_CORE,
+    "class": _CLI_CORE | {"gk3.mukai"},
+    "gk3": _CLI_CORE | {"gk3.mukai", "gk3.pairs"},
+    "rigid": _CLI_CORE | {"gk3.mukai", "gk3.pairs", "gk3.rigidity"},
+    "mirror": _CLI_CORE | {"gk3.mukai", "gk3.pairs", "gk3.mirror"},
+}
+_RUN_AND_LIST_MODULES = (
+    "import sys\n"
+    "from gk3.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'gk3'), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        # a sublattice with no ambient lives in the Mukai lattice
+        (["lattice", "info"], {"sublattice": {"basis": [[1, 1] + [0] * 22]}}),
+        (["class", "check"], _kahler_doc()),
+        (["gk3", "ns-t"], _pair_doc()),
+        (["rigid", "kahler"], _pair_doc()),
+        (["mirror", "shioda-inose", "--n", "1"], None),
+    ],
+    ids=["lattice", "class", "gk3", "rigid", "mirror"],
+)
+def test_a_command_loads_only_its_group_modules(tmp_path, argv, doc):
+    args = argv if doc is None else [*argv, _write(tmp_path, "d.json", doc)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_MODULES, *args], capture_output=True, text=True,
+        env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout
+    assert set(proc.stderr.split()) == _LOADED_BY_GROUP[argv[0]]
+
+
 def _console_script(bin_dir: Path, name: str) -> None:
     """Write the launcher pip generates for ``[project.scripts][name]`` into ``bin_dir``."""
     try:

@@ -79,6 +79,21 @@ def test_named_constructors():
         named_lattice("nope")
 
 
+def test_named_mukai_is_the_old_mukai_gram_entry_by_entry():
+    """Mukai is U(-1) + K3: the pairing -r s' - s r' on the degree-0 and
+    degree-4 units (indices 0 and 1), then the K3 form on indices 2..23."""
+    k3 = k3_lattice().gram
+    old = [[0] * 24 for _ in range(24)]
+    old[0][1] = old[1][0] = -1
+    for i in range(22):
+        for j in range(22):
+            old[2 + i][2 + j] = k3[i][j]
+    got = named_lattice("Mukai").gram
+    assert [len(row) for row in got] == [24] * 24
+    assert [(i, j) for i in range(24) for j in range(24) if got[i][j] != old[i][j]] == []
+    assert named_lattice("Mukai") is MUKAI
+
+
 def test_builders():
     assert diag_lattice((2, -4)).gram == ((2, 0), (0, -4))
     assert rescale(hyperbolic_plane(), 3).gram == ((0, 3), (3, 0))

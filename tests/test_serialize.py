@@ -198,6 +198,22 @@ def test_sublattice_json_of_another_ambient_writes_its_gram():
     assert (back.ambient.gram, back.basis) == (sub.ambient.gram, sub.basis)
 
 
+# classes named like a gk3 value class but defined outside gk3: two in this
+# module, one in a module named like gk3's lattices
+_FOREIGN = [
+    type("QuadScalar", (), {}),
+    type("Sublattice", (), {}),
+    type("Sublattice", (), {"__module__": "lattices"}),
+]
+
+
+@pytest.mark.parametrize("cls", _FOREIGN, ids=lambda c: f"{c.__module__}.{c.__qualname__}")
+def test_a_foreign_class_with_a_gk3_name_is_not_written(cls):
+    assert cls.__qualname__ in ("QuadScalar", "Sublattice")
+    with pytest.raises(TypeError, match=f"cannot write a {cls.__name__} as JSON"):
+        dumps_canonical({"value": cls()})
+
+
 def test_non_mukai_generic_support_is_rejected():
     body = {
         "pair": {
