@@ -7,7 +7,7 @@ integer and rational arithmetic.
 
 ``import gk3`` loads no submodule: each public name below is imported
 from its home module on first use (PEP 562), so ``gk3.mirror_check``
-loads the mirror layer and what it needs, and ``gk3.det`` only the
+loads the mirror layer and what it needs, and ``gk3.hnf`` only the
 integer linear algebra.  A submodule is imported as usual, by
 ``import gk3.mukai``.
 """
@@ -21,7 +21,7 @@ _HOME = {
         "errors": "SchemaError ValidationError",
         "scalars": "ComplexQuad QuadScalar as_complex as_quad check_field_tag is_squarefree",
         "intlinalg": (
-            "SymDiagResult det hnf hnf_basis int_kernel saturate snf_divisors sym_signature"
+            "SymDiagResult hnf hnf_basis int_kernel saturate snf_divisors sym_signature"
         ),
         "lattices": (
             "HyperbolicSplit IntegralLattice Lattice MatchResult ReducedForm SplitNotFound"

@@ -4,8 +4,8 @@ Matrices are tuples of tuples of Python ints (rows).  Everything here is
 pure and deterministic: the Hermite normal form fixes a unique echelon
 representative for every row lattice, kernels and saturations are returned
 HNF-normalized, and signatures are computed by fraction-free (Bareiss)
-symmetric elimination, so neither floating point nor ``Fraction`` ever
-enters.
+symmetric elimination, whose last pivot is the determinant, so neither
+floating point nor ``Fraction`` ever enters.
 
 Conventions:
 
@@ -23,9 +23,7 @@ Conventions:
   k independent rows.  One elimination U m^T = [H; 0] over the k columns
   of m^T carries ``inv = U^-T`` (each row operation E is applied to it as
   E^-T, O(n) per operation); then m = H^T (U^-T)[:k], and the first k rows
-  of U^-T, part of a basis of Z^n, span the saturation.  ``is_saturated(m)``
-  reads the same elimination without ``inv``: m is saturated when every
-  pivot of H is 1.
+  of U^-T, part of a basis of Z^n, span the saturation.
 * ``pairing_block(gram_entries(g), xs, ys)`` is ``xs @ g @ ys^T`` and
   ``gram_rows(gram_entries(g), ys)`` holds ``g @ y`` for each row ``y``:
   the one sparse routine through which every Gram form is applied.
@@ -260,15 +258,6 @@ def saturate(m, ncols: int | None = None) -> IntMat:
     return hnf_basis(inv[:k])
 
 
-def is_saturated(m) -> bool:
-    """Whether Q-linearly independent rows span their own saturation: every
-    pivot of the HNF of m^T is 1 (module docstring)."""
-    cols = [list(c) for c in zip(*m)]
-    if _hnf_reduce(cols, len(m)) != len(m):
-        raise ValidationError("dependent basis")
-    return all(cols[i][i] == 1 for i in range(len(m)))
-
-
 def snf_divisors(m) -> tuple[int, ...]:
     """Smith normal form elementary divisors d_1 | d_2 | ... (zeros last).
 
@@ -295,34 +284,6 @@ def snf_divisors(m) -> tuple[int, ...]:
             divs[i], divs[j] = g, l
     nonzero = sorted(d for d in divs if d)
     return tuple(nonzero) + (0,) * (len(divs) - len(nonzero))
-
-
-def det(m) -> int:
-    """Signed determinant of a square integer matrix (Bareiss, exact)."""
-    a = list(map(list, freeze(m)))
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValidationError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = None
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    swap = i
-                    break
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -384,11 +345,15 @@ def sym_signature(g) -> SymDiagResult:
     g = freeze(g)
     if not is_symmetric(g):
         raise ValidationError("matrix not symmetric")
-    return _sym_signature(g)
+    return _sym_signature(g)[0]
 
 
-def _sym_signature(g) -> SymDiagResult:
-    """``sym_signature`` of a symmetric Gram with ``int`` entries."""
+def _sym_signature(g) -> tuple[SymDiagResult, int]:
+    """``sym_signature`` of a symmetric Gram with ``int`` entries, and its
+    determinant: the last fraction-free pivot is det g (Bareiss, Math. Comp.
+    22, 1968), since each swap and fold is a congruence by a matrix of
+    determinant +-1.  It is 0 when a zero direction was dropped, 1 for rank 0.
+    """
     t = [list(row[i:]) for i, row in enumerate(g)]
     n_plus = n_minus = n_zero = 0
     prev = 1
@@ -407,7 +372,7 @@ def _sym_signature(g) -> SymDiagResult:
             c = top[j]
             t[j - 1] = [(x * p - c * y) // prev for x, y in zip(row, top[j:])]
         prev = p
-    return SymDiagResult(n_plus, n_minus, n_zero)
+    return SymDiagResult(n_plus, n_minus, n_zero), 0 if n_zero else prev
 
 
 def hnf_coords(basis_hnf, x) -> IntVec | None:

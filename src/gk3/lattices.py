@@ -32,14 +32,12 @@ from .intlinalg import (
     IntVec,
     _egcd,
     SymDiagResult,
-    det,
     freeze,
     gram_entries,
     gram_rows,
     hnf_basis,
     hnf_coords,
     int_kernel,
-    is_saturated,
     is_symmetric,
     pairing_block,
     q_rank,
@@ -71,14 +69,19 @@ class Lattice:
         return gram_entries(self.gram)
 
     @cached_property
-    def _signature(self) -> SymDiagResult:
+    def _elimination(self) -> tuple[SymDiagResult, int]:
+        """The signature and the determinant, from one elimination."""
         return _sym_signature(self.gram)  # a Gram is symmetric by construction
+
+    @cached_property
+    def _signature(self) -> SymDiagResult:
+        return self._elimination[0]
 
     def signature(self) -> SymDiagResult:
         return self._signature
 
     def det(self) -> int:
-        return det(self.gram)
+        return self._elimination[1]
 
     @property
     def is_degenerate(self) -> bool:
@@ -124,15 +127,14 @@ def e8_minus() -> IntegralLattice:
         g[i][i] = -2
     for a, b in _E8_EDGES:
         g[a][b] = g[b][a] = 1
-    return IntegralLattice(freeze(g))
+    return IntegralLattice(g)
 
 
 def diag_lattice(entries) -> IntegralLattice:
-    """The diagonal lattice <k_1> + ... + <k_r>."""
-    ks = [int(k) for k in entries]
-    n = len(ks)
-    g = [[ks[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    return IntegralLattice(freeze(g))
+    """The diagonal lattice <k_1> + ... + <k_r>; each k_i must be an int."""
+    ks = tuple(entries)
+    zero = (0,) * len(ks)
+    return IntegralLattice(tuple(zero[:i] + (k,) + zero[i + 1 :] for i, k in enumerate(ks)))
 
 
 def direct_sum(*lattices: Lattice) -> IntegralLattice:
@@ -145,7 +147,7 @@ def direct_sum(*lattices: Lattice) -> IntegralLattice:
             for j in range(l.rank):
                 g[off + i][off + j] = l.gram[i][j]
         off += l.rank
-    return IntegralLattice(freeze(g))
+    return IntegralLattice(g)
 
 
 def rescale(l: IntegralLattice, k: int) -> IntegralLattice:
@@ -205,7 +207,7 @@ class Sublattice(Lattice):
             if sig_s.n_zero == 0:  # then the ambient is S + S^⊥ over Q
                 sig_l = self.ambient.signature()
                 return SymDiagResult(sig_l.n_plus - sig_s.n_plus, sig_l.n_minus - sig_s.n_minus, 0)
-        return _sym_signature(self.gram)
+        return self._elimination[0]
 
     @cached_property
     def _saturation(self) -> "Sublattice":
@@ -261,8 +263,9 @@ def ortho_complement(s: Sublattice) -> Sublattice:
 
 
 def is_primitive(s: Sublattice) -> bool:
-    """True when s equals its saturation (Q-span ∩ ambient)."""
-    return is_saturated(s.basis)
+    """True when s equals its saturation (Q-span ∩ ambient).  s lies in its
+    saturation, so this asks whether s contains the saturation it keeps."""
+    return s.contains(saturation(s))
 
 
 def saturation(s: Sublattice) -> Sublattice:
@@ -462,8 +465,7 @@ def _candidate_vectors(rank: int, radius: int):
 
 # Largest accepted search radius.  The search grows with the cube of the
 # radius: on U(2) + E8(-2)^2 + U(2), which has no split, radius 8 took
-# 5.5 s and radius 10 took 9.9 s (2-CPU VM, Python 3.11.7); slower
-# machines have taken up to 9 s at radius 8.
+# 7.0 to 8.9 s through the CLI in three runs (2-CPU VM, Python 3.11.7).
 MAX_SPLIT_RADIUS = 8
 
 

@@ -320,8 +320,7 @@ def build_si_mirror(n: int) -> tuple[FamilySpec, FamilySpec]:
     it preserves the Mukai pairing and carries NS(X) onto T(X') and T(X)
     onto NS(X') as equal HNF bases, or the builder raises ValidationError.
     """
-    n = int(n)
-    if n < 1:
+    if type(n) is not int or n < 1:  # a float or a bool is refused, not truncated
         raise ValidationError("n must be a positive integer")
     h = deg2_vector({0: 1, 1: n})
     sigma = check_gcy(

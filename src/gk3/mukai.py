@@ -265,9 +265,9 @@ def bfield_matrix(b_int) -> IntMat:
 
     Row i is the image of the i-th Mukai basis vector, so a class with
     integer coordinate row x maps to x @ M.  For integral B on an even
-    lattice the matrix is unimodular.
+    lattice the matrix is unimodular.  Coordinates must be ints.
     """
-    b = tuple(int(v) for v in b_int)
+    (b,) = freeze((b_int,))
     if len(b) != DEG2_RANK:
         raise ValidationError(f"b-field must have {DEG2_RANK} integer coordinates")
     (bk,) = gram_rows(K3.entries, (b,))  # <B, v> for each generator v

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .intlinalg import hnf_basis, matmul
+from .intlinalg import freeze, hnf_basis, matmul
 from .lattices import Sublattice, ortho_complement
 from .mukai import (
     MUKAI,
@@ -231,12 +231,13 @@ def transform_pair(b_int, x: GeneralizedK3) -> GeneralizedK3:
     Explicit members transform as classes; a generic member transforms by
     mapping its support through the (unimodular) matrix of exp(B).
     """
-    m = bfield_matrix(b_int)
+    (b,) = freeze((b_int,))
+    m = bfield_matrix(b)
 
     def move(member: Member) -> Member:
         if isinstance(member, GenericClass):
             new_basis = matmul(member.support.basis, m)
             return GenericClass(Sublattice(MUKAI, new_basis), member.type_tag)
-        return check_gcy(bfield_transform([int(v) for v in b_int], member.coh))
+        return check_gcy(bfield_transform(b, member.coh))
 
     return validate_gk3(move(x.phi_a), move(x.phi_b))

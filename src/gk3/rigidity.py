@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import ValidationError
-from .intlinalg import IntMat, gram_entries, hnf_basis, hnf_coords, pairing_block, saturate
+from .intlinalg import IntMat, freeze, gram_entries, hnf_basis, hnf_coords, pairing_block, saturate
 from .lattices import (
     IntegralLattice,
     Sublattice,
@@ -177,12 +177,14 @@ class SurveyConfig:
             raise ValidationError("max_det must be >= 1")
         if self.denominator_bound < 1:
             raise ValidationError("denominator bound must be >= 1")
-        object.__setattr__(self, "sqrt_d", tuple(int(d) for d in self.sqrt_d))
-        for h, name in ((self.h1, "h1"), (self.h2, "h2")):
+        # int entries only: a float or a Fraction is refused, not truncated
+        sqrt_d, h1, h2 = freeze((self.sqrt_d, self.h1, self.h2))
+        for h, name in ((h1, "h1"), (h2, "h2")):
             if len(h) != DEG2_RANK:
                 raise ValidationError(f"{name} must have {DEG2_RANK} integer coordinates")
-        object.__setattr__(self, "h1", tuple(int(v) for v in self.h1))
-        object.__setattr__(self, "h2", tuple(int(v) for v in self.h2))
+        object.__setattr__(self, "sqrt_d", sqrt_d)
+        object.__setattr__(self, "h1", h1)
+        object.__setattr__(self, "h2", h2)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import importlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
 
@@ -71,3 +72,35 @@ def test_import_gk3_loads_no_submodule():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["gk3"]
+
+
+_H = (1, 1) + (0,) * 20  # e1 + f1, the default positive plane's first vector
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gk3.diag_lattice([2.5, -2]),
+        lambda: gk3.diag_lattice([Fraction(5, 2)]),
+        lambda: gk3.diag_lattice([True]),
+        lambda: gk3.bfield_matrix([0.5] + [0] * 21),
+        lambda: gk3.bfield_matrix([1.9] + [0] * 21),
+        lambda: gk3.transform_pair([1.9] + [0] * 21, gk3.build_si_mirror(1)[0].member),
+        lambda: gk3.build_si_mirror(1.5),
+        lambda: gk3.build_si_mirror(True),
+        lambda: gk3.SurveyConfig(4, 2, sqrt_d=(2.7,)),
+        lambda: gk3.SurveyConfig(4, 2, h1=(1.5,) + _H[1:]),
+        lambda: gk3.SurveyConfig(4, 2, h2=(Fraction(1),) + _H[1:]),
+    ],
+    ids=[
+        "diag_lattice-float", "diag_lattice-Fraction", "diag_lattice-bool",
+        "bfield_matrix-0.5", "bfield_matrix-1.9", "transform_pair-1.9",
+        "build_si_mirror-1.5", "build_si_mirror-bool",
+        "SurveyConfig-sqrt_d", "SurveyConfig-h1", "SurveyConfig-h2",
+    ],
+)
+def test_entry_points_refuse_numbers_that_are_not_int(call):
+    # int() would truncate: diag_lattice([2.5, -2]) was <2> + <-2>,
+    # bfield_matrix([1.9, ...]) read B_0 = 1 and build_si_mirror(1.5) built n = 1
+    with pytest.raises(gk3.ValidationError, match=r"\bint"):
+        call()

@@ -58,6 +58,15 @@ def test_lattice_info(tmp_path, capsys):
     }
 
 
+def test_lattice_info_runs_one_elimination(tmp_path, capsys, signature_sizes):
+    # the determinant is the last pivot of the signature pass, which runs
+    # once for both; no second (Bareiss) elimination is left to run
+    path = _write(tmp_path, "g.json", {"lattice": {"gram": [[2, 1, 0], [1, 0, 3], [0, 3, -4]]}})
+    code, out = _run(capsys, ["lattice", "info", path])
+    assert code == 0 and out["signature"] == [2, 1, 0] and out["det"] == -14
+    assert signature_sizes == [3]
+
+
 def test_lattice_info_accepts_sublattice(tmp_path, capsys):
     body = {"sublattice": {"ambient": {"named": "U"}, "basis": [[1, 1]]}}
     code, out = _run(capsys, ["lattice", "info", _write(tmp_path, "s.json", body)])

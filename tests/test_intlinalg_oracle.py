@@ -20,14 +20,12 @@ from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 from gk3.errors import ValidationError
 from gk3.intlinalg import (
     _hnf_reduce,
-    det,
     gram_entries,
     gram_rows,
     hnf,
     hnf_basis,
     identity,
     int_kernel,
-    is_saturated,
     matmul,
     pairing_block,
     saturate,
@@ -169,9 +167,15 @@ def test_snf_divisors_match_sympy(m):
 
 
 @SETTINGS
-@given(int_matrices(square=True))
-def test_det_matches_sympy(m):
-    assert det(m) == Matrix(m).det()
+@given(symmetric_grams())
+@example(())
+@example(((0, 1), (1, 0)))
+@example(((0, 2, 3), (2, 0, 1), (3, 1, 0)))
+@example(((0, 0, 1), (0, 0, 0), (1, 0, 0)))
+def test_lattice_det_matches_sympy(g):
+    """The determinant read off the signature elimination, on random,
+    zero-diagonal (the fold path) and degenerate Grams; rank 0 gives 1."""
+    assert IntegralLattice(g).det() == Matrix(g).det()
 
 
 def _sign_changes(coeffs) -> int:
@@ -380,6 +384,6 @@ def test_int_kernel_matches_sympy(case):
     assert len(kernel) == n - (Matrix(m).rank() if m else 0)
     if m and kernel:
         assert (Matrix(m) * Matrix(kernel).T).is_zero_matrix
-    assert is_saturated(kernel)
+    assert saturate(kernel, n) == kernel
     assert hnf_basis(kernel, n) == kernel
     assert kernel == _forward_kernel(m, n)

@@ -238,7 +238,7 @@ def _nondegenerate_indefinite(draw) -> IntegralLattice:
             g[i][j] = g[j][i] = draw(st.integers(-4, 4))
     if draw(st.booleans()):
         g[0][0] = 0  # e_0 isotropic, so isotropic and degenerate S can be drawn
-    sig = _sym_signature(g)
+    sig, _ = _sym_signature(g)
     assume(sig.n_zero == 0 and sig.n_plus and sig.n_minus)
     return IntegralLattice(g)
 
@@ -278,18 +278,33 @@ def _sublattices(draw) -> Sublattice:
 def test_complement_signature_from_the_complemented_lattice(s):
     c = ortho_complement(s)
     cc = ortho_complement(c)
-    assert c.signature() == _sym_signature(c.gram)
-    assert cc.signature() == _sym_signature(cc.gram)
+    assert c.signature() == _sym_signature(c.gram)[0]
+    assert cc.signature() == _sym_signature(cc.gram)[0]
+
+
+def test_a_complement_eliminates_its_own_gram_only_for_det(signature_sizes):
+    u = hyperbolic_plane()
+    amb = direct_sum(u, u, diag_lattice((2,)))
+    c = ortho_complement(Sublattice(amb, ((1, 1, 0, 0, 0),)))
+    assert c.signature().as_tuple() == (2, 2, 0)
+    assert signature_sizes == [5, 1]  # the ambient and S, not the complement
+    assert c.det() == 4  # <-2> + U + <2>
+    assert c.det() == 4
+    assert signature_sizes == [5, 1, 4]
 
 
 def test_saturation_is_two_hnf_passes_and_primitivity_one(hnf_passes):
     rows = tuple(tuple(3 * x for x in row) for row in ((1, 2, 0, 5), (0, 1, 4, -1)))
     assert saturate(rows, 4) == ((1, 0, -8, 7), (0, 1, 4, -1))
     assert len(hnf_passes) == 2  # the elimination and the final normalization
-    s = Sublattice(diag_lattice((1, 1, 1, 1)), rows)
-    hnf_passes.clear()
-    assert not is_primitive(s)
-    assert len(hnf_passes) == 1
+    # primitivity reads the kept saturation; its containment test puts a
+    # basis that is not echelon in Hermite form (one pass), an echelon one not
+    for basis, passes in ((rows[::-1], 1), (rows, 0)):
+        s = Sublattice(diag_lattice((1, 1, 1, 1)), basis)
+        saturation(s)
+        hnf_passes.clear()
+        assert not is_primitive(s)
+        assert len(hnf_passes) == passes
 
 
 def test_primitivity_and_saturation():

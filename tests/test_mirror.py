@@ -31,6 +31,7 @@ from gk3.mirror import (
 )
 from gk3.mukai import CohClass, GenericClass, check_gcy, deg2_vector, exponential_class
 from gk3.pairs import neron_severi, transcendental, validate_gk3
+from gk3.serialize import dumps_canonical, parse_document
 
 EXPECTED_CLAUSES = (
     "K signature (2, rank-2)",
@@ -197,9 +198,26 @@ def test_si_builder_checks_one_isometry_and_no_rank22_genus(monkeypatch, signatu
     hnf_passes.clear()
     for fam in families:
         check_polarization(fam.polarization, fam.member)
-    # per family: two primitivity tests and the stacked spans; every
-    # containment reads coordinates in an echelon basis without elimination
-    assert len(hnf_passes) == 6
+    # per family: the stacked spans; K and L are NS and T, their own
+    # saturations, so primitivity runs no pass, and every containment
+    # reads coordinates in an echelon basis without elimination
+    assert len(hnf_passes) == 2
+
+
+def test_parsed_family_primitivity_reads_the_kept_saturations(hnf_passes):
+    from gk3.cli import _family_json, _family_of
+
+    for fam in build_si_mirror(1):
+        doc = parse_document(dumps_canonical({"family": _family_json(fam)}))
+        parsed = _family_of(doc)
+        neron_severi(parsed.member), transcendental(parsed.member)
+        hnf_passes.clear()
+        assert check_polarization(parsed.polarization, parsed.member).passed
+        # the saturations of K and L (2 passes each), the stacked spans (1)
+        # and each witness support with its saturation (3 each); primitivity
+        # reads the kept saturations, where a Hermite pass of its own per
+        # slot made 13
+        assert len(hnf_passes) == 11
 
 
 @pytest.mark.parametrize(
