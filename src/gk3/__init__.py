@@ -19,7 +19,7 @@ _HOME = {
     name: module
     for module, names in {
         "errors": "SchemaError ValidationError",
-        "scalars": "ComplexQuad QuadScalar as_complex as_quad check_field_tag is_squarefree",
+        "scalars": "ComplexQuad QuadScalar as_quad check_field_tag is_squarefree",
         "intlinalg": (
             "SymDiagResult hnf hnf_basis int_kernel saturate snf_divisors sym_signature"
         ),
@@ -31,7 +31,7 @@ _HOME = {
         ),
         "mukai": (
             "MUKAI CohClass GCYClass GenericClass PeriodPlane bfield_matrix bfield_transform"
-            " check_gcy coh_class decompose_type_a deg2_vector exponential_class"
+            " check_gcy deg2_vector exponential_class"
             " mukai_pairing period_plane support_lattice two_form_class"
         ),
         "pairs": (

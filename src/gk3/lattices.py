@@ -6,8 +6,9 @@ Q-linearly independent integer rows inside an ambient lattice.  Both are a
 ``Lattice``: a sublattice answers every lattice query (rank, parity, Gram,
 signature, determinant, definiteness) under its induced Gram, which it
 builds on first use, so every function here that takes a lattice takes a
-sublattice as it is.  A complement reads its signature off the lattice it
-complements when that one is the smaller (``ortho_complement``).  On top of
+sublattice as it is.  A complement reads its signature, and in a
+unimodular ambient its discriminant, off the lattice it complements when
+that one is the smaller (``ortho_complement``, ``discriminant``).  On top of
 these the module provides the standard toolbox: named constructors (the
 hyperbolic plane U, the negative definite E8 lattice, diagonal lattices,
 direct sums, rescalings, the K3 lattice U^3 + E8(-1)^2), orthogonal
@@ -276,11 +277,18 @@ def discriminant(l: Lattice) -> tuple[int, ...]:
     """Elementary divisors > 1 of the Gram matrix (the discriminant group).
 
     The product of the divisors is |det|; a unimodular lattice returns ().
+    A nondegenerate complement S^⊥ in a unimodular ambient reads them off
+    Sat(S) when S is the smaller lattice: the two discriminant groups are
+    isomorphic (Nikulin 1979, Prop. 1.6.1), so no larger Gram than the
+    complement's own is reduced.
     """
     if l.rank == 0:
         return ()
     if l.is_degenerate:
         raise ValidationError("degenerate lattice has no discriminant group")
+    s = l._complement_of if isinstance(l, Sublattice) else None
+    if s is not None and s.rank <= l.rank and abs(l.ambient.det()) == 1:
+        return discriminant(saturation(s))
     return tuple(d for d in snf_divisors(l.gram) if d > 1)
 
 
@@ -337,6 +345,8 @@ def gauss_reduce2(l: Lattice) -> ReducedForm:
 def enumerate_reduced_forms(max_det: int) -> tuple[IntMat, ...]:
     """All even positive definite reduced forms [[a,b],[b,c]] with
     0 <= 2b <= a <= c and determinant <= max_det, sorted lexicographically."""
+    if type(max_det) is not int:
+        raise ValidationError(f"max_det must be an int, got {max_det!r}")
     if max_det < 1:
         raise ValidationError("max_det must be >= 1")
     forms = []
@@ -470,7 +480,9 @@ MAX_SPLIT_RADIUS = 8
 
 
 def check_split_radius(radius: int) -> None:
-    """Refuse a search radius below 1 or above MAX_SPLIT_RADIUS."""
+    """Refuse a search radius that is not an int, below 1 or above MAX_SPLIT_RADIUS."""
+    if type(radius) is not int:
+        raise ValidationError(f"radius must be an int, got {radius!r}")
     if radius < 1:
         raise ValidationError(f"radius must be >= 1, got {radius}")
     if radius > MAX_SPLIT_RADIUS:

@@ -12,11 +12,13 @@ U, U, U, E8(-1), E8(-1)) it is an even unimodular lattice of signature
 
 A class is four integer rows (rational and sqrt(d) parts of Re and Im)
 over one denominator, with one field tag d; all class arithmetic is
-integer arithmetic on the rows.  A generalized Calabi-Yau class is
-one with <phi, phi> = 0 and <phi, conj phi> > 0, of type A when its
-degree-0 part is nonzero and type B otherwise.  A real degree-2 class B
-acts by the exponential transform (r, D, s) -> (r, D + rB, s + <B,D> +
-r B^2/2), an isometry that fixes degree 0.
+integer arithmetic on the rows.  The pairing and the supports take
+classes: exact coordinates become one by ``CohClass(deg0, deg2, deg4)``.
+A generalized Calabi-Yau class is one with <phi, phi> = 0 and
+<phi, conj phi> > 0, of type A when its degree-0 part is nonzero and
+type B otherwise.  A real degree-2 class B acts by the exponential
+transform (r, D, s) -> (r, D + rB, s + <B,D> + r B^2/2), an isometry
+that fixes degree 0.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from operator import mul
 
 from .errors import ValidationError
 from .intlinalg import IntMat, freeze, gram_rows, hnf_basis, pairing_block
-from .lattices import IntegralLattice, Sublattice, named_lattice, saturation
+from .lattices import Sublattice, named_lattice, saturation
 from .scalars import ComplexQuad, QuadScalar, as_quad, join_tags, quad_sign, shown
 
 DEG2_RANK = 22
@@ -186,24 +188,12 @@ class CohClass:
         return CohClass.from_rows(self.den * kden, d, _times(self.rows, [r[0] for r in krows], d))
 
 
-coh_class = CohClass  # a class from anything coercible to exact complex scalars
-
-
-def mukai_pairing(x, y):
-    """The Mukai pairing <x, y> = x2.y2 - x0*y4 - x4*y0 (symmetric, linear in each slot).
-
-    x and y are classes or 24-coordinate vectors (layout deg0, deg4, deg2)
-    of QuadScalar or ComplexQuad entries, converted to component rows at
-    entry; the 16 integer pairings of the rows sum to a ComplexQuad over
-    den * den', which is returned as a QuadScalar for two QuadScalar vectors.
-    """
-    u, v = (z if isinstance(z, CohClass) else CohClass.from_rows(*_rows_of(z)) for z in (x, y))
-    d = join_tags(u.d, v.d)
-    nums = _numerators(pairing_block(MUKAI.entries, u.rows, v.rows), d)
-    value = _complex(nums, u.den * v.den, d)
-    if isinstance(x, CohClass) or isinstance(y, CohClass):
-        return value
-    return value if any(isinstance(c, ComplexQuad) for c in (*x, *y)) else value.re
+def mukai_pairing(x: CohClass, y: CohClass) -> ComplexQuad:
+    """The Mukai pairing <x, y> = x2.y2 - x0*y4 - x4*y0 (symmetric, linear in
+    each slot): the 16 integer pairings of the two classes' component rows,
+    summed over den * den'."""
+    d = join_tags(x.d, y.d)
+    return _complex(_numerators(pairing_block(MUKAI.entries, x.rows, y.rows), d), x.den * y.den, d)
 
 
 def real_gram(vectors) -> tuple[tuple[QuadScalar, ...], ...]:
@@ -324,7 +314,7 @@ class GCYClass:
     @cached_property
     def support(self) -> Sublattice:
         """Smallest saturated sublattice of the Mukai lattice containing coh."""
-        return support_in(MUKAI, self.coh)
+        return support_in(self.coh)
 
 
 def check_gcy(x: CohClass) -> GCYClass:
@@ -363,18 +353,16 @@ class GenericClass:
 Member = GCYClass | GenericClass
 
 
-def support_in(ambient: IntegralLattice, coords) -> Sublattice:
-    """Smallest saturated sublattice of ``ambient`` whose complexification
-    contains a class or a complex coordinate vector.
+def support_in(x: CohClass) -> Sublattice:
+    """Smallest saturated sublattice of the Mukai lattice whose
+    complexification contains x.
 
     The nonzero component rows span it over Q; their integer span is
     saturated, so the rank is at most 4 and can drop when rows are
     dependent.
     """
-    n = ambient.rank
-    rows = coords.rows if isinstance(coords, CohClass) else _rows_of(coords)[2]
-    rows = [row for row in rows if any(row)]
-    return saturation(Sublattice(ambient, hnf_basis(rows, n)))
+    rows = [row for row in x.rows if any(row)]
+    return saturation(Sublattice(MUKAI, hnf_basis(rows, MUKAI_RANK)))
 
 
 def support_lattice(x: CohClass | GCYClass) -> Sublattice:
@@ -382,7 +370,7 @@ def support_lattice(x: CohClass | GCYClass) -> Sublattice:
     a GCYClass computes it once and keeps it."""
     if isinstance(x, GCYClass):
         return x.support
-    return support_in(MUKAI, x)
+    return support_in(x)
 
 
 @dataclass(frozen=True)
@@ -404,8 +392,8 @@ def period_plane(g: GCYClass) -> PeriodPlane:
     return PeriodPlane(*(tuple(c.re for c in v.coords24()) for v in (re, im)), gram)
 
 
-def exponential_class(b, omega, scale=1) -> CohClass:
-    """scale * exp(B + i omega) = scale * (1, B + i omega, ((B+i omega)^2)/2).
+def exponential_class(b, omega) -> CohClass:
+    """exp(B + i omega) = (1, B + i omega, ((B+i omega)^2)/2).
 
     B and omega are real degree-2 vectors; the result is a valid type A
     generalized Calabi-Yau class exactly when omega^2 > 0.  With
@@ -417,8 +405,7 @@ def exponential_class(b, omega, scale=1) -> CohClass:
     rows[0][DEG0] = 2 * e * e
     for row, v in zip(rows, sq):
         row[DEG4] = v
-    out = CohClass.from_rows(2 * e * e, d, rows)
-    return out if scale == 1 else out.scale(scale)
+    return CohClass.from_rows(2 * e * e, d, rows)
 
 
 def two_form_class(re22, im22) -> CohClass:
@@ -427,21 +414,14 @@ def two_form_class(re22, im22) -> CohClass:
 
 
 def deg2_vector(assignments: dict[int, object]) -> tuple:
-    """A sparse degree-2 coordinate vector from {index: value}."""
+    """A sparse degree-2 coordinate vector from {index: value}; an index is
+    an int in 0..21."""
     out = [0] * DEG2_RANK
     for i, v in assignments.items():
-        out[int(i)] = v
+        if type(i) is not int or not 0 <= i < DEG2_RANK:
+            raise ValidationError(f"degree-2 index must be an int in 0..{DEG2_RANK - 1}, got {i!r}")
+        out[i] = v
     return tuple(out)
-
-
-def decompose_type_a(g: GCYClass) -> tuple[ComplexQuad, tuple[QuadScalar, ...], tuple[QuadScalar, ...]]:
-    """Write a type A class as lambda * exp(B + i omega); returns (lambda, B, omega).
-
-    Valid for every type A generalized Calabi-Yau class: isotropy forces
-    the degree-4 part to equal (deg2/deg0)^2/2 times deg0.
-    """
-    b, w = type_a_parts(g)
-    return g.coh.deg0, tuple(c.re for c in b.deg2), tuple(c.re for c in w.deg2)
 
 
 def type_a_parts(g: GCYClass) -> tuple[CohClass, CohClass]:

@@ -183,18 +183,9 @@ class HKClassification:
     identities: tuple[Identity, ...]
 
 
-def classify_hk_pair(x, phi_b=None) -> HKClassification:
-    """Classify an explicit pair by the types of its members.
-
-    Accepts a GeneralizedK3 or two explicit classes; generic members
-    cannot be classified.
-    """
-    if phi_b is None:
-        if not isinstance(x, GeneralizedK3):
-            raise ValidationError("classification needs a pair or two classes")
-        phi_a, phi_b = x.phi_a, x.phi_b
-    else:
-        phi_a = x
+def classify_hk_pair(phi_a, phi_b) -> HKClassification:
+    """Classify two explicit classes by their types; generic members
+    cannot be classified."""
     a = _coerce_member(phi_a)
     b = _coerce_member(phi_b)
     if isinstance(a, GenericClass) or isinstance(b, GenericClass):

@@ -99,7 +99,7 @@ def is_complex_rigid(x: GeneralizedK3) -> RigidityReport:
         return verdict
     # degree 2 is an orthogonal summand of the Mukai lattice isometric to
     # K3, so this support carries the K3 Gram of sigma's support
-    sigma_support = support_in(MUKAI, b.coh.deg2_part())
+    sigma_support = support_in(b.coh.deg2_part())
     if sigma_support.rank != 2:
         return RigidityReport(
             "NotRigid",
@@ -173,11 +173,12 @@ class SurveyConfig:
     h2: tuple[int, ...] = DEFAULT_H2
 
     def __post_init__(self):
-        if self.max_det < 1:
-            raise ValidationError("max_det must be >= 1")
-        if self.denominator_bound < 1:
-            raise ValidationError("denominator bound must be >= 1")
-        # int entries only: a float or a Fraction is refused, not truncated
+        # ints only: a float, a Fraction or a bool is refused, not truncated
+        for value, name in ((self.max_det, "max_det"), (self.denominator_bound, "denominator bound")):
+            if type(value) is not int:
+                raise ValidationError(f"{name} must be an int, got {value!r}")
+            if value < 1:
+                raise ValidationError(f"{name} must be >= 1")
         sqrt_d, h1, h2 = freeze((self.sqrt_d, self.h1, self.h2))
         for h, name in ((h1, "h1"), (h2, "h2")):
             if len(h) != DEG2_RANK:

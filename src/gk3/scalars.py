@@ -3,7 +3,8 @@
 A ``QuadScalar`` is (p + q*sqrt(d)) / n in the normal form n > 0,
 gcd(p, q, n) = 1, with a squarefree integer tag d >= 2, None exactly
 when q = 0 (the form of class rows, ``mukai``); a = p/n and b = q/n are
-Fractions built when read.  A ``ComplexQuad`` is built from two of them.
+Fractions built when read.  A ``ComplexQuad`` is built from two of them;
+``ComplexQuad(x)`` takes an int, Fraction or QuadScalar as a real value.
 They are the parse, print and result types, and keep only the ring
 operations (integer arithmetic, then one gcd), exact sign and equality.
 Division in Q(sqrt d) runs only on class rows (``mukai.type_a_parts``).
@@ -301,17 +302,6 @@ class ComplexQuad:
         if self.re.is_zero:
             return f"({self.im})*i"
         return f"({self.re}) + ({self.im})*i"
-
-
-CQ_ZERO = ComplexQuad(0)
-
-
-def as_complex(x) -> ComplexQuad:
-    """Coerce an int, Fraction, QuadScalar or ComplexQuad to a ComplexQuad."""
-    z = ComplexQuad._coerce(x)
-    if z is None:
-        raise ValidationError(f"cannot interpret {x!r} as an exact complex scalar")
-    return z
 
 
 def shown(x) -> str:

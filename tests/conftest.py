@@ -44,3 +44,16 @@ def signature_sizes(monkeypatch) -> list:
         gk3.lattices, "_sym_signature", lambda g: sizes.append(len(g)) or sym_signature(g)
     )
     return sizes
+
+
+@pytest.fixture
+def snf_sizes(monkeypatch) -> list:
+    """Record the size of each Smith reduction behind a discriminant: wraps
+    ``lattices.snf_divisors``; the returned list grows by ``len(gram)`` per
+    call."""
+    snf_divisors = gk3.lattices.snf_divisors
+    sizes = []
+    monkeypatch.setattr(
+        gk3.lattices, "snf_divisors", lambda g: sizes.append(len(g)) or snf_divisors(g)
+    )
+    return sizes

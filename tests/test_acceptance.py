@@ -58,7 +58,7 @@ from gk3.rigidity import (
     kahler_rigid_survey,
 )
 from gk3.lattices import k3_lattice
-from gk3.scalars import ComplexQuad, QuadScalar, as_complex, as_quad
+from gk3.scalars import ComplexQuad, QuadScalar, as_quad
 
 SQRT2 = QuadScalar(Fraction(0), Fraction(1), 2)
 
@@ -89,7 +89,7 @@ def _random_sparse_class(rng: random.Random) -> CohClass:
             QuadScalar(Fraction(rng.randint(-3, 3))),
         )
 
-    deg2 = [as_complex(0)] * 22
+    deg2 = [ComplexQuad(0)] * 22
     for i in rng.sample(range(22), 6):
         deg2[i] = scalar()
     return CohClass(scalar(), tuple(deg2), scalar())
@@ -138,7 +138,7 @@ def test_criterion_3_support_ranks():
             )
             # components (1,0,0), (0,0,n), (0,H,0) of the sqrt(2) expansion
             deg2 = tuple(ComplexQuad(as_quad(0), SQRT2 * v) for v in h)
-            psi = CohClass(as_complex(1), deg2, ComplexQuad(SQRT2 * as_quad(-n)))
+            psi = CohClass(ComplexQuad(1), deg2, ComplexQuad(SQRT2 * as_quad(-n)))
             assert support_lattice(psi).rank == 3
 
 
@@ -220,9 +220,9 @@ def test_criterion_8_interpolation():
     with _Gate(8, "t + sigma: type A for rational t != 0, type B at t = 0", 1.0):
         sigma = two_form_class(deg2_vector({2: 1, 3: 1}), deg2_vector({4: 1, 5: 1}))
         for t in (Fraction(1), Fraction(-2), Fraction(3, 7), Fraction(1, 100)):
-            phi_t = CohClass(as_complex(t), sigma.deg2, sigma.deg4)
+            phi_t = CohClass(ComplexQuad(t), sigma.deg2, sigma.deg4)
             assert check_gcy(phi_t).type_tag == "A"
-        assert check_gcy(CohClass(as_complex(0), sigma.deg2, sigma.deg4)).type_tag == "B"
+        assert check_gcy(CohClass(ComplexQuad(0), sigma.deg2, sigma.deg4)).type_tag == "B"
 
 
 def _suite_complement_involution(rng: random.Random) -> int:

@@ -41,8 +41,11 @@ def test_each_export_is_its_home_module_object():
 
 
 def test_an_unknown_name_is_an_attribute_error():
-    with pytest.raises(AttributeError, match="module 'gk3' has no attribute 'induced_lattice'"):
-        gk3.induced_lattice
+    # induced_lattice and the second names of CohClass, type_a_parts and
+    # ComplexQuad were removed
+    for name in ("induced_lattice", "coh_class", "decompose_type_a", "as_complex"):
+        with pytest.raises(AttributeError, match=f"module 'gk3' has no attribute '{name}'"):
+            getattr(gk3, name)
 
 
 def test_dir_lists_the_exports():
@@ -91,16 +94,32 @@ _H = (1, 1) + (0,) * 20  # e1 + f1, the default positive plane's first vector
         lambda: gk3.SurveyConfig(4, 2, sqrt_d=(2.7,)),
         lambda: gk3.SurveyConfig(4, 2, h1=(1.5,) + _H[1:]),
         lambda: gk3.SurveyConfig(4, 2, h2=(Fraction(1),) + _H[1:]),
+        lambda: gk3.kahler_rigid_survey(gk3.SurveyConfig(4.5, 1)),
+        lambda: gk3.SurveyConfig(4, 1.5),
+        lambda: gk3.SurveyConfig(Fraction(9, 2), 1),
+        lambda: gk3.SurveyConfig(True, 1),
+        lambda: gk3.find_hyperbolic_split(gk3.k3_lattice(), radius=2.5),
+        lambda: gk3.find_hyperbolic_split(gk3.k3_lattice(), radius=True),
+        lambda: gk3.dolgachev_mirror(gk3.Sublattice(gk3.k3_lattice(), (_H,)), radius=2.5),
+        lambda: gk3.enumerate_reduced_forms(4.5),
+        lambda: gk3.deg2_vector({1.5: 1}),
+        lambda: gk3.deg2_vector({True: 1}),
     ],
     ids=[
         "diag_lattice-float", "diag_lattice-Fraction", "diag_lattice-bool",
         "bfield_matrix-0.5", "bfield_matrix-1.9", "transform_pair-1.9",
         "build_si_mirror-1.5", "build_si_mirror-bool",
         "SurveyConfig-sqrt_d", "SurveyConfig-h1", "SurveyConfig-h2",
+        "kahler_rigid_survey-max_det-4.5", "SurveyConfig-denominator_bound-1.5",
+        "SurveyConfig-max_det-Fraction", "SurveyConfig-max_det-bool",
+        "find_hyperbolic_split-2.5", "find_hyperbolic_split-bool", "dolgachev_mirror-2.5",
+        "enumerate_reduced_forms-4.5", "deg2_vector-1.5", "deg2_vector-bool",
     ],
 )
 def test_entry_points_refuse_numbers_that_are_not_int(call):
     # int() would truncate: diag_lattice([2.5, -2]) was <2> + <-2>,
-    # bfield_matrix([1.9, ...]) read B_0 = 1 and build_si_mirror(1.5) built n = 1
+    # bfield_matrix([1.9, ...]) read B_0 = 1, build_si_mirror(1.5) built n = 1,
+    # enumerate_reduced_forms(4.5) listed the forms up to 4 and deg2_vector
+    # set index 1 for 1.5; a bool ran as 1
     with pytest.raises(gk3.ValidationError, match=r"\bint"):
         call()

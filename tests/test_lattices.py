@@ -17,6 +17,7 @@ from gk3.intlinalg import (
     int_kernel,
     matmul,
     saturate,
+    snf_divisors,
     transpose,
 )
 from gk3.lattices import (
@@ -280,6 +281,32 @@ def test_complement_signature_from_the_complemented_lattice(s):
     cc = ortho_complement(c)
     assert c.signature() == _sym_signature(c.gram)[0]
     assert cc.signature() == _sym_signature(cc.gram)[0]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_sublattices())
+@example(Sublattice(k3_lattice(), ((1, 2) + (0,) * 20,)))  # <4>: A(S^⊥) = Z/4
+@example(Sublattice(MUKAI, ((0, 0, 2, 2) + (0,) * 20,)))  # not primitive: Sat(S) = <4>
+@example(Sublattice(MUKAI, ((1, 1) + (0,) * 22, (0, 0, 1, 3) + (0,) * 20)))
+def test_complement_discriminant_from_the_complemented_lattice(s):
+    # in K3 and Mukai a complement of the smaller S reads its divisors off
+    # Sat(S); in the other ambients it reduces its own Gram
+    c = ortho_complement(s)
+    assume(not c.is_degenerate)
+    assert discriminant(c) == tuple(d for d in snf_divisors(c.gram) if d > 1)
+
+
+def test_a_complement_reads_its_discriminant_off_the_saturation(snf_sizes):
+    k3 = k3_lattice()
+    c = ortho_complement(Sublattice(k3, ((2, 4) + (0,) * 20, (0, 0, 1, 1) + (0,) * 18)))
+    assert c.rank == 20
+    assert discriminant(c) == (2, 4)  # <4> + <2>, as for Sat(S)
+    assert snf_sizes == [2]
+    # outside a unimodular ambient the groups differ (here S = <2>), so the
+    # complement reduces its own Gram, <-2> + <2> + <-6>
+    amb = direct_sum(hyperbolic_plane(), diag_lattice((2, -6)))
+    assert discriminant(ortho_complement(Sublattice(amb, ((1, 1, 0, 0),)))) == (2, 2, 6)
+    assert snf_sizes == [2, 3]
 
 
 def test_a_complement_eliminates_its_own_gram_only_for_det(signature_sizes):

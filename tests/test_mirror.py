@@ -162,6 +162,20 @@ def test_si_mirror_check_eliminates_no_rank22_gram(signature_sizes):
     assert signature_sizes and 22 not in signature_sizes
 
 
+def test_si_pairs_reduce_no_rank22_gram_for_a_discriminant(snf_sizes, capsys):
+    # each rank-22 NS or T reads its discriminant off the rank-2 support it
+    # complements.  Building and checking the pairs and the CLI handler's
+    # ns_x report used to run 90 Smith reductions, all on rank-22 Grams:
+    # 4 per mirror_check and 1 per report, for each n
+    from gk3.cli import main
+
+    for n in range(1, 11):
+        assert mirror_check(*build_si_mirror(n)).verified
+        assert main(["mirror", "shioda-inose", "--n", str(n)]) == 0
+    capsys.readouterr()
+    assert snf_sizes == [2] * 90
+
+
 def test_dolgachev_mirror_eliminates_neither_perp_nor_n(signature_sizes):
     # kp^⊥ (rank 21) reads its signature off kp; the dual side N^⊥ (rank 3)
     # eliminates its own Gram, not that of N (rank 19)

@@ -24,8 +24,6 @@ from gk3.mukai import (
     bfield_matrix,
     bfield_transform,
     check_gcy,
-    coh_class,
-    decompose_type_a,
     deg2_vector,
     exponential_class,
     mukai_pairing,
@@ -33,8 +31,9 @@ from gk3.mukai import (
     support_in,
     support_lattice,
     two_form_class,
+    type_a_parts,
 )
-from gk3.scalars import CQ_ZERO, ComplexQuad, QuadScalar, as_complex, as_quad
+from gk3.scalars import ComplexQuad, QuadScalar, as_quad
 
 SQRT2 = QuadScalar(Fraction(0), Fraction(1), 2)
 
@@ -42,7 +41,7 @@ SQRT2 = QuadScalar(Fraction(0), Fraction(1), 2)
 def _unit(index: int) -> CohClass:
     coords = [0] * 24
     coords[index] = 1
-    return coh_class(coords[0], coords[2:], coords[1])
+    return CohClass(coords[0], coords[2:], coords[1])
 
 
 def _random_class(rng: random.Random, d: int | None = None) -> CohClass:
@@ -56,7 +55,7 @@ def _random_class(rng: random.Random, d: int | None = None) -> CohClass:
 
 def _brute_pairing(x: CohClass, y: CohClass) -> ComplexQuad:
     xs, ys = x.coords24(), y.coords24()
-    acc = CQ_ZERO
+    acc = ComplexQuad(0)
     for i in range(24):
         for j in range(24):
             if MUKAI_GRAM[i][j]:
@@ -72,9 +71,9 @@ def test_ambient_invariants():
 
 
 def test_pairing_cross_term():
-    assert mukai_pairing(_unit(0), _unit(1)) == as_complex(-1)
-    v1 = coh_class(1, [0] * 22, -1)
-    assert mukai_pairing(v1, v1) == as_complex(2)
+    assert mukai_pairing(_unit(0), _unit(1)) == ComplexQuad(-1)
+    v1 = CohClass(1, [0] * 22, -1)
+    assert mukai_pairing(v1, v1) == ComplexQuad(2)
 
 
 def test_pairing_matches_dense_gram_expansion():
@@ -118,23 +117,23 @@ def _vector_pairs(draw):
             return tuple(ComplexQuad(re, im) for re, im in zip(quads[::2], quads[1::2]))
         return tuple(quads)
 
-    return vector(), vector(), ComplexQuad if is_complex else QuadScalar
+    return vector(), vector()
 
 
 @settings(max_examples=100, deadline=None)
 @given(_vector_pairs())
 def test_pairing_matches_dense_double_sum(pair):
-    u, v, kind = pair
-    got = mukai_pairing(u, v)
+    u, v = pair
+    got = mukai_pairing(_class_of(u), _class_of(v))
+    # for real vectors the oracle is a QuadScalar: got.re equals it, got.im is 0
     assert got == _dense_pairing(MUKAI_GRAM, u, v)
-    assert type(got) is kind
 
 
 def test_support_is_computed_once_per_gcy_class(monkeypatch):
     calls = []
     support_in = gk3.mukai.support_in
     monkeypatch.setattr(
-        gk3.mukai, "support_in", lambda amb, coords: calls.append(1) or support_in(amb, coords)
+        gk3.mukai, "support_in", lambda x: calls.append(1) or support_in(x)
     )
     g = check_gcy(exponential_class(deg2_vector({0: 1}), deg2_vector({0: 1, 1: 2})))
     first = support_lattice(g)
@@ -152,8 +151,8 @@ def test_bfield_zero_is_identity():
 def test_bfield_on_unit_degree_zero():
     b = deg2_vector({0: 1, 1: 1})  # B^2 = 2
     out = bfield_transform(b, _unit(0))
-    assert out.deg0 == as_complex(1)
-    assert out.deg4 == as_complex(1)
+    assert out.deg0 == ComplexQuad(1)
+    assert out.deg4 == ComplexQuad(1)
     assert [c.re for c in out.deg2[:2]] == [as_quad(1), as_quad(1)]
 
 
@@ -182,7 +181,7 @@ def test_bfield_matrix_is_unimodular_and_matches_transform():
         moved = bfield_transform(b, x)
         xs = x.coords24()
         for col in range(24):
-            acc = CQ_ZERO
+            acc = ComplexQuad(0)
             for row in range(24):
                 if m[row][col]:
                     acc = acc + xs[row] * m[row][col]
@@ -221,16 +220,16 @@ def test_check_gcy_type_b_example():
 def test_check_gcy_interpolation():
     sigma = two_form_class(deg2_vector({2: 1, 3: 1}), deg2_vector({4: 1, 5: 1}))
     for t, tag in ((Fraction(1), "A"), (Fraction(-3, 2), "A"), (Fraction(0), "B")):
-        phi_t = CohClass(as_complex(t), sigma.deg2, sigma.deg4)
+        phi_t = CohClass(ComplexQuad(t), sigma.deg2, sigma.deg4)
         assert check_gcy(phi_t).type_tag == tag
 
 
 def test_check_gcy_error_names_the_failed_condition():
     with pytest.raises(ValidationError, match="not isotropic"):
-        check_gcy(coh_class(1, [0] * 22, 1))  # <phi,phi> = -2
+        check_gcy(CohClass(1, [0] * 22, 1))  # <phi,phi> = -2
     with pytest.raises(ValidationError, match="not positive"):
         # real isotropic vector pairs to 0 with its own conjugate
-        check_gcy(coh_class(1, [0] * 22, 0))
+        check_gcy(CohClass(1, [0] * 22, 0))
 
 
 def test_real_imaginary_split_of_isotropy():
@@ -263,12 +262,12 @@ def test_support_rank3_expansion():
     # rational components even though no exact e^{i eps H} exists
     h = deg2_vector({0: 1, 1: 1})
     deg2 = tuple(ComplexQuad(as_quad(0), SQRT2 * v) for v in h)
-    psi = CohClass(as_complex(1), deg2, ComplexQuad(-SQRT2))
+    psi = CohClass(ComplexQuad(1), deg2, ComplexQuad(-SQRT2))
     assert len(support_lattice(psi).basis) == 3
 
 
 def test_support_clears_denominators():
-    sup = support_in(MUKAI, [as_complex(Fraction(1, 2)) if i == 0 else CQ_ZERO for i in range(24)])
+    sup = support_in(CohClass(Fraction(1, 2), [0] * 22, 0))
     assert sup.basis == ((1,) + (0,) * 23,)
 
 
@@ -305,14 +304,21 @@ def test_period_plane_rejects_real_classes():
 def test_decompose_type_a_roundtrip():
     b = deg2_vector({2: Fraction(1, 2), 3: 1})
     w = deg2_vector({0: 1, 1: 2})
-    g = check_gcy(exponential_class(b, w, scale=3))
-    lam, b_out, w_out = decompose_type_a(g)
-    assert lam == as_complex(3)
-    assert [str(v) for v in b_out[:4]] == ["0", "0", "1/2", "1"]
-    assert [str(v) for v in w_out[:2]] == ["1", "2"]
+    g = check_gcy(exponential_class(b, w).scale(3))
+    b_out, w_out = type_a_parts(g)
+    assert g.coh.deg0 == ComplexQuad(3)
+    assert [str(v) for v in b_out.deg2[:4]] == ["0", "0", "1/2", "1"]
+    assert [str(v) for v in w_out.deg2[:2]] == ["1", "2"]
     sigma = check_gcy(two_form_class(deg2_vector({2: 1, 3: 1}), deg2_vector({4: 1, 5: 1})))
     with pytest.raises(ValidationError, match="type A"):
-        decompose_type_a(sigma)
+        type_a_parts(sigma)
+
+
+def test_deg2_vector_refuses_an_index_outside_0_to_21():
+    assert deg2_vector({21: 5})[21] == 5
+    for bad in (-1, 22):  # -1 would set index 21
+        with pytest.raises(ValidationError, match=rf"index must be an int in 0\.\.21, got {bad}"):
+            deg2_vector({bad: 1})
 
 
 def test_generic_class_validation():
@@ -371,7 +377,7 @@ def test_member_helpers_on_explicit_classes():
 def _ref_pairing(xs, ys) -> ComplexQuad:
     """Mukai pairing of two 24-coordinate vectors, one ComplexQuad term per
     nonzero Gram entry."""
-    acc = CQ_ZERO
+    acc = ComplexQuad(0)
     for i, row in enumerate(MUKAI_GRAM):
         for j, g in enumerate(row):
             if g and not xs[i].is_zero and not ys[j].is_zero:
@@ -381,7 +387,7 @@ def _ref_pairing(xs, ys) -> ComplexQuad:
 
 def _ref_bfield(b, xs) -> list:
     """exp(B): (r, D, s) -> (r, D + rB, s + <B,D> + r B^2/2) on coordinates."""
-    bvec = [CQ_ZERO, CQ_ZERO] + [as_complex(v) for v in b]
+    bvec = [ComplexQuad(0), ComplexQuad(0)] + [ComplexQuad(v) for v in b]
     r = xs[0]
     deg4 = xs[1] + _ref_pairing(bvec, xs) + r * _ref_pairing(bvec, bvec) * Fraction(1, 2)
     return [r, deg4] + [x + r * v for x, v in zip(xs[2:], bvec[2:])]
@@ -389,8 +395,8 @@ def _ref_bfield(b, xs) -> list:
 
 def _ref_exponential(b, w) -> list:
     """exp(B + i omega) = (1, B + i omega, (B + i omega)^2 / 2) on coordinates."""
-    z = [CQ_ZERO, CQ_ZERO] + [ComplexQuad(u, v) for u, v in zip(b, w)]
-    return [as_complex(1), _ref_pairing(z, z) * Fraction(1, 2)] + z[2:]
+    z = [ComplexQuad(0), ComplexQuad(0)] + [ComplexQuad(u, v) for u, v in zip(b, w)]
+    return [ComplexQuad(1), _ref_pairing(z, z) * Fraction(1, 2)] + z[2:]
 
 
 def _ref_support_basis(xs) -> tuple:
@@ -442,7 +448,7 @@ def _inverse(k: ComplexQuad) -> ComplexQuad:
 @st.composite
 def _vectors(draw, d, size, real=False):
     """A sparse or dense vector over Q(sqrt d) (d None: rational)."""
-    zero = as_quad(0) if real else CQ_ZERO
+    zero = as_quad(0) if real else ComplexQuad(0)
     if draw(st.booleans()):
         return [draw(_scalars(d, real)) for _ in range(size)]
     slots = draw(st.sets(st.integers(0, size - 1), max_size=6))
@@ -468,7 +474,7 @@ def test_row_form_matches_the_per_coordinate_algorithm(case):
     assert bfield_transform(b, x) == _class_of(_ref_bfield(b, xs))
     assert x.conjugate() == _class_of([c.conjugate() for c in xs])
     assert x.scale(k) == _class_of([c * k for c in xs])
-    assert support_in(MUKAI, x).basis == _ref_support_basis(xs)
+    assert support_in(x).basis == _ref_support_basis(xs)
     w = [c.re for c in ys[2:]]
     assert exponential_class(b, w) == _class_of(_ref_exponential(b, w))
     for cls in (x, exponential_class(b, w), two_form_class(b, w)):
@@ -488,7 +494,7 @@ def test_row_form_is_a_normal_form(case):
     x = _class_of(xs)
     if not k.is_zero:
         # the same value through a common factor and back
-        assert k * _inverse(k) == as_complex(1)
+        assert k * _inverse(k) == ComplexQuad(1)
         again = x.scale(k).scale(_inverse(k))
         assert again == x and hash(again) == hash(x)
         assert (again.den, again.d, again.rows) == (x.den, x.d, x.rows)
@@ -499,10 +505,10 @@ def test_row_form_is_a_normal_form(case):
 
 
 def test_normal_form_of_a_cancelled_class():
-    x = coh_class(Fraction(2, 4), [Fraction(6, 4)] + [0] * 21, QuadScalar(Fraction(0), Fraction(1), 2) * 0)
+    x = CohClass(Fraction(2, 4), [Fraction(6, 4)] + [0] * 21, QuadScalar(Fraction(0), Fraction(1), 2) * 0)
     assert (x.den, x.d) == (2, None)
     assert x.rows[0][:3] == (1, 0, 3)
-    assert x == coh_class(Fraction(1, 2), [Fraction(3, 2)] + [0] * 21, 0)
+    assert x == CohClass(Fraction(1, 2), [Fraction(3, 2)] + [0] * 21, 0)
 
 
 def _h(i: int) -> tuple:
@@ -529,9 +535,10 @@ def _type_a_cases(draw):
 @given(_type_a_cases())
 def test_decompose_type_a_recovers_lambda_b_omega(case):
     lam, b, omega = case
-    g = check_gcy(exponential_class(b, omega, scale=lam))
+    g = check_gcy(exponential_class(b, omega).scale(lam))
     assert g.type_tag == "A"
-    assert decompose_type_a(g) == (lam, tuple(map(as_quad, b)), omega)
+    assert g.coh.deg0 == lam
+    assert type_a_parts(g) == (CohClass(0, b, 0), CohClass(0, omega, 0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -546,6 +553,6 @@ def test_period_plane_gram_is_half_the_norm(case, type_b):
         w, turned = (s0, s0, s1, s1) + zeros, (-s1, -s1, s0, s0) + zeros
         g = GCYClass(two_form_class(w, turned).scale(lam))
     else:
-        g = GCYClass(exponential_class(b, omega, scale=lam))
+        g = GCYClass(exponential_class(b, omega).scale(lam))
     half = g.norm * Fraction(1, 2)
     assert period_plane(g).gram == ((half, as_quad(0)), (as_quad(0), half))

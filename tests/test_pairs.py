@@ -13,7 +13,6 @@ from gk3.mukai import (
     GenericClass,
     bfield_transform,
     check_gcy,
-    coh_class,
     deg2_vector,
     exponential_class,
     period_plane,
@@ -29,7 +28,7 @@ from gk3.pairs import (
     transform_pair,
     validate_gk3,
 )
-from gk3.scalars import ComplexQuad, QuadScalar, as_complex, as_quad
+from gk3.scalars import ComplexQuad, QuadScalar, as_quad
 
 
 def _kahler_class(n: int = 1):
@@ -143,7 +142,8 @@ def test_signature_profile():
 
 
 def test_classify_standard_case():
-    out = classify_hk_pair(validate_gk3(_kahler_class(), _holomorphic_form()))
+    x = validate_gk3(_kahler_class(), _holomorphic_form())
+    out = classify_hk_pair(x.phi_a, x.phi_b)
     assert out.case == "B-with-A"
     assert out.orthogonal
     assert out.norms_match
@@ -156,7 +156,8 @@ def test_classify_type_a_partner_identities():
     a = _kahler_class()  # omega = e1 + f1
     b_rel = deg2_vector({4: 1, 5: 2})  # square 4 = 2 + 2
     partner = check_gcy(exponential_class(b_rel, deg2_vector({2: 1, 3: 1})))
-    out = classify_hk_pair(validate_gk3(a, partner))
+    x = validate_gk3(a, partner)
+    out = classify_hk_pair(x.phi_a, x.phi_b)
     assert out.case == "A-with-A"
     assert out.orthogonal and out.norms_match
     names = [i.name for i in out.identities]
@@ -185,7 +186,7 @@ def test_classify_rejects_generic_members():
     sigma = _holomorphic_form()
     x = validate_gk3(GenericClass(neron_severi(validate_gk3(_kahler_class(), sigma)), "A"), sigma)
     with pytest.raises(ValidationError, match="explicit"):
-        classify_hk_pair(x)
+        classify_hk_pair(x.phi_a, x.phi_b)
 
 
 def test_transform_pair_is_equivariant():
@@ -257,6 +258,6 @@ def test_pi_gram_is_half_the_norm(case):
     assert x.pi.gram == tuple(tuple(half if i == j else zero for j in range(4)) for i in range(4))
     for member in (x.phi_a, x.phi_b):
         assert period_plane(member).gram == ((half, zero), (zero, half))
-    out = classify_hk_pair(x)
+    out = classify_hk_pair(x.phi_a, x.phi_b)
     assert out.case == name and out.orthogonal and out.norms_match
     assert all(i.holds for i in out.identities)

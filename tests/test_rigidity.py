@@ -16,11 +16,11 @@ from gk3.mukai import (
     K3_GRAM,
     MUKAI,
     MUKAI_GRAM,
+    CohClass,
     GCYClass,
     GenericClass,
     bfield_transform,
     check_gcy,
-    coh_class,
     deg2_vector,
     exponential_class,
     mukai_pairing,
@@ -38,7 +38,7 @@ from gk3.rigidity import (
     is_kahler_rigid,
     kahler_rigid_survey,
 )
-from gk3.scalars import ComplexQuad, QuadScalar, as_complex, as_quad
+from gk3.scalars import ComplexQuad, QuadScalar, as_quad
 
 SQRT2 = QuadScalar(Fraction(0), Fraction(1), 2)
 
@@ -133,7 +133,7 @@ def test_tail_b_rationality():
         (ComplexQuad(SQRT2, 1), False),
     )
     for tail, rational in cases:
-        sigma = GCYClass(coh_class(0, deg2, tail))
+        sigma = GCYClass(CohClass(0, deg2, tail))
         assert (sigma.type_tag, sigma.norm) == ("B", as_quad(8))
         assert _tail_b_rational(sigma) is rational
 
@@ -146,11 +146,11 @@ def test_tail_b_rational_needs_a_rational_period_plane():
     h1, h2 = deg2_vector({0: 1, 1: 1}), deg2_vector({2: 1, 3: 1})
     im = deg2_vector({4: 1, 5: 3})
     deg2 = [ComplexQuad(u + SQRT2 * v, w) for u, v, w in zip(h1, h2, im)]
-    sigma = GCYClass(coh_class(0, deg2, SQRT2))
+    sigma = GCYClass(CohClass(0, deg2, SQRT2))
     assert (sigma.type_tag, sigma.norm) == ("B", as_quad(12))
-    assert support_in(MUKAI, sigma.coh.deg2_part()).rank == 3
-    b = coh_class(0, [Fraction(v, 2) for v in h2], 0)
-    assert mukai_pairing(b, sigma.coh) == sigma.coh.deg4 == as_complex(SQRT2)
+    assert support_in(sigma.coh.deg2_part()).rank == 3
+    b = CohClass(0, [Fraction(v, 2) for v in h2], 0)
+    assert mukai_pairing(b, sigma.coh) == sigma.coh.deg4 == ComplexQuad(SQRT2)
     assert _tail_b_rational(sigma) is False
 
 
@@ -190,7 +190,7 @@ def _type_b_classes(draw):
     b = [Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))) for _ in range(22)]
     moved = bfield_transform(b, sigma)  # (0, sigma, <B, sigma>)
     tail = ComplexQuad(quad(), quad()) if draw(st.booleans()) else 0
-    return GCYClass(coh_class(0, moved.deg2, moved.deg4 + tail))
+    return GCYClass(CohClass(0, moved.deg2, moved.deg4 + tail))
 
 
 @settings(max_examples=30, deadline=None)
@@ -343,7 +343,7 @@ def test_neron_severi_of_a_rank22_pair_is_its_support(hnf_passes):
     ns = neron_severi(pair)
     assert len(hnf_passes) == passes
     assert ns.basis == support_lattice(cls).basis
-    s = support_in(MUKAI, cls.coh)
+    s = support_in(cls.coh)
     passes = len(hnf_passes)
     assert saturation(s) is s and saturation(t) is t
     assert len(hnf_passes) == passes

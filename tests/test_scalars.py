@@ -17,7 +17,6 @@ from gk3.scalars import (
     MAX_FIELD_TAG,
     ComplexQuad,
     QuadScalar,
-    as_complex,
     as_quad,
     check_field_tag,
     is_squarefree,
@@ -121,19 +120,19 @@ def test_str_forms():
 
 def test_complex_arithmetic():
     i2 = ComplexQuad(_q(0), _q(0, 1, 2))  # i*sqrt(2)
-    assert (i2 * i2) == as_complex(_q(-2))
+    assert (i2 * i2) == ComplexQuad(_q(-2))
     z = ComplexQuad(_q(1), _q(1))
-    assert z * z.conjugate() == as_complex(_q(2))
-    assert z + z.conjugate() == as_complex(_q(2))
+    assert z * z.conjugate() == ComplexQuad(_q(2))
+    assert z + z.conjugate() == ComplexQuad(_q(2))
     assert z.is_real is False
-    assert as_complex(5).is_real
+    assert ComplexQuad(5).is_real
 
 
 def test_coercions():
     assert as_quad(3) == _q(3)
     assert as_quad(Fraction(1, 3)) == _q(Fraction(1, 3))
     assert as_quad(_q(1, 1, 2)) == _q(1, 1, 2)
-    assert as_complex(Fraction(2)) == ComplexQuad(_q(2), _q(0))
+    assert ComplexQuad(Fraction(2)) == ComplexQuad(_q(2), _q(0))
     with pytest.raises(ValidationError):
         as_quad(0.5)
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from gk3.lattices import enumerate_reduced_forms, gauss_reduce2
 from gk3.errors import ValidationError
 from gk3.intlinalg import gram_entries, pairing_block
-from gk3.mukai import K3_GRAM, check_gcy, coh_class, deg2_vector, exponential_class, gcy_norm, support_lattice
+from gk3.mukai import K3_GRAM, CohClass, check_gcy, deg2_vector, exponential_class, gcy_norm, support_lattice
 from gk3.rigidity import (
     MAX_FORMS_DET,
     MAX_SURVEY_SAMPLES,
@@ -178,13 +178,13 @@ def test_integer_gcy_check_reports_as_check_gcy():
     kappa = _kappa(2)
     # Re = (1, H1/2, -1), Im = sqrt(2) (0, H1, 0): not isotropic
     r1, r2 = (2, -2, 1, 0), (0, 0, 1, 0)
-    cls = coh_class(1, [ComplexQuad(Fraction(v, 2), kappa * v) for v in h1], -1)
+    cls = CohClass(1, [ComplexQuad(Fraction(v, 2), kappa * v) for v in h1], -1)
     with pytest.raises(ValidationError) as e:
         gcy_norm(sc.entries_p, 2, 2, _exp_rows(r1, r2, 2, 1))
     assert str(e.value) == _gcy_error(cls)
     # omega_0 = H2 of square -2: isotropic but not positive
     r1, r2 = (2, 4, 0, 0), (0, 0, 0, 1)
-    cls = coh_class(1, [ComplexQuad(0, kappa * v) for v in _quads(h2)], 2)
+    cls = CohClass(1, [ComplexQuad(0, kappa * v) for v in _quads(h2)], 2)
     with pytest.raises(ValidationError) as e:
         gcy_norm(sc.entries_p, 2, 2, _exp_rows(r1, r2, 2, 1))
     assert str(e.value) == _gcy_error(cls)
