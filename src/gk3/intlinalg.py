@@ -23,7 +23,9 @@ Conventions:
   k independent rows.  One elimination U m^T = [H; 0] over the k columns
   of m^T carries ``inv = U^-T`` (each row operation E is applied to it as
   E^-T, O(n) per operation); then m = H^T (U^-T)[:k], and the first k rows
-  of U^-T, part of a basis of Z^n, span the saturation.
+  of U^-T, part of a basis of Z^n, span the saturation.  ``saturate2(x, y)``
+  gives a basis of the same lattice for k = 2 in closed form, with no
+  elimination.
 * ``pairing_block(gram_entries(g), xs, ys)`` is ``xs @ g @ ys^T`` and
   ``gram_rows(gram_entries(g), ys)`` holds ``g @ y`` for each row ``y``:
   the one sparse routine through which every Gram form is applied.
@@ -256,6 +258,28 @@ def saturate(m, ncols: int | None = None) -> IntMat:
     if _hnf_reduce([list(c) for c in zip(*rows)], k, inv) != k:
         raise ValidationError("dependent basis")
     return hnf_basis(inv[:k])
+
+
+def saturate2(x, y) -> IntMat:
+    """A basis (v1, v2) of the saturation of two independent integer vectors,
+    in closed form, not in HNF.  v1 = x / content(x) is primitive; with m the
+    gcd of the 2x2 minors of (v1, y), which is 0 exactly for a dependent pair,
+    and c a Bezout vector of v1 (c.v1 = 1), v2 = (y - (c.y) v1) / m."""
+    m = 0
+    for i, (xi, yi) in enumerate(zip(x, y)):
+        for xj, yj in zip(x[i + 1 :], y[i + 1 :]):
+            m = gcd(m, xi * yj - xj * yi)
+    if not m:
+        raise ValidationError("dependent basis")
+    # c, one coordinate at a time: c.x = g = content(x) on the coordinates
+    # so far, so c.v1 = 1 at the end; only t = c.y is kept
+    g = t = 0
+    for xj, yj in zip(x, y):
+        g, s, r = _egcd(g, xj)
+        t = s * t + r * yj
+    m //= g  # the minors of (x, y) are content(x) times those of (v1, y)
+    v1 = tuple(v // g for v in x)
+    return v1, tuple((b - t * a) // m for a, b in zip(v1, y))
 
 
 def snf_divisors(m) -> tuple[int, ...]:

@@ -308,23 +308,21 @@ def gauss_reduce2(l: Lattice) -> ReducedForm:
     """
     if l.rank != 2:
         raise ValidationError(f"rank-2 reduction needs rank 2, got {l.rank}")
-    if not l.is_positive_definite:
+    reduced, u = reduce_form2(l.gram[0][0], l.gram[0][1], l.gram[1][1])
+    return ReducedForm(IntegralLattice(reduced), u)
+
+
+def reduce_form2(a: int, b: int, c: int) -> tuple[IntMat, IntMat]:
+    """The Gauss reduction of the form [[a, b], [b, c]] on its integer entries:
+    the reduced Gram, and u in GL_2(Z) with u^T G u = reduced.  A rank-2 form
+    is positive definite exactly when a > 0 and ac - b^2 > 0."""
+    if a <= 0 or a * c <= b * b:
         raise ValidationError("rank-2 reduction needs a positive definite form")
-    a, b, c = l.gram[0][0], l.gram[0][1], l.gram[1][1]
-    u = [[1, 0], [0, 1]]
-
-    def apply(t):
-        # u <- u @ t (column operations on the basis)
-        nonlocal u
-        u = [
-            [u[i][0] * t[0][0] + u[i][1] * t[1][0], u[i][0] * t[0][1] + u[i][1] * t[1][1]]
-            for i in range(2)
-        ]
-
+    u00, u01, u10, u11 = 1, 0, 0, 1  # u, changed by column operations
     while True:
         if a > c:
             a, c = c, a
-            apply([[0, 1], [1, 0]])
+            u00, u01, u10, u11 = u01, u00, u11, u10
             continue
         if not 0 <= 2 * b <= a:
             # shift the second basis vector to put b into (-a/2, a/2]
@@ -332,14 +330,12 @@ def gauss_reduce2(l: Lattice) -> ReducedForm:
             if k:
                 c = c - 2 * k * b + k * k * a
                 b = b - k * a
-                apply([[1, -k], [0, 1]])
+                u01, u11 = u01 - k * u00, u11 - k * u10
             if b < 0:
                 b = -b
-                apply([[1, 0], [0, -1]])
+                u01, u11 = -u01, -u11
             continue
-        break
-    reduced = IntegralLattice(((a, b), (b, c)))
-    return ReducedForm(reduced, freeze(u))
+        return ((a, b), (b, c)), ((u00, u01), (u10, u11))
 
 
 def enumerate_reduced_forms(max_det: int) -> tuple[IntMat, ...]:

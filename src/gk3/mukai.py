@@ -191,7 +191,12 @@ class CohClass:
 def mukai_pairing(x: CohClass, y: CohClass) -> ComplexQuad:
     """The Mukai pairing <x, y> = x2.y2 - x0*y4 - x4*y0 (symmetric, linear in
     each slot): the 16 integer pairings of the two classes' component rows,
-    summed over den * den'."""
+    summed over den * den'.  A member (``GCYClass``) passes its ``.coh``."""
+    for v in (x, y):
+        if not isinstance(v, CohClass):
+            raise ValidationError(
+                f"mukai_pairing takes CohClass arguments, got {type(v).__name__}; pass its .coh"
+            )
     d = join_tags(x.d, y.d)
     return _complex(_numerators(pairing_block(MUKAI.entries, x.rows, y.rows), d), x.den * y.den, d)
 

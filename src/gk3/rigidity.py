@@ -20,13 +20,8 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import ValidationError
-from .intlinalg import IntMat, freeze, gram_entries, hnf_basis, hnf_coords, pairing_block, saturate
-from .lattices import (
-    IntegralLattice,
-    Sublattice,
-    enumerate_reduced_forms,
-    gauss_reduce2,
-)
+from .intlinalg import IntMat, freeze, gram_entries, hnf_basis, hnf_coords, pairing_block, saturate2
+from .lattices import Sublattice, enumerate_reduced_forms, gauss_reduce2, reduce_form2, saturation
 from .mukai import (
     DEG2_RANK,
     K3,
@@ -268,9 +263,9 @@ def _sat_coords(h1, h2) -> _SatCoords:
     gram_p = ((0, -1, 0, 0), (-1, 0, 0, 0), (0, 0, g11, g12), (0, 0, g12, g22))
     zeros = (0,) * DEG2_RANK
     gens = ((1, 0) + zeros, (0, 1) + zeros, (0, 0) + tuple(h1), (0, 0) + tuple(h2))
-    sat = saturate(hnf_basis(gens, MUKAI_RANK), MUKAI_RANK)
-    to_s = tuple(hnf_coords(sat, g) for g in gens)  # gens lie in their saturation
-    return _SatCoords(gram_p, gram_entries(gram_p), to_s, Sublattice(MUKAI, sat).entries)
+    sat = saturation(Sublattice(MUKAI, hnf_basis(gens, MUKAI_RANK)))
+    to_s = tuple(hnf_coords(sat.basis, g) for g in gens)  # gens lie in their saturation
+    return _SatCoords(gram_p, gram_entries(gram_p), to_s, sat.entries)
 
 
 def _exp_rows(r1, r2, k: int, denom: int) -> tuple:
@@ -296,9 +291,9 @@ def _grid_invariant(sc: _SatCoords, k: int, a, b, p, q, denom) -> IntMat:
     rows = tuple(
         tuple(sum(x * c[j] for x, c in zip(r, sc.to_s)) for j in range(rank)) for r in (r1, r2)
     )
-    support = saturate(rows, rank)
-    gram = pairing_block(sc.entries_s, support, support)
-    return gauss_reduce2(IntegralLattice(gram)).lattice.gram
+    support = saturate2(*rows)
+    (s11, s12), (_, s22) = pairing_block(sc.entries_s, support, support)
+    return reduce_form2(s11, s12, s22)[0]
 
 
 def kahler_rigid_survey(config: SurveyConfig) -> SurveyReport:
@@ -320,9 +315,11 @@ def kahler_rigid_survey(config: SurveyConfig) -> SurveyReport:
     (0, D B.omega_0, aD, bD) on the generators (deg0, deg4, H1, H2), with
     omega_0 = a H1 + b H2.  They are checked isotropic and positive by
     ``check_gcy``'s routine on the Gram of the generators, mapped to
-    S-coordinates and saturated there; since S is saturated, that is the
-    class's support in the Mukai lattice, and its Gram goes to
-    ``gauss_reduce2``.
+    S-coordinates and saturated there by ``saturate2``, in closed form;
+    since S is saturated, that is the class's support in the Mukai
+    lattice.  Its Gram [[a, b], [b, c]] is reduced by ``reduce_form2`` on
+    its three integers, with no lattice built and no signature
+    elimination: a > 0 and ac - b^2 > 0 is the rank-2 positivity test.
 
     ``samples`` counts the grid points covered.  A point with
     gcd(p, q, D) > 1 repeats a B of smaller D already visited with the

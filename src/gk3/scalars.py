@@ -4,7 +4,8 @@ A ``QuadScalar`` is (p + q*sqrt(d)) / n in the normal form n > 0,
 gcd(p, q, n) = 1, with a squarefree integer tag d >= 2, None exactly
 when q = 0 (the form of class rows, ``mukai``); a = p/n and b = q/n are
 Fractions built when read.  A ``ComplexQuad`` is built from two of them;
-``ComplexQuad(x)`` takes an int, Fraction or QuadScalar as a real value.
+``ComplexQuad(x)`` takes an int, Fraction or QuadScalar as a real value,
+and returns an equal value for a ComplexQuad x.
 They are the parse, print and result types, and keep only the ring
 operations (integer arithmetic, then one gcd), exact sign and equality.
 Division in Q(sqrt d) runs only on class rows (``mukai.type_a_parts``).
@@ -241,6 +242,8 @@ class ComplexQuad:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
+        if isinstance(re, ComplexQuad) and as_quad(im).is_zero:
+            re, im = re.re, re.im
         object.__setattr__(self, "re", as_quad(re))
         object.__setattr__(self, "im", as_quad(im))
 

@@ -29,6 +29,7 @@ from gk3.intlinalg import (
     matmul,
     pairing_block,
     saturate,
+    saturate2,
     snf_divisors,
     sym_signature,
     transpose,
@@ -286,6 +287,46 @@ def test_saturate_and_is_primitive_match_sympy(m):
     assert sat == (int_kernel(kernel, n) if kernel else identity(n))
     s = Sublattice(IntegralLattice(identity(n)), m)
     assert is_primitive(s) == (_maximal_minor_gcd(m) == 1) == (hnf_basis(m) == sat)
+
+
+@st.composite
+def row_pairs(draw):
+    """Two rows of width 2..24, often sparse, with a common factor in one row
+    or both, or a non-primitive combination, and sometimes dependent."""
+    n = draw(st.integers(2, 24))
+    entry = st.one_of(st.just(0), ENTRY) if draw(st.booleans()) else ENTRY
+    x, y = (draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(2))
+    for row in (x, y):
+        if draw(st.booleans()):
+            row[:] = [draw(st.integers(2, 6)) * v for v in row]
+    if draw(st.booleans()):
+        y = [2 * a + 3 * b for a, b in zip(x, y)]
+    if draw(st.integers(0, 4)) == 0:
+        y = [draw(st.integers(-3, 3)) * v for v in x]
+    return tuple(x), tuple(y)
+
+
+@SETTINGS
+@given(row_pairs())
+@example(((0, 0), (1, 2)))
+@example(((2, 4), (3, 6)))
+@example(((6, 10, 0, 15), (0, 0, 0, 0)))
+@example(((4, 6, 0), (2, 0, 4)))
+def test_saturate2_matches_saturate(pair):
+    """saturate2 spans the lattice saturate computes, and refuses the same
+    pairs with the same error."""
+    x, y = pair
+    n = len(x)
+    if Matrix(pair).rank() < 2:
+        with pytest.raises(ValidationError) as want:
+            saturate(pair, n)
+        with pytest.raises(ValidationError) as got:
+            saturate2(x, y)
+        assert str(got.value) == str(want.value) == "dependent basis"
+        return
+    v1, v2 = saturate2(x, y)
+    assert hnf_basis((v1, v2)) == saturate(pair, n)
+    assert gcd(*v1) == 1 and all(a * gcd(*x) == b for a, b in zip(v1, x))
 
 
 @st.composite

@@ -76,6 +76,14 @@ def test_pairing_cross_term():
     assert mukai_pairing(v1, v1) == ComplexQuad(2)
 
 
+def test_pairing_refuses_a_member_and_names_its_coh():
+    member = check_gcy(exponential_class([0] * DEG2_RANK, [as_quad(v) for v in deg2_vector({0: 1, 1: 1})]))
+    for args in ((member, member), (member.coh, member), (member, member.coh)):
+        with pytest.raises(ValidationError, match=r"got GCYClass; pass its \.coh"):
+            mukai_pairing(*args)
+    assert mukai_pairing(member.coh, member.coh).is_zero
+
+
 def test_pairing_matches_dense_gram_expansion():
     rng = random.Random(31)
     for _ in range(25):

@@ -290,6 +290,16 @@ def test_survey_achieved_forms_are_reduced_fixed_points():
         assert gauss_reduce2(IntegralLattice(gram)).lattice.gram == gram
 
 
+@pytest.mark.parametrize("max_det, denom", [(16, 4), (40, 6)])
+def test_survey_work_does_not_grow_with_the_grid(max_det, denom, hnf_passes, signature_sizes):
+    """The survey eliminates only to saturate <deg0, deg4, H1, H2> once per
+    call; each grid point saturates and reduces its support in closed form."""
+    report = kahler_rigid_survey(SurveyConfig(max_det, denom, sqrt_d=(2,)))
+    assert report.samples > 1_000
+    assert len(hnf_passes) == 3  # HNF of the generators, then their saturation
+    assert signature_sizes == []
+
+
 # --- the rank-22 Kaehler case, step by step as the benchmark runs it ---------
 
 

@@ -137,6 +137,16 @@ def test_coercions():
         as_quad(0.5)
 
 
+def test_complex_quad_of_a_complex_value_is_that_value():
+    z = ComplexQuad(_q(1), _q(0, 2, 3))
+    for im in (0, Fraction(0), _q(0)):
+        assert ComplexQuad(z, im) == z
+    assert ComplexQuad(z) == z and ComplexQuad(ComplexQuad(1, 2)) == ComplexQuad(1, 2)
+    for im in (1, _q(0, 1, 3)):
+        with pytest.raises(ValidationError, match="cannot interpret ComplexQuad"):
+            ComplexQuad(z, im)
+
+
 def test_shown_prints_a_value_unless_a_part_is_over_the_digit_limit():
     limit = sys.get_int_max_str_digits()
     small = (_q(Fraction(-3, 4), 2, 2), ComplexQuad(_q(1, -1, 3), _q(Fraction(5, 7))), 7, Fraction(1, 3))
