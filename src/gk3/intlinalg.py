@@ -11,21 +11,26 @@ Conventions:
 
 * ``hnf(m)`` returns ``(h, u)`` with ``h = u @ m``, ``u`` unimodular,
   pivots positive and entries above each pivot reduced modulo the pivot.
+  It, ``hnf_basis``, ``int_kernel`` and ``saturate`` refuse ragged rows
+  and a row width other than the ``ncols`` they are given.
 * ``int_kernel(m)`` is the right kernel ``{x : m @ x^T = 0}`` returned as
-  HNF rows; it is automatically saturated.  It eliminates m^T with its
-  rows (the coordinates) in reverse order and reads each kernel row back
-  forwards.  Pivots then come from the last coordinates and each kernel
-  row leads at its own coordinate, so the closing ``hnf_basis`` reorders
-  the rows and reduces above the pivots instead of eliminating again.  A
-  pivot search that swaps rows past a zero of m can break that pattern;
-  the closing HNF still runs in full, so the result never rests on it.
+  HNF rows; it is automatically saturated.  One sweep over the columns M_j
+  of the k x n matrix, right to left, keeps an echelon basis (in k
+  coordinates, entries reduced at later pivots) of the Z-span of the
+  columns passed, each basis row carrying its integer combination of
+  those columns.  A column outside their Q-span is a non-pivot of the
+  kernel and is inserted.  Otherwise d_j, the least positive integer with
+  d_j M_j in that span, gives the kernel row d_j e_j - (the combination),
+  and M_j is inserted when d_j > 1.  The pivots are exactly the columns
+  where the rank of the trailing block does not rise, so these rows are
+  the HNF of the kernel once a closing pass reduces every row at the
+  pivots with d_j > 1; at the other pivots no combination has an entry.
 * ``saturate(m)`` returns the HNF basis of ``(Q-span of rows) ∩ Z^n`` for
-  k independent rows.  One elimination U m^T = [H; 0] over the k columns
-  of m^T carries ``inv = U^-T`` (each row operation E is applied to it as
-  E^-T, O(n) per operation); then m = H^T (U^-T)[:k], and the first k rows
-  of U^-T, part of a basis of Z^n, span the saturation.  ``saturate2(x, y)``
-  gives a basis of the same lattice for k = 2 in closed form, with no
-  elimination.
+  k independent rows: Sat(S) = Γ* m, with Γ the Z-span of the columns of m
+  in Z^k.  So with C the HNF of those n columns, z = C^-T m comes by
+  forward substitution with exact division, and ``hnf_basis(z)`` closes.
+  ``saturate2(x, y)`` gives a basis of the same lattice for k = 2 in
+  closed form, with no elimination.
 * ``pairing_block(gram_entries(g), xs, ys)`` is ``xs @ g @ ys^T`` and
   ``gram_rows(gram_entries(g), ys)`` holds ``g @ y`` for each row ``y``:
   the one sparse routine through which every Gram form is applied.
@@ -132,15 +137,10 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _hnf_reduce(rows: list[list[int]], ncols: int | None = None, inv=None) -> int:
+def _hnf_reduce(rows: list[list[int]], ncols: int | None = None) -> int:
     """Row-reduce ``rows`` in place to Hermite normal form in their first
     ``ncols`` columns; any later columns (a transform, say) ride along.
-    Returns the number of pivots.
-
-    ``inv``, when given, is a square list of rows, one per row of ``rows``,
-    that starts as I: each row operation E on ``rows`` is applied to it as
-    E^-T, so it ends as U^-T for the transform U with U @ rows_in = rows_out.
-    """
+    Returns the number of pivots."""
     n = len(rows)
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
@@ -155,8 +155,6 @@ def _hnf_reduce(rows: list[list[int]], ncols: int | None = None, inv=None) -> in
             continue
         if piv != pr:
             rows[pr], rows[piv] = rows[piv], rows[pr]
-            if inv is not None:
-                inv[pr], inv[piv] = inv[piv], inv[pr]
         for i in range(pr + 1, n):
             b = rows[i][col]
             if b == 0:
@@ -165,8 +163,6 @@ def _hnf_reduce(rows: list[list[int]], ncols: int | None = None, inv=None) -> in
             if b % a == 0:  # one row operation clears b
                 q = b // a
                 rows[i] = [y - q * x for x, y in zip(rows[pr], rows[i])]
-                if inv is not None:
-                    inv[pr] = [x + q * y for x, y in zip(inv[pr], inv[i])]
                 continue
             g, s, t = _egcd(a, b)
             p, q = a // g, b // g
@@ -174,26 +170,29 @@ def _hnf_reduce(rows: list[list[int]], ncols: int | None = None, inv=None) -> in
                 [s * x + t * y for x, y in zip(rows[pr], rows[i])],
                 [-q * x + p * y for x, y in zip(rows[pr], rows[i])],
             )
-            if inv is not None:  # [[s, t], [-q, p]]^-T = [[p, q], [-t, s]]
-                inv[pr], inv[i] = (
-                    [p * x + q * y for x, y in zip(inv[pr], inv[i])],
-                    [-t * x + s * y for x, y in zip(inv[pr], inv[i])],
-                )
         if rows[pr][col] < 0:
             rows[pr] = [-x for x in rows[pr]]
-            if inv is not None:
-                inv[pr] = [-x for x in inv[pr]]
         a = rows[pr][col]
         for i in range(pr):
             q = rows[i][col] // a
             if q:
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[pr])]
-                if inv is not None:
-                    inv[pr] = [y + q * x for x, y in zip(inv[i], inv[pr])]
         pr += 1
         if pr == n:
             break
     return pr
+
+
+def _checked(m, ncols: int | None = None) -> tuple[IntMat, int | None]:
+    """``freeze(m)`` and its row width (``ncols`` when m has no rows).
+    Ragged rows, or a width other than ``ncols``, are refused by name."""
+    rows = freeze(m)
+    widths = sorted({*map(len, rows)})
+    if len(widths) > 1:
+        raise ValidationError(f"ragged matrix: rows of widths {', '.join(map(str, widths))}")
+    if widths and ncols is not None and widths[0] != ncols:
+        raise ValidationError(f"rows of width {widths[0]} where ncols = {ncols}")
+    return rows, widths[0] if widths else ncols
 
 
 def hnf(m, ncols: int | None = None) -> tuple[IntMat, IntMat]:
@@ -203,38 +202,116 @@ def hnf(m, ncols: int | None = None) -> tuple[IntMat, IntMat]:
     entries above a pivot are reduced into [0, pivot), zero rows sink to
     the bottom.  The transform is carried as extra columns [m | I].
     """
-    rows = list(map(list, freeze(m)))
-    n = len(rows)
-    width = len(rows[0]) if rows else 0
-    for row, e in zip(rows, identity(n)):
+    rows, width = _checked(m, ncols)
+    rows = list(map(list, rows))
+    for row, e in zip(rows, identity(len(rows))):
         row.extend(e)
-    _hnf_reduce(rows, width if ncols is None else ncols)
+    _hnf_reduce(rows, width)
     return freeze(r[:width] for r in rows), freeze(r[width:] for r in rows)
 
 
 def hnf_basis(m, ncols: int | None = None) -> IntMat:
     """Nonzero rows of the Hermite normal form (a canonical row-lattice basis),
     from the same elimination as ``hnf`` without the transform."""
-    rows = list(map(list, freeze(m)))
-    _hnf_reduce(rows, ncols)
+    rows = list(map(list, _checked(m, ncols)[0]))
+    _hnf_reduce(rows)
     return tuple(tuple(row) for row in rows if any(row))
 
 
+def _store(basis: list, c: int, row: list[int]) -> None:
+    """Keep ``row`` as the basis row at pivot c, its entries at the later
+    pivots reduced (``int_kernel``).  Its combination's nonzero (column,
+    coefficient) pairs are read into the second slot on first use."""
+    k = len(basis)
+    for l in range(c + 1, k):
+        b = basis[l]
+        if b is not None:
+            q = row[l] // b[0][l]
+            if q:
+                row = [y - q * z for y, z in zip(row, b[0])]
+    basis[c] = [row, None]
+
+
+def _insert(basis: list, w: list[int]) -> None:
+    """Add w, k coordinates and then its combination of the columns, to the
+    echelon basis with one slot per coordinate (``int_kernel``)."""
+    for c in range(len(basis)):
+        x = w[c]
+        if not x:
+            continue
+        b = basis[c]
+        if b is None:
+            _store(basis, c, w if x > 0 else [-y for y in w])
+            return
+        b = b[0]
+        a = b[c]
+        if x % a == 0:
+            q = x // a
+            w = [y - q * z for y, z in zip(w, b)]
+        else:
+            g, s, t = _egcd(a, x)
+            p, q = a // g, x // g
+            _store(basis, c, [s * y + t * z for y, z in zip(b, w)])
+            w = [p * z - q * y for y, z in zip(b, w)]
+
+
 def int_kernel(m, ncols: int | None = None) -> IntMat:
-    """HNF basis of the integer kernel {x in Z^ncols : m @ x^T = 0}."""
-    rows = freeze(m)
-    if ncols is None:
-        if not rows:
-            raise ValidationError("kernel of an empty matrix needs an explicit width")
-        ncols = len(rows[0])
+    """HNF basis of the integer kernel {x in Z^ncols : m @ x^T = 0}, from
+    one right-to-left sweep over the columns (module docstring)."""
+    rows, n = _checked(m, ncols)
+    if n is None:
+        raise ValidationError("kernel of an empty matrix needs an explicit width")
     if not rows:
-        return identity(ncols)
-    # reverse coordinate order in, and back out (module docstring)
-    h, u = hnf(transpose(rows)[::-1], len(rows))
-    ker = [urow[::-1] for hrow, urow in zip(h, u) if not any(hrow)][::-1]
-    if not ker:
-        return ()
-    return hnf_basis(ker, ncols)
+        return identity(n)
+    k = len(rows)
+    basis = [None] * k
+    ker, lifted = {}, []  # kernel rows by leading column, n - 1 down to 0
+    for j in range(n - 1, -1, -1):
+        # the least d with d M_j in the span, and the basis rows it takes
+        w = [row[j] for row in rows]
+        d, coef = 1, []
+        for c in range(k):
+            x = w[c]
+            if not x:
+                continue
+            b = basis[c]
+            if b is None:  # outside the Q-span: j is no pivot
+                break
+            b = b[0]
+            a = b[c]
+            f = a // gcd(a, x)
+            if f > 1:
+                d *= f
+                x *= f
+                w = [f * y for y in w]
+                coef = [(l, f * q) for l, q in coef]
+            q = x // a
+            coef.append((c, q))
+            w = [y - q * z for y, z in zip(w, b)]
+        else:
+            row = [0] * n
+            row[j] = d
+            for c, q in coef:
+                b = basis[c]
+                if b[1] is None:
+                    b[1] = [(i, y) for i, y in enumerate(b[0][k:]) if y]
+                for i, y in b[1]:
+                    row[i] -= q * y
+            ker[j] = row
+            if d == 1:
+                continue
+            lifted.append((j, d))
+        w = [row[j] for row in rows] + [0] * n
+        w[k + j] = 1
+        _insert(basis, w)
+    for c, d in reversed(lifted):
+        nz = [(l, y) for l, y in enumerate(ker[c]) if y]
+        for j, row in ker.items():
+            q = row[c] // d if j < c else 0
+            if q:
+                for l, y in nz:
+                    row[l] -= q * y
+    return tuple(map(tuple, reversed(ker.values())))
 
 
 def q_rank(m) -> int:
@@ -245,19 +322,26 @@ def q_rank(m) -> int:
 def saturate(m, ncols: int | None = None) -> IntMat:
     """HNF basis of the saturation (Q-span of rows) ∩ Z^ncols.
 
-    The rows must be Q-linearly independent.  One elimination of m^T
-    carries U^-T, whose first k rows span the saturation (module docstring).
+    The rows must be Q-linearly independent.  The saturation is Γ* m, Γ
+    the Z-span of the columns of m (module docstring).
     """
-    rows = freeze(m)
-    if not rows:
-        if ncols is None:
-            raise ValidationError("saturation of an empty matrix needs an explicit width")
-        return ()
+    rows, n = _checked(m, ncols)
+    if n is None:
+        raise ValidationError("saturation of an empty matrix needs an explicit width")
     k = len(rows)
-    inv = list(identity(len(rows[0])))  # its rows are replaced, never mutated
-    if _hnf_reduce([list(c) for c in zip(*rows)], k, inv) != k:
+    c = [list(col) for col in zip(*rows)]
+    if _hnf_reduce(c) != k:
         raise ValidationError("dependent basis")
-    return hnf_basis(inv[:k])
+    # C^T z = m, C^T lower triangular, solved row by row
+    z = []
+    for i, row in enumerate(rows):
+        for l in range(i):
+            t = c[l][i]
+            if t:
+                row = [y - t * x for y, x in zip(row, z[l])]
+        p = c[i][i]
+        z.append([y // p for y in row] if p != 1 else row)
+    return hnf_basis(z)
 
 
 def saturate2(x, y) -> IntMat:

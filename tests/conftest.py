@@ -22,14 +22,31 @@ def ortho_complement_calls(monkeypatch) -> list:
 @pytest.fixture
 def hnf_passes(monkeypatch) -> list:
     """Count Hermite eliminations: wraps ``intlinalg._hnf_reduce``, which
-    every HNF, kernel, saturation and primitivity test runs; the returned
-    list grows by one per pass."""
+    every HNF, saturation and primitivity test runs (a kernel runs none:
+    ``int_kernel`` sweeps the columns with its own k-coordinate basis); the
+    returned list grows by one per pass."""
     reduce = gk3.intlinalg._hnf_reduce
     calls = []
     monkeypatch.setattr(
         gk3.intlinalg, "_hnf_reduce", lambda *a, **k: calls.append(1) or reduce(*a, **k)
     )
     return calls
+
+
+@pytest.fixture
+def hnf_shapes(monkeypatch) -> list:
+    """Record the shape of each Hermite elimination: wraps
+    ``intlinalg._hnf_reduce``; the returned list grows by ``(rows, width)``
+    per pass, the width counting any columns that ride along."""
+    reduce = gk3.intlinalg._hnf_reduce
+    shapes = []
+
+    def record(rows, *args):
+        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        return reduce(rows, *args)
+
+    monkeypatch.setattr(gk3.intlinalg, "_hnf_reduce", record)
+    return shapes
 
 
 @pytest.fixture

@@ -187,3 +187,34 @@ def test_entry_points_refuse_entries_that_are_not_int(call, entry):
     # int() would truncate: hnf_basis(((1.5, 2), (0.9, 1))) gave the identity
     with pytest.raises(ValidationError, match="matrix entries must be int"):
         call(((entry, 0), (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: int_kernel([[1, 2], [1, 2, 3]], 3), "ragged matrix: rows of widths 2, 3"),
+        (lambda: int_kernel([[1, 2, 3]], 2), "rows of width 3 where ncols = 2"),
+        (lambda: saturate([[2, 4, 6]], 2), "rows of width 3 where ncols = 2"),
+        (lambda: saturate([[2, 4], [1, 2, 3]]), "ragged matrix: rows of widths 2, 3"),
+        (lambda: hnf_basis([[1, 2], [3]]), "ragged matrix: rows of widths 1, 2"),
+        (lambda: hnf_basis([[1, 2]], 3), "rows of width 2 where ncols = 3"),
+        (lambda: hnf([[1], [2, 3]]), "ragged matrix: rows of widths 1, 2"),
+        (lambda: hnf([[1, 2]], 1), "rows of width 2 where ncols = 1"),
+    ],
+    ids=[
+        "int_kernel-ragged", "int_kernel-width", "saturate-width", "saturate-ragged",
+        "hnf_basis-ragged", "hnf_basis-width", "hnf-ragged", "hnf-width",
+    ],
+)
+def test_entry_points_refuse_ragged_rows_and_a_mismatched_width(call, message):
+    # int_kernel([[1, 2], [1, 2, 3]], 3) gave the kernel ((2, -1),) of the
+    # 2-wide truncation, and hnf_basis([[1, 2], [3]]) an IndexError
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_a_width_given_with_no_rows_is_the_width():
+    assert int_kernel((), 2) == identity(2)
+    assert saturate((), 3) == ()
+    assert hnf_basis((), 4) == ()

@@ -8,18 +8,19 @@ swap, fold and zero-row branches of ``sym_signature`` all run.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
-from math import gcd
+from math import gcd, log2, prod
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
-from sympy import ZZ, Matrix, eye
+from sympy import QQ, ZZ, Matrix
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
+import gk3.intlinalg
 from gk3.errors import ValidationError
 from gk3.intlinalg import (
-    _hnf_reduce,
     gram_entries,
     gram_rows,
     hnf,
@@ -34,7 +35,8 @@ from gk3.intlinalg import (
     sym_signature,
     transpose,
 )
-from gk3.lattices import IntegralLattice, Sublattice, is_primitive, saturation
+from gk3.lattices import IntegralLattice, Sublattice, is_primitive, k3_lattice, saturation
+from gk3.mirror import dolgachev_mirror
 
 # a dense even Gram on which a smallest-pivot-and-swap Smith elimination
 # never finishes: its clearing passes grow the entries without bound
@@ -117,13 +119,19 @@ def symmetric_grams(draw):
 
 
 def _in_integer_span(basis: Matrix, vec: Matrix) -> bool:
-    """vec is an integer combination of the (independent) columns of basis."""
-    try:
-        sol, params = basis.gauss_jordan_solve(vec)
-    except ValueError:
-        return False
-    assert params.shape[0] == 0
-    return all(x.is_integer for x in sol)
+    """Each column of vec is an integer combination of the (independent)
+    columns of basis: its least-squares coordinates, exact over Q, are
+    integers and fit."""
+    b, v = (a.to_DM().convert_to(QQ) for a in (basis, vec))
+    bt = b.transpose()
+    x = (bt * b).inv() * (bt * v)
+    return b * x == v and all(c.is_integer for c in x.to_Matrix())
+
+
+def _q_rank(rows) -> int:
+    """Rank over Q by sympy's dense elimination over QQ, which stays fast on
+    24-wide integer rows where ``Matrix.rank`` does not."""
+    return Matrix(rows).to_DM().convert_to(QQ).rank() if rows else 0
 
 
 @SETTINGS
@@ -230,26 +238,14 @@ def test_pairing_block_and_gram_rows_match_sympy(case):
     assert gram_rows(entries, ys) == (Matrix(g) * y.T).T.tolist()
 
 
-@SETTINGS
-@given(int_matrices())
-@example(((1, 0, 0), (0, 1, 0)))
-@example(((2, 4, 6),))
-def test_carried_inverse_is_the_inverse_transpose(m):
-    rows = [list(r) + [int(i == j) for j in range(len(m))] for i, r in enumerate(m)]
-    inv = list(identity(len(m)))
-    pivots = _hnf_reduce(rows, len(m[0]), inv)
-    u = Matrix([r[len(m[0]) :] for r in rows])
-    assert pivots == Matrix(m).rank()
-    assert u.T * Matrix(inv) == eye(len(m))
-
-
 @st.composite
 def row_bases(draw):
-    """k <= n rows of width n, often with a hidden common factor or a
-    non-primitive combination, and sometimes dependent."""
-    n = draw(st.integers(1, 6))
+    """k <= n rows of width n <= 24, sparse or dense, often with a hidden
+    common factor or a non-primitive combination, and sometimes dependent."""
+    n = draw(st.integers(1, 24))
     k = draw(st.integers(1, n))
-    m = [draw(st.lists(ENTRY, min_size=n, max_size=n)) for _ in range(k)]
+    entry = st.one_of(st.just(0), ENTRY) if draw(st.booleans()) else ENTRY
+    m = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(k)]
     if draw(st.booleans()):
         i = draw(st.integers(0, k - 1))
         m[i] = [draw(st.integers(2, 5)) * x for x in m[i]]
@@ -264,6 +260,12 @@ def _maximal_minor_gcd(rows) -> int:
     return gcd(*(int(a[:, list(cols)].det()) for cols in combinations(range(n), k)))
 
 
+def _column_index(rows) -> int:
+    """[Z^k : Γ] for the Z-span Γ of the columns of k independent rows, from
+    sympy's Hermite form: the gcd of the maximal minors, without the minors."""
+    return abs(int(hermite_normal_form(Matrix(rows)).det()))
+
+
 @SETTINGS
 @given(row_bases())
 @example(((0, 0),))
@@ -271,22 +273,45 @@ def _maximal_minor_gcd(rows) -> int:
 @example(((3, 6, 0, 15), (0, 3, 12, -3)))
 def test_saturate_and_is_primitive_match_sympy(m):
     n, k = len(m[0]), len(m)
-    if Matrix(m).rank() < k:
+    if _q_rank(m) < k:
         with pytest.raises(ValidationError, match="dependent basis"):
             saturate(m, n)
         return
     sat = saturate(m, n)
     assert len(sat) == k
     basis = Matrix(sat).T
-    assert all(_in_integer_span(basis, Matrix(row)) for row in m)
-    assert Matrix(m + sat).rank() == k
-    assert _maximal_minor_gcd(sat) == 1
+    assert _in_integer_span(basis, Matrix(m).T)
+    assert _q_rank(m + sat) == k
+    assert _column_index(sat) == 1
     assert hnf_basis(sat) == sat
-    # the saturation as the kernel of the kernel, the route it replaces
+    # the saturation as the kernel of the kernel
     kernel = int_kernel(m, n)
     assert sat == (int_kernel(kernel, n) if kernel else identity(n))
     s = Sublattice(IntegralLattice(identity(n)), m)
-    assert is_primitive(s) == (_maximal_minor_gcd(m) == 1) == (hnf_basis(m) == sat)
+    assert is_primitive(s) == (_column_index(m) == 1) == (hnf_basis(m) == sat)
+
+
+@SETTINGS
+@given(row_bases())
+@example(((2, 4, 6),))
+@example(((1, 0, 0), (0, 1, 0)))
+@example(((3, 6, 0, 15), (0, 3, 12, -3)))
+def test_saturation_is_the_dual_column_lattice_times_m(m):
+    """Sat(S) = Γ* m for the Z-span Γ of the columns of m: with W a basis of
+    Γ (sympy's Hermite form, as columns), the rows of W^-1 m are integral
+    and span the saturation, and [Sat(S) : S] = [Z^k : Γ]."""
+    k = len(m)
+    assume(_q_rank(m) == k)
+    w = hermite_normal_form(Matrix(m))
+    a = Matrix(m).to_DM().convert_to(QQ)
+    z = (w.to_DM().convert_to(QQ).inv() * a).to_Matrix()
+    assert all(x.is_integer for x in z)
+    sat = saturate(m)
+    assert hnf_basis([[int(x) for x in z.row(i)] for i in range(k)]) == sat
+    # m = x sat, and |det x| is the index of S in Sat(S)
+    b = Matrix(sat).to_DM().convert_to(QQ)
+    x = a * b.transpose() * (b * b.transpose()).inv()
+    assert abs(x.det()) == abs(w.det())
 
 
 @st.composite
@@ -383,13 +408,34 @@ RANK22_CONDITIONS = (
 )
 
 
+def dense_rows(seed: int, k: int, n: int = 24) -> tuple:
+    """k rows of width n, each entry ``r.randint(-9, 9)`` for
+    ``r = random.Random(seed)``, filled row by row: the pinned dense inputs."""
+    r = random.Random(seed)
+    return tuple(tuple(r.randint(-9, 9) for _ in range(n)) for _ in range(k))
+
+
+def _dolgachev_conditions() -> tuple:
+    """The 19x22 condition matrix G v of ``mirror dolgachev`` for <2>: the
+    K3 Gram applied to the basis of the mirror lattice N, whose complement
+    the duality check takes."""
+    k3 = k3_lattice()
+    n = dolgachev_mirror(Sublattice(k3, ((1, 1) + (0,) * 20,))).n
+    return tuple(map(tuple, gram_rows(k3.entries, n.basis)))
+
+
+DOLGACHEV_CONDITIONS = _dolgachev_conditions()
+
+
 @st.composite
 def kernel_inputs(draw):
-    """(m, n): k <= 6 rows of width n <= 9, often with a dependent row, a
-    zero row or zero columns; k > n happens, and k = 0 leaves the width."""
-    n = draw(st.integers(1, 9))
-    k = draw(st.integers(0, 6))
-    m = [draw(st.lists(ENTRY, min_size=n, max_size=n)) for _ in range(k)]
+    """(m, n): k rows of width n <= 24, k up to n + 2 and so sometimes past
+    it, sparse or dense, often with a dependent row, a zero row or zero
+    columns; k = 0 leaves the width."""
+    n = draw(st.integers(1, 24))
+    k = draw(st.integers(0, n + 2))
+    entry = st.one_of(st.just(0), ENTRY) if draw(st.booleans()) else ENTRY
+    m = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(k)]
     if k > 1 and draw(st.booleans()):
         coeffs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
         m[draw(st.integers(0, k - 1))] = [
@@ -413,18 +459,56 @@ def _forward_kernel(m, n: int):
     return hnf_basis(kernel, n) if kernel else ()
 
 
+def _is_hnf(rows) -> bool:
+    """Nonzero rows whose leading entries are positive, in strictly
+    increasing columns, with every entry above a leading entry in [0, it)."""
+    leads = [next((j for j, x in enumerate(row) if x), None) for row in rows]
+    if None in leads or leads != sorted(set(leads)):
+        return False
+    return all(
+        0 <= rows[i][j] < rows[l][j] for l, j in enumerate(leads) for i in range(l)
+    ) and all(row[j] > 0 for row, j in zip(rows, leads))
+
+
 @SETTINGS
 @given(kernel_inputs())
 @example(((), 3))
 @example((((0, 0, 0), (0, 0, 0)), 3))
 @example((((1, 2, 3), (2, 4, 6), (0, 0, 1), (5, 0, 0)), 3))
 @example((RANK22_CONDITIONS, 24))
+@example((DOLGACHEV_CONDITIONS, 22))
+@example((dense_rows(1, 22), 24))
 def test_int_kernel_matches_sympy(case):
+    """The kernel rows annihilate m, number n - rank m, span a primitive
+    lattice (sympy's Hermite form of their columns is I) and are in HNF:
+    so they are the one HNF basis of the kernel."""
     m, n = case
     kernel = int_kernel(m, n)
-    assert len(kernel) == n - (Matrix(m).rank() if m else 0)
+    assert len(kernel) == n - _q_rank(m)
     if m and kernel:
         assert (Matrix(m) * Matrix(kernel).T).is_zero_matrix
+    if kernel:
+        assert _column_index(kernel) == 1
+    assert _is_hnf(kernel)
     assert saturate(kernel, n) == kernel
     assert hnf_basis(kernel, n) == kernel
     assert kernel == _forward_kernel(m, n)
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_dense_kernel_keeps_its_column_basis_within_the_hadamard_bound(monkeypatch, seed):
+    """Every row the kernel sweep keeps for the column lattice has its k
+    coordinates reduced at the later pivots, so on dense 22 x 24 inputs they
+    stay below the Hadamard bound of m: unreduced, they passed 19,000 bits."""
+    m = dense_rows(seed, 22)
+    bound = log2(prod(sum(x * x for x in row) for row in m)) / 2
+    store, kept = gk3.intlinalg._store, []
+
+    def record(basis, c, row):
+        store(basis, c, row)
+        kept.append(max(map(abs, basis[c][0][: len(basis)])))
+
+    monkeypatch.setattr(gk3.intlinalg, "_store", record)
+    assert len(int_kernel(m, 24)) == 2
+    assert len(kept) >= 22
+    assert max(kept).bit_length() <= bound

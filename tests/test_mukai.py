@@ -12,12 +12,13 @@ from sympy import Matrix
 import gk3.lattices
 import gk3.mukai
 from gk3.errors import ValidationError
-from gk3.intlinalg import matmul
+from gk3.intlinalg import matmul, saturate
 from gk3.lattices import IntegralLattice, Sublattice, gauss_reduce2, ortho_complement
 from gk3.mukai import (
     DEG2_RANK,
     MUKAI,
     MUKAI_GRAM,
+    MUKAI_RANK,
     CohClass,
     GCYClass,
     GenericClass,
@@ -371,6 +372,20 @@ def test_rank22_complement_runs_no_rank_check_and_no_gram_scan(monkeypatch):
     assert t.rank == 22
     assert ranks == []
     assert scans == []
+
+
+def test_rank2_support_complement_and_saturation_carry_no_ambient_transform(hnf_shapes):
+    """T = S^⊥ for a rank-2 support S sweeps the 24 columns of its 2 x 24
+    conditions and runs no Hermite elimination; the saturation of the rows
+    of S eliminates its 24 columns as rows of 2 entries, then 2 rows of 24.
+    No pass carries a 24 x 24 transform or inverse."""
+    bfield = [Fraction((i % 5) - 2, 1 + i % 3) for i in range(DEG2_RANK)]
+    s = support_lattice(check_gcy(exponential_class(bfield, deg2_vector({0: 1, 1: 1}))))
+    hnf_shapes.clear()
+    assert ortho_complement(s).rank == 22
+    assert hnf_shapes == []
+    assert saturate(s.basis, MUKAI_RANK) == s.basis
+    assert hnf_shapes == [(MUKAI_RANK, 2), (2, MUKAI_RANK)]
 
 
 def test_member_helpers_on_explicit_classes():
