@@ -9,40 +9,48 @@ floating point nor ``Fraction`` ever enters.
 
 Conventions:
 
+* One row insertion does every Hermite elimination: ``_insert`` clears
+  each row's leading entry by a multiple of the basis row at that column,
+  or by one extended-gcd step that also replaces it, and keeps the row at
+  an empty column.  ``_store`` reduces each kept row at the later pivots,
+  which bounds the entries (Kannan and Bachem, SIAM J. Comput. 8, 1979).
+  ``_hermite`` inserts all rows and reduces every kept row once more at
+  the end, for ``hnf``, ``hnf_basis`` and ``saturate`` (so ``q_rank`` and
+  ``snf_divisors``); ``int_kernel`` inserts its columns one at a time.
 * ``hnf(m)`` returns ``(h, u)`` with ``h = u @ m``, ``u`` unimodular,
   pivots positive and entries above each pivot reduced modulo the pivot.
   It, ``hnf_basis``, ``int_kernel`` and ``saturate`` refuse ragged rows
   and a row width other than the ``ncols`` they are given.
 * ``int_kernel(m)`` is the right kernel ``{x : m @ x^T = 0}`` returned as
   HNF rows; it is automatically saturated.  One sweep over the columns M_j
-  of the k x n matrix, right to left, keeps an echelon basis (in k
-  coordinates, entries reduced at later pivots) of the Z-span of the
-  columns passed, each basis row carrying its integer combination of
-  those columns.  A column outside their Q-span is a non-pivot of the
-  kernel and is inserted.  Otherwise d_j, the least positive integer with
-  d_j M_j in that span, gives the kernel row d_j e_j - (the combination),
-  and M_j is inserted when d_j > 1.  The pivots are exactly the columns
+  of the k x n matrix, right to left, keeps the echelon basis (in k
+  coordinates) of the Z-span of the columns passed, each basis row
+  carrying its integer combination of those columns.  A column outside
+  their Q-span is a non-pivot of the kernel and is inserted.  Otherwise
+  d_j, the least positive integer with d_j M_j in that span, gives the
+  kernel row d_j e_j - (the combination), and M_j is inserted when
+  d_j > 1.  The pivots are exactly the columns
   where the rank of the trailing block does not rise, so these rows are
   the HNF of the kernel once a closing pass reduces every row at the
   pivots with d_j > 1; at the other pivots no combination has an entry.
 * ``saturate(m)`` returns the HNF basis of ``(Q-span of rows) ∩ Z^n`` for
   k independent rows: Sat(S) = Γ* m, with Γ the Z-span of the columns of m
-  in Z^k.  So with C the HNF of those n columns, z = C^-T m comes by
-  forward substitution with exact division, and ``hnf_basis(z)`` closes.
+  in Z^k.  So with C the HNF of the nonzero columns, z = C^-T m comes by
+  forward substitution with exact division, and the HNF of z closes.
   ``saturate2(x, y)`` gives a basis of the same lattice for k = 2 in
   closed form, with no elimination.
 * ``pairing_block(gram_entries(g), xs, ys)`` is ``xs @ g @ ys^T`` and
   ``gram_rows(gram_entries(g), ys)`` holds ``g @ y`` for each row ``y``:
   the one sparse routine through which every Gram form is applied.
 * ``snf_divisors(m)`` returns the ``min(rows, cols)`` Smith divisors
-  ``d_1 | d_2 | ...``, positive, zeros last; they come from the same HNF
+  ``d_1 | d_2 | ...``, positive, zeros last; they come from the same
   elimination, applied alternately to the rows and the columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import mul
 
@@ -137,52 +145,6 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _hnf_reduce(rows: list[list[int]], ncols: int | None = None) -> int:
-    """Row-reduce ``rows`` in place to Hermite normal form in their first
-    ``ncols`` columns; any later columns (a transform, say) ride along.
-    Returns the number of pivots."""
-    n = len(rows)
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    pr = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(pr, n):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != pr:
-            rows[pr], rows[piv] = rows[piv], rows[pr]
-        for i in range(pr + 1, n):
-            b = rows[i][col]
-            if b == 0:
-                continue
-            a = rows[pr][col]
-            if b % a == 0:  # one row operation clears b
-                q = b // a
-                rows[i] = [y - q * x for x, y in zip(rows[pr], rows[i])]
-                continue
-            g, s, t = _egcd(a, b)
-            p, q = a // g, b // g
-            rows[pr], rows[i] = (
-                [s * x + t * y for x, y in zip(rows[pr], rows[i])],
-                [-q * x + p * y for x, y in zip(rows[pr], rows[i])],
-            )
-        if rows[pr][col] < 0:
-            rows[pr] = [-x for x in rows[pr]]
-        a = rows[pr][col]
-        for i in range(pr):
-            q = rows[i][col] // a
-            if q:
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[pr])]
-        pr += 1
-        if pr == n:
-            break
-    return pr
-
-
 def _checked(m, ncols: int | None = None) -> tuple[IntMat, int | None]:
     """``freeze(m)`` and its row width (``ncols`` when m has no rows).
     Ragged rows, or a width other than ``ncols``, are refused by name."""
@@ -200,28 +162,27 @@ def hnf(m, ncols: int | None = None) -> tuple[IntMat, IntMat]:
 
     Returns (h, u) with h = u @ m, u unimodular.  Pivots are positive,
     entries above a pivot are reduced into [0, pivot), zero rows sink to
-    the bottom.  The transform is carried as extra columns [m | I].
+    the bottom.  The transform is carried as extra columns [m | I]; the rows
+    of u under the zero rows of h span its left kernel.
     """
     rows, width = _checked(m, ncols)
-    rows = list(map(list, rows))
-    for row, e in zip(rows, identity(len(rows))):
-        row.extend(e)
-    _hnf_reduce(rows, width)
-    return freeze(r[:width] for r in rows), freeze(r[width:] for r in rows)
+    width = width or 0
+    kept, zero = _hermite([row + e for row, e in zip(rows, identity(len(rows)))], width)
+    rows = kept + zero
+    return tuple(tuple(r[:width]) for r in rows), tuple(tuple(r[width:]) for r in rows)
 
 
 def hnf_basis(m, ncols: int | None = None) -> IntMat:
     """Nonzero rows of the Hermite normal form (a canonical row-lattice basis),
     from the same elimination as ``hnf`` without the transform."""
-    rows = list(map(list, _checked(m, ncols)[0]))
-    _hnf_reduce(rows)
-    return tuple(tuple(row) for row in rows if any(row))
+    rows, width = _checked(m, ncols)
+    return tuple(map(tuple, _hermite(rows, width or 0)[0]))
 
 
-def _store(basis: list, c: int, row: list[int]) -> None:
+def _store(basis: list, c: int, row) -> None:
     """Keep ``row`` as the basis row at pivot c, its entries at the later
-    pivots reduced (``int_kernel``).  Its combination's nonzero (column,
-    coefficient) pairs are read into the second slot on first use."""
+    pivots reduced.  Its combination's nonzero (column, coefficient) pairs
+    are read into the second slot on first use (``int_kernel``)."""
     k = len(basis)
     for l in range(c + 1, k):
         b = basis[l]
@@ -232,27 +193,47 @@ def _store(basis: list, c: int, row: list[int]) -> None:
     basis[c] = [row, None]
 
 
-def _insert(basis: list, w: list[int]) -> None:
-    """Add w, k coordinates and then its combination of the columns, to the
-    echelon basis with one slot per coordinate (``int_kernel``)."""
-    for c in range(len(basis)):
-        x = w[c]
-        if not x:
-            continue
-        b = basis[c]
-        if b is None:
-            _store(basis, c, w if x > 0 else [-y for y in w])
-            return
-        b = b[0]
-        a = b[c]
-        if x % a == 0:
-            q = x // a
-            w = [y - q * z for y, z in zip(w, b)]
+def _insert(basis: list, rows) -> list:
+    """Add each row to the echelon basis with one slot per leading column,
+    ``len(basis)`` of them; any later entries of a row ride along.  Returns
+    what is left of the rows that come to zero in those columns."""
+    zero = []
+    for w in rows:
+        for c in range(len(basis)):
+            x = w[c]
+            if not x:
+                continue
+            b = basis[c]
+            if b is None:
+                _store(basis, c, w if x > 0 else [-y for y in w])
+                break
+            b = b[0]
+            a = b[c]
+            if x % a == 0:
+                q = x // a
+                w = [y - q * z for y, z in zip(w, b)]
+            else:
+                g, s, t = _egcd(a, x)
+                p, q = a // g, x // g
+                _store(basis, c, [s * y + t * z for y, z in zip(b, w)])
+                w = [p * z - q * y for y, z in zip(b, w)]
         else:
-            g, s, t = _egcd(a, x)
-            p, q = a // g, x // g
-            _store(basis, c, [s * y + t * z for y, z in zip(b, w)])
-            w = [p * z - q * y for y, z in zip(b, w)]
+            zero.append(w)
+    return zero
+
+
+def _hermite(rows, width: int) -> tuple[list, list]:
+    """Row-style Hermite elimination of ``rows`` in their first ``width``
+    columns, any later ones riding along: the rows go into the echelon
+    basis (``_insert``), and a closing pass reduces every kept row at the
+    later pivots.  Returns the kept rows in pivot order, which are the HNF,
+    and what is left of the rows that came to zero."""
+    basis = [None] * width
+    zero = _insert(basis, rows)
+    pivots = list(compress(range(width), basis))
+    for c in reversed(pivots):
+        _store(basis, c, basis[c][0])
+    return [basis[c][0] for c in pivots], zero
 
 
 def int_kernel(m, ncols: int | None = None) -> IntMat:
@@ -303,7 +284,7 @@ def int_kernel(m, ncols: int | None = None) -> IntMat:
             lifted.append((j, d))
         w = [row[j] for row in rows] + [0] * n
         w[k + j] = 1
-        _insert(basis, w)
+        _insert(basis, (w,))
     for c, d in reversed(lifted):
         nz = [(l, y) for l, y in enumerate(ker[c]) if y]
         for j, row in ker.items():
@@ -329,8 +310,8 @@ def saturate(m, ncols: int | None = None) -> IntMat:
     if n is None:
         raise ValidationError("saturation of an empty matrix needs an explicit width")
     k = len(rows)
-    c = [list(col) for col in zip(*rows)]
-    if _hnf_reduce(c) != k:
+    c = _hermite([col for col in zip(*rows) if any(col)], k)[0]
+    if len(c) != k:
         raise ValidationError("dependent basis")
     # C^T z = m, C^T lower triangular, solved row by row
     z = []
@@ -341,7 +322,7 @@ def saturate(m, ncols: int | None = None) -> IntMat:
                 row = [y - t * x for y, x in zip(row, z[l])]
         p = c[i][i]
         z.append([y // p for y in row] if p != 1 else row)
-    return hnf_basis(z)
+    return tuple(map(tuple, _hermite(z, n)[0]))
 
 
 def saturate2(x, y) -> IntMat:

@@ -21,31 +21,20 @@ def ortho_complement_calls(monkeypatch) -> list:
 
 @pytest.fixture
 def hnf_passes(monkeypatch) -> list:
-    """Count Hermite eliminations: wraps ``intlinalg._hnf_reduce``, which
-    every HNF, saturation and primitivity test runs (a kernel runs none:
-    ``int_kernel`` sweeps the columns with its own k-coordinate basis); the
-    returned list grows by one per pass."""
-    reduce = gk3.intlinalg._hnf_reduce
-    calls = []
-    monkeypatch.setattr(
-        gk3.intlinalg, "_hnf_reduce", lambda *a, **k: calls.append(1) or reduce(*a, **k)
-    )
-    return calls
-
-
-@pytest.fixture
-def hnf_shapes(monkeypatch) -> list:
-    """Record the shape of each Hermite elimination: wraps
-    ``intlinalg._hnf_reduce``; the returned list grows by ``(rows, width)``
-    per pass, the width counting any columns that ride along."""
-    reduce = gk3.intlinalg._hnf_reduce
+    """Record each Hermite elimination: wraps ``intlinalg._hermite``, the one
+    row insertion that every HNF, saturation and primitivity test runs (a
+    kernel runs none: ``int_kernel`` inserts its columns one at a time into
+    the same echelon basis, with no pass of its own).  The returned list
+    grows by ``(rows, width)`` per pass, the width counting any columns that
+    ride along, so ``len`` counts the passes."""
+    hermite = gk3.intlinalg._hermite
     shapes = []
 
-    def record(rows, *args):
+    def record(rows, width):
         shapes.append((len(rows), len(rows[0]) if rows else 0))
-        return reduce(rows, *args)
+        return hermite(rows, width)
 
-    monkeypatch.setattr(gk3.intlinalg, "_hnf_reduce", record)
+    monkeypatch.setattr(gk3.intlinalg, "_hermite", record)
     return shapes
 
 

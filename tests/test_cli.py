@@ -18,6 +18,7 @@ from gk3.lattices import MAX_SPLIT_RADIUS, k3_lattice
 from gk3.mukai import check_gcy, deg2_vector, exponential_class, two_form_class
 from gk3.rigidity import MAX_FORMS_DET, MAX_SURVEY_SAMPLES
 from gk3.serialize import class_json, dumps_canonical
+from test_intlinalg_oracle import dense_gram
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -459,11 +460,11 @@ def test_split_u_is_pinned(tmp_path, capsys):
 HUGE_FIELD_TAG = 1000000000000000003  # trial division to its square root never ends
 
 
-def _gk3(args) -> subprocess.CompletedProcess:
+def _gk3(args, timeout: float = 60) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "gk3", *args], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-m", "gk3", *args], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -545,6 +546,46 @@ def test_lattice_info_on_a_dense_even_gram_finishes(tmp_path):
     out = json.loads(proc.stdout)
     assert out["det"] == -229717
     assert out["discriminant"] == [229717]
+
+
+# ``lattice info`` on ``dense_gram(1, n)``; the digest pins the whole stdout.
+# det and discriminant were checked once against sympy 1.14: det as
+# ``Matrix(g).det(method="bareiss")``; at n = 32 and 40 the discriminant as
+# the divisors > 1 of ``smith_normal_form(Matrix(g), domain=ZZ)``, and at
+# n = 48, where that ran over 5 minutes, as cyclic of order |det|: the
+# entries of det * g^-1 (over QQ), the (n-1)-minors, have gcd 1
+DENSE_GRAM_INFO = {
+    32: (
+        868237233350353371324286269810444066046113,
+        [3, 289412411116784457108095423270148022015371],
+        "b8795e86fae3dca4695d0dc70ddcbd4bfa819988d91770b7a561371d9454f23c",
+    ),
+    40: (
+        47145459456500125322571071653319359153417780371051537,
+        [3, 15715153152166708440857023884439786384472593457017179],
+        "bd6e8c1b76be69d9fc89e5f1bae11dcaf9fbc1a8f35787234734c6762ce9b3a8",
+    ),
+    48: (
+        4486428008588554703135819278123030336553379644519652240397702671173,
+        [4486428008588554703135819278123030336553379644519652240397702671173],
+        "b2dfca456902182aeefec9a16a268c77d474b65005437fcb8c24f0750bc71f29",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(DENSE_GRAM_INFO))
+def test_lattice_info_on_a_dense_gram_is_pinned_and_fast(tmp_path, n):
+    """A Hermite elimination that lets its entries grow takes seconds at
+    n = 32 and minutes at n = 40; the timeout makes such a run fail fast."""
+    det, discriminant, digest = DENSE_GRAM_INFO[n]
+    path = _write(tmp_path, "g.json", {"lattice": {"gram": [list(row) for row in dense_gram(1, n)]}})
+    start = time.perf_counter()
+    proc = _gk3(["lattice", "info", path], timeout=5)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 0
+    out = json.loads(proc.stdout)
+    assert (out["rank"], out["det"], out["discriminant"]) == (n, det, discriminant)
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == digest
 
 
 def test_mirror_commands_check_each_polarization_once(tmp_path, capsys, monkeypatch):

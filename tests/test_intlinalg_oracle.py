@@ -175,6 +175,29 @@ def test_snf_divisors_match_sympy(m):
     assert list(snf_divisors(m)) == theirs
 
 
+@st.composite
+def nonsingular_matrices(draw):
+    """Dense square matrices, n <= 12, entries -9..9, with det != 0."""
+    n = draw(st.integers(1, 12))
+    m = tuple(tuple(draw(st.lists(ENTRY, min_size=n, max_size=n))) for _ in range(n))
+    assume(Matrix(m).det() != 0)
+    return m
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(nonsingular_matrices())
+def test_nonsingular_hnf_and_snf_match_sympy(m):
+    """sympy's column HNF of the transpose, with rows and columns reversed
+    before and after, is the row HNF; its Smith form gives the divisors."""
+    theirs = hermite_normal_form(Matrix(m)[::-1, ::-1].T).T[::-1, ::-1]
+    assert hnf_basis(m) == tuple(map(tuple, theirs.tolist()))
+    s = smith_normal_form(Matrix(m), domain=ZZ)
+    assert list(snf_divisors(m)) == sorted(abs(s[i, i]) for i in range(len(m)))
+    h, u = hnf(m)
+    assert Matrix(u) * Matrix(m) == Matrix(h)
+    assert abs(Matrix(u).det()) == 1
+
+
 @SETTINGS
 @given(symmetric_grams())
 @example(())
@@ -415,6 +438,21 @@ def dense_rows(seed: int, k: int, n: int = 24) -> tuple:
     return tuple(tuple(r.randint(-9, 9) for _ in range(n)) for _ in range(k))
 
 
+def dense_gram(seed: int, n: int) -> tuple:
+    """A dense even symmetric n x n Gram: ``r = random.Random(seed)`` fills
+    it row by row over j >= i, each entry ``r.randint(-9, 9)``; on the
+    diagonal that draw is replaced by ``2 * r.randint(-4, 4)``."""
+    r = random.Random(seed)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = r.randint(-9, 9)
+            if i == j:
+                v = 2 * r.randint(-4, 4)
+            g[i][j] = g[j][i] = v
+    return tuple(map(tuple, g))
+
+
 def _dolgachev_conditions() -> tuple:
     """The 19x22 condition matrix G v of ``mirror dolgachev`` for <2>: the
     K3 Gram applied to the basis of the mirror lattice N, whose complement
@@ -511,4 +549,25 @@ def test_dense_kernel_keeps_its_column_basis_within_the_hadamard_bound(monkeypat
     monkeypatch.setattr(gk3.intlinalg, "_store", record)
     assert len(int_kernel(m, 24)) == 2
     assert len(kept) >= 22
+    assert max(kept).bit_length() <= bound
+
+
+@pytest.mark.parametrize("n", [24, 32])
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_dense_hermite_keeps_its_rows_within_the_hadamard_bound(monkeypatch, seed, n):
+    """Every row the Hermite elimination keeps is reduced at the later pivots
+    as it is inserted, so on dense Grams it stays below the Hadamard bound
+    of the input: stored unreduced and reduced only by the closing pass,
+    the rows passed 3,000 bits at n = 24 and 500,000 at n = 32."""
+    g = dense_gram(seed, n)
+    bound = log2(prod(sum(x * x for x in row) for row in g)) / 2
+    store, kept = gk3.intlinalg._store, []
+
+    def record(basis, c, row):
+        store(basis, c, row)
+        kept.append(max(map(abs, basis[c][0])))
+
+    monkeypatch.setattr(gk3.intlinalg, "_store", record)
+    assert len(hnf_basis(g)) == n
+    assert len(kept) >= n
     assert max(kept).bit_length() <= bound
