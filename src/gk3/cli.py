@@ -11,7 +11,9 @@ handler.  A handler returns library values and records, which
 ``dumps_canonical`` writes by type as canonical JSON on standard output.
 Only the lattice layer and the document format are imported up front; a
 class, gk3, rigid or mirror handler imports the library names it calls in
-its own body, so a command loads its own group's modules and no others.
+its own body, so a command loads no modules of another group (``rigid
+forms`` needs only the lattice layer), and ``build_parser`` builds the
+command parsers of the invoked group only.
 Exit codes: 0 success, 1 domain validation failure (the report names the
 violated condition), 2 parse or schema error.
 """
@@ -25,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import SchemaError, ValidationError
 from .lattices import (
-    Lattice, SplitNotFound, Sublattice, discriminant, enumerate_reduced_forms,
+    Lattice, SplitNotFound, Sublattice, check_forms_det, discriminant, enumerate_reduced_forms,
     find_hyperbolic_split, gauss_reduce2, ortho_complement,
 )
 from .serialize import Document, dumps_canonical, parse_document
@@ -283,8 +285,6 @@ def _(doc, args):
 
 @command("rigid", "forms", "reduced even positive forms up to a determinant", (), MAX_DET)
 def _(doc, args):
-    from .rigidity import check_forms_det
-
     check_forms_det(args.max_det)
     return {"forms": enumerate_reduced_forms(args.max_det)}
 
@@ -372,27 +372,39 @@ def _(doc, args):
 # --- parser ----------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of every group, with the command parsers of the group that
+    ``argv`` invokes only.  The invoked group is the first argument that
+    names one: the top level takes no other positional, so an earlier
+    argument is an error whatever is built."""
     parser = argparse.ArgumentParser(
         prog="gk3",
         description="Exact computations in the Mukai lattice of a K3 surface.",
     )
     groups = parser.add_subparsers(dest="group", required=True)
-    commands = {
-        group: groups.add_parser(group, help=text).add_subparsers(dest="command", required=True)
-        for group, text in GROUPS.items()
-    }
-    for (group, name), entry in COMMANDS.items():
-        p = commands[group].add_parser(name, help=entry.help)
-        if entry.kinds:
-            p.add_argument("file", help='input JSON document (or "-" for stdin)')
-        for flags, options in entry.arguments:
-            p.add_argument(*flags, **options)
+    invoked = next((a for a in argv if a in GROUPS), None)
+    for group, text in GROUPS.items():
+        group_parser = groups.add_parser(group, help=text)
+        if group == invoked:
+            _add_commands(group_parser, group)
     return parser
 
 
+def _add_commands(group_parser: argparse.ArgumentParser, group: str) -> None:
+    """Give ``group_parser`` the command parsers of ``group``."""
+    commands = group_parser.add_subparsers(dest="command", required=True)
+    for (g, name), entry in COMMANDS.items():
+        if g == group:
+            p = commands.add_parser(name, help=entry.help)
+            if entry.kinds:
+                p.add_argument("file", help='input JSON document (or "-" for stdin)')
+            for flags, options in entry.arguments:
+                p.add_argument(*flags, **options)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     entry = COMMANDS[args.group, args.command]
     try:
         doc = _load(args.file, entry.kinds) if entry.kinds else None

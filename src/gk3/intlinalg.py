@@ -13,7 +13,8 @@ Conventions:
   each row's leading entry by a multiple of the basis row at that column,
   or by one extended-gcd step that also replaces it, and keeps the row at
   an empty column.  ``_store`` reduces each kept row at the later pivots,
-  which bounds the entries (Kannan and Bachem, SIAM J. Comput. 8, 1979).
+  which bounds the entries (Kannan and Bachem, SIAM J. Comput. 8, 1979);
+  the filled pivots are kept in a list, so empty columns cost nothing.
   ``_hermite`` inserts all rows and reduces every kept row once more at
   the end, for ``hnf``, ``hnf_basis`` and ``saturate`` (so ``q_rank`` and
   ``snf_divisors``); ``int_kernel`` inserts its columns one at a time.
@@ -49,12 +50,13 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain, compress
+from bisect import bisect_right
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
 from .errors import ValidationError
+from .records import record
 
 IntMat = tuple[tuple[int, ...], ...]
 IntVec = tuple[int, ...]
@@ -179,24 +181,28 @@ def hnf_basis(m, ncols: int | None = None) -> IntMat:
     return tuple(map(tuple, _hermite(rows, width or 0)[0]))
 
 
-def _store(basis: list, c: int, row) -> None:
+def _store(basis: list, pivots: list, c: int, row) -> None:
     """Keep ``row`` as the basis row at pivot c, its entries at the later
-    pivots reduced.  Its combination's nonzero (column, coefficient) pairs
-    are read into the second slot on first use (``int_kernel``)."""
-    k = len(basis)
-    for l in range(c + 1, k):
-        b = basis[l]
-        if b is not None:
-            q = row[l] // b[0][l]
-            if q:
-                row = [y - q * z for y, z in zip(row, b[0])]
+    pivots reduced; ``pivots`` lists the filled slots, ascending, so the
+    empty ones cost nothing.  The row's combination's nonzero (column,
+    coefficient) pairs are read into the second slot on first use
+    (``int_kernel``)."""
+    i = bisect_right(pivots, c)
+    for l in pivots[i:]:
+        b = basis[l][0]
+        q = row[l] // b[l]
+        if q:
+            row = [y - q * z for y, z in zip(row, b)]
+    if basis[c] is None:
+        pivots.insert(i, c)
     basis[c] = [row, None]
 
 
-def _insert(basis: list, rows) -> list:
+def _insert(basis: list, pivots: list, rows) -> list:
     """Add each row to the echelon basis with one slot per leading column,
-    ``len(basis)`` of them; any later entries of a row ride along.  Returns
-    what is left of the rows that come to zero in those columns."""
+    ``len(basis)`` of them, the filled ones listed in ``pivots``; any later
+    entries of a row ride along.  Returns what is left of the rows that
+    come to zero in those columns."""
     zero = []
     for w in rows:
         for c in range(len(basis)):
@@ -205,7 +211,7 @@ def _insert(basis: list, rows) -> list:
                 continue
             b = basis[c]
             if b is None:
-                _store(basis, c, w if x > 0 else [-y for y in w])
+                _store(basis, pivots, c, w if x > 0 else [-y for y in w])
                 break
             b = b[0]
             a = b[c]
@@ -215,7 +221,7 @@ def _insert(basis: list, rows) -> list:
             else:
                 g, s, t = _egcd(a, x)
                 p, q = a // g, x // g
-                _store(basis, c, [s * y + t * z for y, z in zip(b, w)])
+                _store(basis, pivots, c, [s * y + t * z for y, z in zip(b, w)])
                 w = [p * z - q * y for y, z in zip(b, w)]
         else:
             zero.append(w)
@@ -228,11 +234,10 @@ def _hermite(rows, width: int) -> tuple[list, list]:
     basis (``_insert``), and a closing pass reduces every kept row at the
     later pivots.  Returns the kept rows in pivot order, which are the HNF,
     and what is left of the rows that came to zero."""
-    basis = [None] * width
-    zero = _insert(basis, rows)
-    pivots = list(compress(range(width), basis))
+    basis, pivots = [None] * width, []
+    zero = _insert(basis, pivots, rows)
     for c in reversed(pivots):
-        _store(basis, c, basis[c][0])
+        _store(basis, pivots, c, basis[c][0])
     return [basis[c][0] for c in pivots], zero
 
 
@@ -245,7 +250,7 @@ def int_kernel(m, ncols: int | None = None) -> IntMat:
     if not rows:
         return identity(n)
     k = len(rows)
-    basis = [None] * k
+    basis, pivots = [None] * k, []
     ker, lifted = {}, []  # kernel rows by leading column, n - 1 down to 0
     for j in range(n - 1, -1, -1):
         # the least d with d M_j in the span, and the basis rows it takes
@@ -284,7 +289,7 @@ def int_kernel(m, ncols: int | None = None) -> IntMat:
             lifted.append((j, d))
         w = [row[j] for row in rows] + [0] * n
         w[k + j] = 1
-        _insert(basis, (w,))
+        _insert(basis, pivots, (w,))
     for c, d in reversed(lifted):
         nz = [(l, y) for l, y in enumerate(ker[c]) if y]
         for j, row in ker.items():
@@ -375,7 +380,7 @@ def snf_divisors(m) -> tuple[int, ...]:
     return tuple(nonzero) + (0,) * (len(divs) - len(nonzero))
 
 
-@dataclass(frozen=True)
+@record
 class SymDiagResult:
     """Counts of positive, negative and zero diagonal entries after a
     rational congruence diagonalization of a symmetric matrix."""

@@ -21,7 +21,6 @@ saturation and a complement are their own saturation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, compress, count, product
 from math import gcd
@@ -46,6 +45,7 @@ from .intlinalg import (
     snf_divisors,
     _sym_signature,
 )
+from .records import record
 
 
 class Lattice:
@@ -99,7 +99,7 @@ class Lattice:
         return sig.n_minus == 0 and sig.n_zero == 0
 
 
-@dataclass(frozen=True)
+@record
 class IntegralLattice(Lattice):
     """A lattice given by its symmetric integer Gram matrix."""
 
@@ -171,15 +171,14 @@ def _is_echelon(rows, n: int) -> bool:
     return all(a < b for a, b in zip(leads, leads[1:] + [n]))
 
 
-@dataclass(frozen=True)
+@record
 class Sublattice(Lattice):
     """Q-independent integer rows spanning a sublattice of an ambient lattice,
     itself a lattice under the induced form."""
 
     ambient: Lattice
     basis: IntMat
-    # S, on S^⊥ computed in a nondegenerate ambient
-    _complement_of: Sublattice | None = field(default=None, init=False, repr=False, compare=False)
+    _complement_of = None  # not a field: S, on S^⊥ computed in a nondegenerate ambient
 
     def __post_init__(self):
         object.__setattr__(self, "basis", freeze(self.basis))
@@ -292,7 +291,7 @@ def discriminant(l: Lattice) -> tuple[int, ...]:
     return tuple(d for d in snf_divisors(l.gram) if d > 1)
 
 
-@dataclass(frozen=True)
+@record
 class ReducedForm:
     """A Gauss-reduced rank-2 positive definite form with its witness."""
 
@@ -338,6 +337,19 @@ def reduce_form2(a: int, b: int, c: int) -> tuple[IntMat, IntMat]:
         return ((a, b), (b, c)), ((u00, u01), (u10, u11))
 
 
+# Work limit of `rigid forms` and `rigid survey`, sized so that the largest
+# accepted call ends in well under a minute on 2 CPUs.
+MAX_FORMS_DET = 10_000  # determinant bound of the enumerated forms
+
+
+def check_forms_det(max_det: int) -> None:
+    """Refuse a determinant bound above MAX_FORMS_DET before any enumeration."""
+    if max_det > MAX_FORMS_DET:
+        raise ValidationError(
+            f"max_det {max_det} is above the limit MAX_FORMS_DET = {MAX_FORMS_DET}"
+        )
+
+
 def enumerate_reduced_forms(max_det: int) -> tuple[IntMat, ...]:
     """All even positive definite reduced forms [[a,b],[b,c]] with
     0 <= 2b <= a <= c and determinant <= max_det, sorted lexicographically."""
@@ -357,7 +369,7 @@ def enumerate_reduced_forms(max_det: int) -> tuple[IntMat, ...]:
     return tuple(sorted(forms))
 
 
-@dataclass(frozen=True)
+@record
 class MatchResult:
     """Outcome of an invariant-level lattice comparison."""
 
@@ -375,7 +387,9 @@ def invariants_match(l1: Lattice, l2: Lattice) -> MatchResult:
     Rank-2 positive definite pairs are compared by their unique reduced
     forms (an exact isometry test); everything else by rank, signature,
     evenness and discriminant divisors (a genus-level test that cannot
-    distinguish non-isometric lattices in the same genus).
+    distinguish non-isometric lattices in the same genus).  A degenerate
+    lattice is L = rad(L) + M over Z, so its Smith divisors are those of M
+    and zeros: the nonzero ones give the discriminant of L/rad(L).
     """
     if (
         l1.rank == 2
@@ -396,14 +410,15 @@ def invariants_match(l1: Lattice, l2: Lattice) -> MatchResult:
     if l1.is_even != l2.is_even:
         return MatchResult("Distinguished", "evenness")
     if l1.is_degenerate:
-        return MatchResult("GenusInvariantsMatch")
-    d1, d2 = discriminant(l1), discriminant(l2)
+        d1, d2 = (tuple(d for d in snf_divisors(l.gram) if d > 1) for l in (l1, l2))
+    else:
+        d1, d2 = discriminant(l1), discriminant(l2)
     if d1 != d2:
         return MatchResult("Distinguished", f"discriminant {list(d1)} vs {list(d2)}")
     return MatchResult("GenusInvariantsMatch")
 
 
-@dataclass(frozen=True)
+@record
 class HyperbolicSplit:
     """A hyperbolic plane summand: e, f with e^2 = f^2 = 0, <e,f> = 1,
     and the orthogonal complement N, so the lattice is U + N."""
@@ -413,7 +428,7 @@ class HyperbolicSplit:
     complement: Sublattice  # N, a sublattice of the split lattice
 
 
-@dataclass(frozen=True)
+@record
 class SplitNotFound:
     reason: str
 

@@ -23,7 +23,6 @@ signed permutation of the Mukai lattice.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from math import prod
 
@@ -56,9 +55,10 @@ from .mukai import (
     two_form_class,
 )
 from .pairs import GeneralizedK3, neron_severi, transcendental, validate_gk3
+from .records import derived, record
 
 
-@dataclass(frozen=True)
+@record
 class PolarizationData:
     """Embedded (K, L) with witnesses; slot K hosts type A, slot L type B."""
 
@@ -73,14 +73,14 @@ class PolarizationData:
                 raise ValidationError(f"polarization slot {name} must live in the Mukai lattice")
 
 
-@dataclass(frozen=True)
+@record
 class Clause:
     name: str
     ok: bool
     detail: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class PolarizationReport:
     """Per-clause verdicts plus the data the definition leaves to the reader.
 
@@ -92,7 +92,7 @@ class PolarizationReport:
     clauses: tuple[Clause, ...]
     joint_index: int | None
     kl_pairing: IntMat
-    passed: bool = field(init=False)
+    passed: bool = derived
 
     def __post_init__(self):
         object.__setattr__(self, "passed", all(c.ok for c in self.clauses))
@@ -182,7 +182,7 @@ def moduli_dims(p: PolarizationData) -> tuple[int, int]:
     return p.k_emb.rank - 2, p.l_emb.rank - 2
 
 
-@dataclass(frozen=True)
+@record
 class FamilySpec:
     """A polarization with a designated member pair."""
 
@@ -195,31 +195,28 @@ class FamilySpec:
         return check_polarization(self.polarization, self.member)
 
 
-@dataclass(frozen=True)
+@record
 class MirrorReport:
-    """Verdicts for a candidate mirror pair of polarized families; the moduli
-    dimensions and polarization verdicts are read off the two families."""
+    """Verdicts for a candidate mirror pair of polarized families, with the
+    moduli dimensions and polarization verdicts of the two families; whether
+    the dimensions swap and the verdict are read off the other fields."""
 
     k1_vs_l2: MatchResult
     l1_vs_k2: MatchResult
     ns1_vs_t2: MatchResult
     t1_vs_ns2: MatchResult
-    f1: InitVar[FamilySpec]
-    f2: InitVar[FamilySpec]
-    dims: tuple[tuple[int, int], tuple[int, int]] = field(init=False)
-    dims_swap: bool = field(init=False)
-    polarizations_passed: tuple[bool, bool] = field(init=False)
-    verified: bool = field(init=False)
+    dims: tuple[tuple[int, int], tuple[int, int]]
+    dims_swap: bool = derived
+    polarizations_passed: tuple[bool, bool]
+    verified: bool = derived
 
-    def __post_init__(self, f1: FamilySpec, f2: FamilySpec):
-        dims = moduli_dims(f1.polarization), moduli_dims(f2.polarization)
-        swap = dims[0] == dims[1][::-1]
-        passed = f1.report.passed, f2.report.passed
+    def __post_init__(self):
+        swap = self.dims[0] == self.dims[1][::-1]
         matches = self.k1_vs_l2, self.l1_vs_k2, self.ns1_vs_t2, self.t1_vs_ns2
-        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "dims_swap", swap)
-        object.__setattr__(self, "polarizations_passed", passed)
-        object.__setattr__(self, "verified", swap and all(passed) and all(m.matched for m in matches))
+        object.__setattr__(
+            self, "verified", swap and all(self.polarizations_passed) and all(m.matched for m in matches)
+        )
 
 
 def mirror_check(f1: FamilySpec, f2: FamilySpec) -> MirrorReport:
@@ -237,17 +234,17 @@ def mirror_check(f1: FamilySpec, f2: FamilySpec) -> MirrorReport:
         l1_vs_k2=invariants_match(p1.l_emb, p2.k_emb),
         ns1_vs_t2=invariants_match(neron_severi(x1), transcendental(x2)),
         t1_vs_ns2=invariants_match(transcendental(x1), neron_severi(x2)),
-        f1=f1,
-        f2=f2,
+        dims=(moduli_dims(p1), moduli_dims(p2)),
+        polarizations_passed=(f1.report.passed, f2.report.passed),
     )
 
 
-@dataclass(frozen=True)
+@record
 class Failure:
     reason: str
 
 
-@dataclass(frozen=True)
+@record
 class DolgachevMirror:
     """The mirror lattice N, a sublattice of the K3 lattice, with its split
     witness and the duality check."""

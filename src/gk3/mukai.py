@@ -23,7 +23,6 @@ that fixes degree 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -32,6 +31,7 @@ from operator import mul
 from .errors import ValidationError
 from .intlinalg import IntMat, freeze, gram_rows, hnf_basis, pairing_block
 from .lattices import Sublattice, named_lattice, saturation
+from .records import derived, record
 from .scalars import ComplexQuad, QuadScalar, as_quad, join_tags, quad_sign, shown
 
 DEG2_RANK = 22
@@ -108,7 +108,7 @@ def _rows_of(coords) -> tuple[int, int | None, tuple[tuple[int, ...], ...]]:
     return den, d, tuple(tuple(flat[t::4]) for t in range(4))
 
 
-@dataclass(frozen=True, init=False)
+@record
 class CohClass:
     """A total cohomology class, stored exactly as four integer rows in the
     Mukai layout (rational and sqrt(d) parts of Re, then of Im) over one
@@ -300,15 +300,15 @@ def gcy_norm(entries, den: int, d: int | None, rows) -> tuple[int, int]:
     return a, b
 
 
-@dataclass(frozen=True)
+@record
 class GCYClass:
     """A generalized Calabi-Yau class.  Building one checks <phi, phi> = 0
     and <phi, conj phi> > 0 and sets the type tag and the norm from coh, so
     no class holds a tag or norm that disagrees with its coh."""
 
     coh: CohClass
-    type_tag: str = field(init=False)  # "A" | "B"
-    norm: QuadScalar = field(init=False)  # <phi, conj phi>, positive
+    type_tag: str = derived  # "A" | "B"
+    norm: QuadScalar = derived  # <phi, conj phi>, positive
 
     def __post_init__(self):
         x = self.coh
@@ -327,7 +327,7 @@ def check_gcy(x: CohClass) -> GCYClass:
     return GCYClass(x)
 
 
-@dataclass(frozen=True)
+@record
 class GenericClass:
     """A symbolic generic member of a family, known only by its support.
 
@@ -378,7 +378,7 @@ def support_lattice(x: CohClass | GCYClass) -> Sublattice:
     return support_in(x)
 
 
-@dataclass(frozen=True)
+@record
 class PeriodPlane:
     """The oriented positive 2-plane spanned by Re(x) and Im(x)."""
 

@@ -17,8 +17,6 @@ case the pair realizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ValidationError
 from .intlinalg import freeze, hnf_basis, matmul
 from .lattices import Sublattice, ortho_complement
@@ -35,6 +33,7 @@ from .mukai import (
     real_gram,
     type_a_parts,
 )
+from .records import record
 from .scalars import QuadScalar, shown
 
 
@@ -46,7 +45,7 @@ def _coerce_member(x) -> Member:
     raise ValidationError(f"not a generalized Calabi-Yau class: {x!r}")
 
 
-@dataclass(frozen=True)
+@record
 class PiSpace:
     """The positive 4-space spanned by Re/Im of both classes, with Gram."""
 
@@ -60,7 +59,7 @@ class PiSpace:
         return (g[0][2], g[0][3], g[1][2], g[1][3])
 
 
-@dataclass(frozen=True)
+@record
 class GeneralizedK3:
     """A validated pair; phi_A is a hyperKaehler partner of phi_B.
 
@@ -130,7 +129,7 @@ def transcendental(x: GeneralizedK3) -> Sublattice:
     return ortho_complement(x.phi_a.support)
 
 
-@dataclass(frozen=True)
+@record
 class SignatureProfile:
     ns_signature: tuple[int, int, int]
     t_signature: tuple[int, int, int]
@@ -158,7 +157,7 @@ def signature_profile(x: GeneralizedK3) -> SignatureProfile:
     )
 
 
-@dataclass(frozen=True)
+@record
 class Identity:
     """One checked cohomological identity with its exact residual value."""
 
@@ -167,7 +166,7 @@ class Identity:
     value: QuadScalar
 
 
-@dataclass(frozen=True)
+@record
 class HKClassification:
     """Which hyperKaehler-partner case a pair of explicit classes realizes.
 

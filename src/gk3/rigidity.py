@@ -16,12 +16,19 @@ is an open question; the survey reports, it never asserts completeness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import ValidationError
 from .intlinalg import IntMat, freeze, gram_entries, hnf_basis, hnf_coords, pairing_block, saturate2
-from .lattices import Sublattice, enumerate_reduced_forms, gauss_reduce2, reduce_form2, saturation
+from .lattices import (
+    MAX_FORMS_DET,  # re-exported: the survey's determinant bound too
+    Sublattice,
+    check_forms_det,
+    enumerate_reduced_forms,
+    gauss_reduce2,
+    reduce_form2,
+    saturation,
+)
 from .mukai import (
     DEG2_RANK,
     K3,
@@ -36,12 +43,13 @@ from .mukai import (
     type_a_parts,
 )
 from .pairs import GeneralizedK3, neron_severi, transcendental
+from .records import record
 from .scalars import QuadScalar, check_field_tag
 
 FULL_RANK = 22  # rank of NS/T certifying rigidity (codimension-2 support)
 
 
-@dataclass(frozen=True)
+@record
 class RigidityReport:
     """Outcome of a rigidity test.
 
@@ -153,13 +161,12 @@ def is_kahler_rigid(x: GeneralizedK3) -> RigidityReport:
 DEFAULT_H1 = deg2_vector({0: 1, 1: 1})  # e1 + f1, square 2
 DEFAULT_H2 = deg2_vector({2: 1, 3: 1})  # e2 + f2, square 2
 
-# Work limits of `rigid forms` and `rigid survey`, sized so that the
+# Work limit of `rigid survey` next to MAX_FORMS_DET, sized so that the
 # largest accepted call ends in well under a minute on 2 CPUs.
-MAX_FORMS_DET = 10_000  # determinant bound of the enumerated forms
 MAX_SURVEY_SAMPLES = 100_000  # grid points of one survey (survey_samples)
 
 
-@dataclass(frozen=True)
+@record
 class SurveyConfig:
     max_det: int
     denominator_bound: int
@@ -183,13 +190,13 @@ class SurveyConfig:
         object.__setattr__(self, "h2", h2)
 
 
-@dataclass(frozen=True)
+@record
 class SurveyWitness:
     bfield: tuple[QuadScalar, ...]
     omega: tuple[QuadScalar, ...]
 
 
-@dataclass(frozen=True)
+@record
 class SurveyReport:
     config: SurveyConfig
     achieved: tuple[IntMat, ...]
@@ -238,15 +245,7 @@ def survey_samples(config: SurveyConfig) -> int:
     return (1 + len(set(config.sqrt_d))) * len(_positive_omegas(config)) * grid
 
 
-def check_forms_det(max_det: int) -> None:
-    """Refuse a determinant bound above MAX_FORMS_DET before any enumeration."""
-    if max_det > MAX_FORMS_DET:
-        raise ValidationError(
-            f"max_det {max_det} is above the limit MAX_FORMS_DET = {MAX_FORMS_DET}"
-        )
-
-
-@dataclass(frozen=True)
+@record
 class _SatCoords:
     """S = Sat(P) for P = <deg0, deg4, H1, H2>: the generators' Gram (with its
     ``gram_entries``), their integer coordinates in S's HNF basis, and the

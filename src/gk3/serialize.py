@@ -9,7 +9,7 @@ are rejected, and every schema error names the JSON path of the first
 violation.  Serialization is canonical: sorted keys, fixed indentation,
 rationals always in lowest terms, so equal values produce identical
 bytes.  ``dumps_canonical`` writes gk3 values by type (scalars, classes,
-sublattices, pairs) and any other dataclass record as an object of its
+sublattices, pairs) and any other record as an object of its
 fields, so a record's field names are its JSON keys.
 
 The module loads only the lattice layer: a class or pair document imports
@@ -22,13 +22,13 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import SchemaError, ValidationError
 from .intlinalg import IntMat, freeze
 from .lattices import IntegralLattice, Sublattice, diag_lattice, direct_sum, named_lattice, rescale
+from .records import record
 from .scalars import ComplexQuad, QuadScalar, check_field_tag
 
 if TYPE_CHECKING:
@@ -39,7 +39,7 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 BODY_KINDS = ("lattice", "sublattice", "class", "pair", "family")
 
 
-@dataclass(frozen=True)
+@record
 class Document:
     sqrt_d: int | None
     kind: str
@@ -364,13 +364,14 @@ _WRITERS = {
 
 def _by_type(x):
     """JSON form of a value the json module cannot write: a gk3 value by its
-    writer above, any other dataclass record as a dict of its fields."""
+    writer above, any other record as a dict of its fields."""
     cls = type(x)
     write = _WRITERS.get(f"{cls.__module__}.{cls.__qualname__}")
     if write is not None:
         return write(x)
-    if is_dataclass(x):
-        return {f.name: getattr(x, f.name) for f in fields(x)}
+    names = getattr(x, "_fields", None)
+    if names is not None:
+        return {name: getattr(x, name) for name in names}
     raise TypeError(f"cannot write a {type(x).__name__} as JSON")
 
 

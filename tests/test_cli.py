@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from gk3.cli import COMMANDS, main
+from gk3.cli import COMMANDS, GROUPS, _add_commands, build_parser, main
 from gk3.intlinalg import matmul, transpose
 from gk3.lattices import MAX_SPLIT_RADIUS, k3_lattice
 from gk3.mukai import check_gcy, deg2_vector, exponential_class, two_form_class
@@ -758,7 +759,8 @@ def test_python_dash_m_gk3(tmp_path):
 # gk3 modules that every command loads: the parser, the document format and
 # the lattice layer under it
 _CLI_CORE = {
-    "gk3", "gk3.cli", "gk3.errors", "gk3.intlinalg", "gk3.lattices", "gk3.scalars", "gk3.serialize"
+    "gk3", "gk3.cli", "gk3.errors", "gk3.intlinalg", "gk3.lattices", "gk3.records", "gk3.scalars",
+    "gk3.serialize",
 }
 _LOADED_BY_GROUP = {
     "lattice": _CLI_CORE,
@@ -771,33 +773,43 @@ _RUN_AND_LIST_MODULES = (
     "import sys\n"
     "from gk3.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'gk3'), file=sys.stderr)\n"
+    "print(*sorted(sys.modules), file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
 
-@pytest.mark.parametrize(
-    "argv, doc",
-    [
-        # a sublattice with no ambient lives in the Mukai lattice
-        (["lattice", "info"], {"sublattice": {"basis": [[1, 1] + [0] * 22]}}),
-        (["class", "check"], _kahler_doc()),
-        (["gk3", "ns-t"], _pair_doc()),
-        (["rigid", "kahler"], _pair_doc()),
-        (["mirror", "shioda-inose", "--n", "1"], None),
-    ],
-    ids=["lattice", "class", "gk3", "rigid", "mirror"],
-)
-def test_a_command_loads_only_its_group_modules(tmp_path, argv, doc):
-    args = argv if doc is None else [*argv, _write(tmp_path, "d.json", doc)]
+def _modules_after(code: str, *args) -> set[str]:
+    """The modules loaded after running ``code`` in a fresh interpreter,
+    which prints them to stderr."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN_AND_LIST_MODULES, *args], capture_output=True, text=True,
-        env=env, timeout=60,
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stdout
-    assert set(proc.stderr.split()) == _LOADED_BY_GROUP[argv[0]]
+    return set(proc.stderr.split())
+
+
+@pytest.mark.parametrize(
+    "argv, doc, group",
+    [
+        # a sublattice with no ambient lives in the Mukai lattice
+        (["lattice", "info"], {"sublattice": {"basis": [[1, 1] + [0] * 22]}}, "lattice"),
+        (["class", "check"], _kahler_doc(), "class"),
+        (["gk3", "ns-t"], _pair_doc(), "gk3"),
+        (["rigid", "kahler"], _pair_doc(), "rigid"),
+        (["mirror", "shioda-inose", "--n", "1"], None, "mirror"),
+        # the forms are the lattice layer's, so this loads what a lattice command does
+        (["rigid", "forms", "--max-det", "4"], None, "lattice"),
+    ],
+    ids=["lattice", "class", "gk3", "rigid", "mirror", "rigid-forms"],
+)
+def test_a_command_loads_only_its_group_modules(tmp_path, argv, doc, group):
+    args = argv if doc is None else [*argv, _write(tmp_path, "d.json", doc)]
+    loaded = _modules_after(_RUN_AND_LIST_MODULES, *args)
+    assert {m for m in loaded if m.partition(".")[0] == "gk3"} == _LOADED_BY_GROUP[group]
+    # start-up pays for neither (gk3.records makes the value types)
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def _console_script(bin_dir: Path, name: str) -> None:
@@ -883,3 +895,101 @@ def test_every_command_has_help(capsys, key):
         main([*key, "--help"])
     assert exit_info.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: gk3 {' '.join(key)}")
+
+
+# The help texts and argparse errors.  The parser builds the command parsers
+# of the invoked group only, so each text is compared with the one from a
+# parser with the command parsers of every group: no text may depend on which
+# groups were built.  The comparison holds whatever wording a Python version
+# gives argparse's own lines; the lines gk3 writes itself are pinned below.
+GROUP_HELP = {
+    "lattice": "integral lattice utilities",
+    "class": "cohomology class operations",
+    "gk3": "generalized K3 pair operations",
+    "rigid": "rigidity classifiers and the form survey",
+    "mirror": "polarizations and mirror constructions",
+}
+COMMAND_HELP = {
+    ("lattice", "info"): "rank, signature, parity, determinant",
+    ("lattice", "reduce2"): "Gauss-reduce a rank-2 positive form",
+    ("lattice", "complement"): "orthogonal complement of a sublattice",
+    ("lattice", "split-u"): "split off a hyperbolic plane summand",
+    ("class", "check"): "validate a generalized Calabi-Yau class",
+    ("class", "pairing"): "Mukai pairing of the two classes of a pair",
+    ("class", "bfield"): "apply the B-field transform in the document",
+    ("class", "lpsi"): "smallest saturated sublattice containing the class",
+    ("class", "plane"): "period plane of a class with its Gram",
+    ("gk3", "validate"): "validate a pair as a generalized K3",
+    ("gk3", "ns-t"): "Neron-Severi and transcendental lattices",
+    ("gk3", "classify-hk"): "hyperKaehler partner case of a pair",
+    ("gk3", "profile"): "signature profile of the two lattices",
+    ("rigid", "complex"): "complex rigidity of a pair",
+    ("rigid", "kahler"): "Kaehler rigidity of a pair",
+    ("rigid", "survey"): "survey achieved rank-2 invariant forms",
+    ("rigid", "forms"): "reduced even positive forms up to a determinant",
+    ("mirror", "check"): "compare two families as mirror partners",
+    ("mirror", "dolgachev"): "classical mirror of a K3 polarization",
+    ("mirror", "shioda-inose"): "build the rank-22 mirror pair",
+}
+HELP_AND_ERRORS = {
+    "top-level-help": ["--help"],
+    **{f"{group}-help": [group, "--help"] for group in GROUP_HELP},
+    **{f"{group}-{name}-help": [group, name, "--help"] for group, name in COMMAND_HELP},
+    "unknown-group": ["bogus"],
+    "unknown-command": ["lattice", "bogus"],
+    "no-group": [],
+    "no-command": ["mirror"],
+    # the group is read at the first argument that names one
+    "group-after-junk": ["bogus", "lattice"],
+    "group-name-after-the-command": ["rigid", "forms", "--max-det", "4", "lattice"],
+    "no-flag": ["rigid", "forms"],
+    "unknown-flag": ["rigid", "forms", "--max-det", "4", "--bogus"],
+}
+
+
+def _parser_with_every_group() -> argparse.ArgumentParser:
+    top = build_parser([])
+    parser = argparse.ArgumentParser(prog=top.prog, description=top.description)
+    groups = parser.add_subparsers(dest="group", required=True)
+    for group, text in GROUPS.items():
+        _add_commands(groups.add_parser(group, help=text), group)
+    return parser
+
+
+def _exit_texts(capsys, parse, argv) -> tuple[int, str, str]:
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exit_info.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", list(HELP_AND_ERRORS.values()), ids=list(HELP_AND_ERRORS))
+def test_help_and_errors_match_the_parser_with_every_group(capsys, argv):
+    got = _exit_texts(capsys, main, argv)
+    assert got == _exit_texts(capsys, _parser_with_every_group().parse_args, argv)
+    code, out, err = got
+    assert (code, bool(out), bool(err)) == ((0, True, False) if "--help" in argv else (2, False, True))
+
+
+def test_help_shows_the_lines_gk3_writes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+    assert GROUPS == GROUP_HELP
+    assert {key: entry.help for key, entry in COMMANDS.items()} == COMMAND_HELP
+    _, top, _ = _exit_texts(capsys, main, ["--help"])
+    assert "\nExact computations in the Mukai lattice of a K3 surface.\n" in top
+    for group, text in GROUP_HELP.items():
+        assert text in top
+        _, out, _ = _exit_texts(capsys, main, [group, "--help"])
+        for (g, name), help_text in COMMAND_HELP.items():
+            assert (help_text in out) == (g == group)
+
+
+def test_importing_gk3_loads_neither_dataclasses_nor_inspect():
+    # each command starts a fresh interpreter; the two cost about 5 ms of it
+    loaded = _modules_after(
+        "import sys\n"
+        "import gk3.cli, gk3.mukai, gk3.pairs, gk3.rigidity, gk3.mirror\n"
+        "print(*sorted(sys.modules), file=sys.stderr)\n"
+    )
+    assert {"gk3.cli", "gk3.mirror", "gk3.rigidity"} <= loaded
+    assert not loaded & {"dataclasses", "inspect"}

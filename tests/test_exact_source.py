@@ -1,6 +1,8 @@
 """README promises no floating point anywhere in gk3; this scans the source
 for the ways a float gets in: a float literal, true division, a float()
-call and the math functions that return floats."""
+call and the math functions that return floats.  A second scan keeps
+``dataclasses`` out of gk3: it imports ``inspect``, and every command pays
+for both at start-up (``gk3.records`` makes the value types instead)."""
 
 from __future__ import annotations
 
@@ -64,3 +66,38 @@ def test_the_scan_finds_each_float_source():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_source_has_no_floating_point(path):
     assert _float_uses(path.read_text()) == []
+
+
+def _dataclasses_imports(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {n}" for n in names if n.partition(".")[0] == "dataclasses"]
+    return found
+
+
+def test_the_scan_finds_each_dataclasses_import():
+    source = "\n".join(
+        [
+            "import dataclasses",
+            "from dataclasses import dataclass, field",
+            "import json, dataclasses as dc",
+            "from .records import record",
+            "x = 'dataclasses'",
+        ]
+    )
+    assert _dataclasses_imports(source) == [
+        "line 1: dataclasses",
+        "line 2: dataclasses",
+        "line 3: dataclasses",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_source_imports_no_dataclasses(path):
+    assert _dataclasses_imports(path.read_text()) == []

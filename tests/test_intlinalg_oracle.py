@@ -542,8 +542,8 @@ def test_dense_kernel_keeps_its_column_basis_within_the_hadamard_bound(monkeypat
     bound = log2(prod(sum(x * x for x in row) for row in m)) / 2
     store, kept = gk3.intlinalg._store, []
 
-    def record(basis, c, row):
-        store(basis, c, row)
+    def record(basis, pivots, c, row):
+        store(basis, pivots, c, row)
         kept.append(max(map(abs, basis[c][0][: len(basis)])))
 
     monkeypatch.setattr(gk3.intlinalg, "_store", record)
@@ -563,8 +563,8 @@ def test_dense_hermite_keeps_its_rows_within_the_hadamard_bound(monkeypatch, see
     bound = log2(prod(sum(x * x for x in row) for row in g)) / 2
     store, kept = gk3.intlinalg._store, []
 
-    def record(basis, c, row):
-        store(basis, c, row)
+    def record(basis, pivots, c, row):
+        store(basis, pivots, c, row)
         kept.append(max(map(abs, basis[c][0])))
 
     monkeypatch.setattr(gk3.intlinalg, "_store", record)

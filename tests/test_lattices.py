@@ -421,6 +421,23 @@ def test_invariants_match_verdicts():
     assert invariants_match(hyperbolic_plane(), diag_lattice((2,))).verdict == "Distinguished"
 
 
+def test_invariants_match_compares_degenerate_lattices_modulo_the_radical():
+    # <0> + <2> and <0> + <4> agree in rank, signature and parity; their
+    # quotients by the radical, <2> and <4>, do not
+    diff = invariants_match(diag_lattice((0, 2)), diag_lattice((0, 4)))
+    assert diff.verdict == "Distinguished" and diff.reason == "discriminant [2] vs [4]"
+    assert not diff.matched
+    # the radical may sit anywhere: U(2) + <0> against <0> + U(2)
+    u2 = rescale(hyperbolic_plane(), 2)
+    same = invariants_match(direct_sum(u2, diag_lattice((0,))), direct_sum(diag_lattice((0,)), u2))
+    assert same.verdict == "GenusInvariantsMatch"
+    # U is unimodular and <2> + <-2> is not; with a radical added they still differ
+    odd = invariants_match(
+        direct_sum(diag_lattice((0, 0)), hyperbolic_plane()), diag_lattice((0, 0, 2, -2))
+    )
+    assert odd.verdict == "Distinguished" and odd.reason == "discriminant [] vs [2, 2]"
+
+
 def test_split_off_hyperbolic_plane_from_u():
     out = find_hyperbolic_split(hyperbolic_plane())
     assert isinstance(out, HyperbolicSplit)
