@@ -30,7 +30,7 @@ from operator import mul
 
 from .errors import ValidationError
 from .intlinalg import IntMat, freeze, gram_rows, hnf_basis, pairing_block
-from .lattices import Sublattice, named_lattice, saturation
+from .lattices import Sublattice, _is_echelon, named_lattice, saturation
 from .records import derived, record
 from .scalars import ComplexQuad, QuadScalar, as_quad, join_tags, quad_sign, shown
 
@@ -57,14 +57,22 @@ def _unit(j: int, k: int, d: int | None) -> int:
 
 def _numerators(block, d: int | None, conj: bool = False) -> list[int]:
     """The four unit coefficients of sum p_jk c_j c_k for the ``pairing_block``
-    p of two classes' component rows, with c_k conjugated when conj."""
+    p of two classes' component rows, with c_k conjugated when conj.  Only
+    nonzero entries do work, with ``_unit`` written out and conj(c_k) = -c_k
+    for k & 2."""
     out = [0, 0, 0, 0]
     for j, row in enumerate(block):
         if any(row):
-            for k, p in enumerate(row):
+            k = 0  # counted by hand: enumerate's pairs cost more than the work
+            for p in row:
                 if p:
-                    c = _unit(j, k, d) * p
-                    out[j ^ k] += -c if conj and k & 2 else c
+                    m = j & k
+                    if m & 1:
+                        p *= d
+                    if (m & 2) != (conj and k & 2):
+                        p = -p
+                    out[j ^ k] += p
+                k += 1
     return out
 
 
@@ -364,10 +372,13 @@ def support_in(x: CohClass) -> Sublattice:
 
     The nonzero component rows span it over Q; their integer span is
     saturated, so the rank is at most 4 and can drop when rows are
-    dependent.
+    dependent.  Echelon rows are independent as they are; only other rows
+    take a Hermite pass to drop the dependent ones.
     """
     rows = [row for row in x.rows if any(row)]
-    return saturation(Sublattice(MUKAI, hnf_basis(rows, MUKAI_RANK)))
+    if not _is_echelon(rows, MUKAI_RANK):
+        rows = hnf_basis(rows, MUKAI_RANK)
+    return saturation(Sublattice(MUKAI, rows))
 
 
 def support_lattice(x: CohClass | GCYClass) -> Sublattice:

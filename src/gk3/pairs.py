@@ -17,8 +17,10 @@ case the pair realizes.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import ValidationError
-from .intlinalg import freeze, hnf_basis, matmul
+from .intlinalg import freeze, hnf_basis, matmul, pairing_block
 from .lattices import Sublattice, ortho_complement
 from .mukai import (
     MUKAI,
@@ -26,6 +28,7 @@ from .mukai import (
     GenericClass,
     Member,
     CohClass,
+    _numerators,
     bfield_matrix,
     bfield_transform,
     check_gcy,
@@ -34,7 +37,7 @@ from .mukai import (
     type_a_parts,
 )
 from .records import record
-from .scalars import QuadScalar, shown
+from .scalars import QuadScalar, join_tags, shown
 
 
 def _coerce_member(x) -> Member:
@@ -195,23 +198,31 @@ def classify_hk_pair(phi_a, phi_b) -> HKClassification:
     norms_match = a.norm == b.norm
     identities: list[Identity] = []
     if case == "A-with-A":
-        # Gram of B, omega (base phi_B) and B', omega' (partner phi_A);
-        # B_rel = B' - B enters by linearity in each slot
-        g = real_gram(type_a_parts(b) + type_a_parts(a))
-        w_w = g[1][3]
-        w_brel = g[1][2] - g[1][0]
-        wp_brel = g[3][2] - g[3][0]
-        residual = g[2][2] - 2 * g[0][2] + g[0][0] - g[1][1] - g[3][3]
-        identities.append(Identity("omega wedge omega'", w_w.is_zero, w_w))
-        identities.append(Identity("omega wedge B_rel", w_brel.is_zero, w_brel))
-        identities.append(Identity("omega' wedge B_rel", wp_brel.is_zero, wp_brel))
-        identities.append(
-            Identity("B_rel^2 - omega^2 - omega'^2", residual.is_zero, residual)
+        # omega, omega' and B_rel = B' - B (base phi_B, partner phi_A) as the
+        # rational and sqrt(d) rows of real classes over one denominator e;
+        # each identity is an integer combination of their pairings over e^2
+        d = join_tags(a.coh.d, b.coh.d)
+        (base_b, w), (part_b, wp) = type_a_parts(b), type_a_parts(a)
+        e = lcm(base_b.den, w.den, part_b.den, wp.den)
+        w, wp, bp, bb = (
+            [[e // v.den * c for c in row] for row in v.rows[:2]] for v in (w, wp, part_b, base_b)
         )
-        norm_gap = a.norm - b.norm
-        identities.append(
-            Identity("|lambda|^2 omega^2 matches", norm_gap.is_zero, norm_gap)
-        )
+        brel = [[u - v for u, v in zip(r1, r2)] for r1, r2 in zip(bp, bb)]
+
+        def pair(x, y) -> list[int]:
+            return _numerators(pairing_block(MUKAI.entries, x, y), d)
+
+        residual = [u - v - t for u, v, t in zip(pair(brel, brel), pair(w, w), pair(wp, wp))]
+        for name, (p, q, _, _) in (
+            ("omega wedge omega'", pair(w, wp)),
+            ("omega wedge B_rel", pair(w, brel)),
+            ("omega' wedge B_rel", pair(wp, brel)),
+            ("B_rel^2 - omega^2 - omega'^2", residual),
+        ):
+            identities.append(Identity(name, not (p or q), QuadScalar.from_ints(p, q, e * e, d)))
+        m, n = a.norm, b.norm
+        gap = QuadScalar.from_ints(m.p * n.n - n.p * m.n, m.q * n.n - n.q * m.n, m.n * n.n, d)
+        identities.append(Identity("|lambda|^2 omega^2 matches", gap.is_zero, gap))
     return HKClassification(case, orthogonal, norms_match, tuple(identities))
 
 

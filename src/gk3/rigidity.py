@@ -31,11 +31,14 @@ from .lattices import (
 )
 from .mukai import (
     DEG2_RANK,
+    DEG2_START,
+    DEG4,
     K3,
     MUKAI,
     MUKAI_RANK,
     GCYClass,
     GenericClass,
+    _times,
     deg2_vector,
     gcy_norm,
     mukai_pairing,
@@ -129,9 +132,10 @@ def _tail_b_rational(b: GCYClass) -> bool:
     / (N/2) for the tail t = deg4.  N (n0 - n1 sqrt d) is rational, so the
     projection is rational exactly when Re(conj(t) sigma) (n0 - n1 sqrt d) is.
     """
-    n = b.norm
-    tail = b.coh.deg2_part().scale(b.coh.deg4.conjugate()).real_part()
-    return tail.scale(QuadScalar.from_ints(n.p, -n.q, n.n, n.d)).field_tag is None
+    x, n = b.coh, b.norm
+    t = [row[DEG4] for row in x.rows]
+    tail = _times([row[DEG2_START:] for row in x.rows], (t[0], t[1], -t[2], -t[3]), x.d)
+    return not any(_times(tail[:2], (n.p, -n.q, 0, 0), x.d)[1])  # no sqrt(d) part in Re
 
 
 def is_kahler_rigid(x: GeneralizedK3) -> RigidityReport:

@@ -5,14 +5,14 @@ gcd(p, q, n) = 1, with a squarefree integer tag d >= 2, None exactly
 when q = 0 (the form of class rows, ``mukai``); a = p/n and b = q/n are
 Fractions built when read.  A ``ComplexQuad`` is built from two of them;
 ``ComplexQuad(x)`` takes an int, Fraction or QuadScalar as a real value,
-and returns an equal value for a ComplexQuad x.
-They are the parse, print and result types, and keep only the ring
-operations (integer arithmetic, then one gcd), exact sign and equality.
-Division in Q(sqrt d) runs only on class rows (``mukai.type_a_parts``).
-Rational values carry no tag and combine with anything; combining two
-different tags is an error, so a computation never mixes sqrt(2) with
-sqrt(3).  A tag is validated once, where a value is built from outside;
-arithmetic results inherit the tag of their operands.
+and returns an equal value for a ComplexQuad x.  A bool is not a number
+here: every entry point refuses it.
+They are the types documents parse into and results print from, and
+keep only construction in normal form, exact sign, equality and text,
+plus the one product QuadScalar * QuadScalar that a benchmark op forms.
+All field arithmetic runs on the integer rows of classes (``mukai``) and
+on integer numerators where a result is formed (``pairs``, ``rigidity``).
+A tag is validated once, where a value is built from outside.
 
 The sign of p + q*sqrt(d) is decided exactly by case analysis on the
 signs of p and q, falling back to comparing p^2 against d*q^2 when they
@@ -84,7 +84,7 @@ def _parts(x):
     """(p, q, n, d) of a QuadScalar, int or Fraction; None for anything else."""
     if isinstance(x, QuadScalar):
         return x.p, x.q, x.n, x.d
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return x.numerator, 0, x.denominator, None
     return None
 
@@ -95,8 +95,11 @@ class QuadScalar:
     __slots__ = ("p", "q", "n", "d")
 
     def __init__(self, a=0, b=0, d: int | None = None):
+        """a + b*sqrt(d) for values from outside: ints or Fractions a, b,
+        checked with the tag d."""
         for x in (a, b):
-            if not isinstance(x, (int, Fraction)):  # a float or a string is not exact
+            # a float or a string is not exact, and a bool is not a number
+            if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
                 raise ValidationError(f"cannot interpret {x!r} as an exact scalar")
         if b == 0:
             d = None  # a rational value lives in every field
@@ -111,12 +114,6 @@ class QuadScalar:
     def from_ints(cls, p: int, q: int, n: int, d: int | None) -> QuadScalar:
         """(p + q*sqrt(d)) / n for integers, n > 0, and a tag validated before."""
         return _fill(object.__new__(cls), p, q, n, d)
-
-    @classmethod
-    def tagged(cls, a, b, d: int | None) -> QuadScalar:
-        """a + b*sqrt(d) for ints or Fractions a, b and a validated tag d."""
-        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-        return cls.from_ints(an * bd, bn * ad, ad * bd, d)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("QuadScalar is immutable")
@@ -142,32 +139,9 @@ class QuadScalar:
     def __bool__(self) -> bool:
         return not self.is_zero
 
-    # -- arithmetic: integer operations, then one gcd ----------------------
-
-    def _sum(self, other, s: int):
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        p, q, n, d = o
-        m = self.n
-        return QuadScalar.from_ints(
-            self.p * n + s * p * m, self.q * n + s * q * m, m * n, join_tags(self.d, d)
-        )
-
-    def __add__(self, other):
-        return self._sum(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadScalar.from_ints(-self.p, -self.q, self.n, self.d)
-
-    def __sub__(self, other):
-        return self._sum(other, -1)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
+    # Nothing in gk3 multiplies scalars.  The one product is kept for the
+    # rank22 benchmark op, which forms kappa * v (bench/workloads.py) and is
+    # left as it is until the benchmark itself changes.
     def __mul__(self, other):
         o = _parts(other)
         if o is None:
@@ -176,8 +150,6 @@ class QuadScalar:
         d = join_tags(self.d, d)
         p1, q1 = self.p, self.q
         return QuadScalar.from_ints(p1 * p + (d or 0) * q1 * q, p1 * q + q1 * p, self.n * n, d)
-
-    __rmul__ = __mul__
 
     # -- exact ordering --------------------------------------------------
 
@@ -261,36 +233,11 @@ class ComplexQuad:
     def __bool__(self) -> bool:
         return not self.is_zero
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, ComplexQuad):
-            return x
-        if isinstance(x, (int, Fraction, QuadScalar)):
-            return ComplexQuad(x)
-        return None
-
-    def conjugate(self) -> ComplexQuad:
-        return ComplexQuad(self.re, -self.im)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return ComplexQuad(self.re + other.re, self.im + other.im)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return ComplexQuad(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, ComplexQuad):
+            if _parts(other) is None:
+                return NotImplemented
+            other = ComplexQuad(other)
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):

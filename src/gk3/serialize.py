@@ -95,7 +95,8 @@ def parse_quad(node, path: str, sqrt_d: int | None) -> QuadScalar:
         b = parse_rational(node.get("b", 0), f"{path}.b")
         if b and sqrt_d is None:
             _fail(f"{path}.b", "irrational coefficient needs a sqrt_d header")
-        return QuadScalar.tagged(a, b, sqrt_d)
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        return QuadScalar.from_ints(an * bd, bn * ad, ad * bd, sqrt_d)
     return QuadScalar(parse_rational(node, path))
 
 

@@ -60,7 +60,6 @@ from gk3.rigidity import (
 from gk3.lattices import k3_lattice
 from gk3.scalars import ComplexQuad, QuadScalar, as_quad
 
-SQRT2 = QuadScalar(Fraction(0), Fraction(1), 2)
 
 
 class _Gate:
@@ -137,8 +136,8 @@ def test_criterion_3_support_ranks():
                 (0, 2 * n),
             )
             # components (1,0,0), (0,0,n), (0,H,0) of the sqrt(2) expansion
-            deg2 = tuple(ComplexQuad(as_quad(0), SQRT2 * v) for v in h)
-            psi = CohClass(ComplexQuad(1), deg2, ComplexQuad(SQRT2 * as_quad(-n)))
+            deg2 = tuple(ComplexQuad(as_quad(0), QuadScalar(0, v, 2)) for v in h)
+            psi = CohClass(ComplexQuad(1), deg2, ComplexQuad(QuadScalar(0, -n, 2)))
             assert support_lattice(psi).rank == 3
 
 
@@ -185,12 +184,12 @@ def test_criterion_6_kahler_rigid_samples():
     with _Gate(6, "200 sampled Kaehler-rigid classes: rank 2, even pd invariants", 30.0):
         rng = random.Random(3)
         for i in range(200):
-            kappa = as_quad(1) if i % 3 else SQRT2
             a, b = rng.randint(0, 3), rng.randint(0, 3)
             if a == 0 and b == 0:
                 a = 1
+            # omega = kappa (a H1 + b H2) for kappa = 1 or sqrt(2)
             omega = tuple(
-                kappa * (a * as_quad(u) + b * as_quad(v))
+                QuadScalar(a * u + b * v) if i % 3 else QuadScalar(0, a * u + b * v, 2)
                 for u, v in zip(DEFAULT_H1, DEFAULT_H2)
             )
             bfield = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(22)]

@@ -228,10 +228,11 @@ def test_parsed_family_primitivity_reads_the_kept_saturations(hnf_passes):
         hnf_passes.clear()
         assert check_polarization(parsed.polarization, parsed.member).passed
         # the saturations of K and L (2 passes each), the stacked spans (1)
-        # and each witness support with its saturation (3 each); primitivity
-        # reads the kept saturations, where a Hermite pass of its own per
-        # slot made 13
-        assert len(hnf_passes) == 11
+        # and the saturation of each witness support (2 each: its component
+        # rows are echelon and need no pass of their own); primitivity reads
+        # the kept saturations, where a Hermite pass of its own per slot
+        # made 13
+        assert len(hnf_passes) == 9
 
 
 @pytest.mark.parametrize(

@@ -36,7 +36,7 @@ from gk3.mukai import (
 )
 from gk3.scalars import ComplexQuad, QuadScalar, as_quad
 
-SQRT2 = QuadScalar(Fraction(0), Fraction(1), 2)
+from fieldref import Ref
 
 
 def _unit(index: int) -> CohClass:
@@ -54,13 +54,13 @@ def _random_class(rng: random.Random, d: int | None = None) -> CohClass:
     return CohClass(scalar(), tuple(scalar() for _ in range(DEG2_RANK)), scalar())
 
 
-def _brute_pairing(x: CohClass, y: CohClass) -> ComplexQuad:
+def _brute_pairing(x: CohClass, y: CohClass) -> Ref:
     xs, ys = x.coords24(), y.coords24()
-    acc = ComplexQuad(0)
+    acc = Ref()
     for i in range(24):
         for j in range(24):
             if MUKAI_GRAM[i][j]:
-                acc = acc + xs[i] * ys[j] * MUKAI_GRAM[i][j]
+                acc = acc + Ref.of(xs[i]) * Ref.of(ys[j]) * MUKAI_GRAM[i][j]
     return acc
 
 
@@ -85,6 +85,21 @@ def test_pairing_refuses_a_member_and_names_its_coh():
     assert mukai_pairing(member.coh, member.coh).is_zero
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CohClass(True, [0] * 22, 0),
+        lambda: CohClass(0, [0] * 21 + [False], 1),
+        lambda: exponential_class([True] + [0] * 21, deg2_vector({0: 1, 1: 1})),
+        lambda: exponential_class([0] * 22, deg2_vector({0: True, 1: 1})),
+    ],
+    ids=["CohClass deg0", "CohClass deg2", "exponential_class B", "exponential_class omega"],
+)
+def test_classes_refuse_a_bool_coordinate(build):
+    with pytest.raises(ValidationError, match="cannot interpret (True|False) as an exact scalar"):
+        build()
+
+
 def test_pairing_matches_dense_gram_expansion():
     rng = random.Random(31)
     for _ in range(25):
@@ -94,14 +109,13 @@ def test_pairing_matches_dense_gram_expansion():
         assert mukai_pairing(x, y) == mukai_pairing(y, x)
 
 
-def _dense_pairing(gram, u, v):
-    """Double sum over every entry of the Gram matrix, seeded with a zero
-    of the entries' type."""
-    acc = u[0] * v[0] * 0
+def _dense_pairing(gram, u, v) -> Ref:
+    """Double sum over every entry of the Gram matrix."""
+    acc = Ref()
     for i, row in enumerate(gram):
         for j, g in enumerate(row):
             if g:
-                acc = acc + u[i] * v[j] * g
+                acc = acc + Ref.of(u[i]) * Ref.of(v[j]) * g
     return acc
 
 
@@ -134,7 +148,7 @@ def _vector_pairs(draw):
 def test_pairing_matches_dense_double_sum(pair):
     u, v = pair
     got = mukai_pairing(_class_of(u), _class_of(v))
-    # for real vectors the oracle is a QuadScalar: got.re equals it, got.im is 0
+    # for real vectors the oracle is real: got.re equals it, got.im is 0
     assert got == _dense_pairing(MUKAI_GRAM, u, v)
 
 
@@ -190,10 +204,10 @@ def test_bfield_matrix_is_unimodular_and_matches_transform():
         moved = bfield_transform(b, x)
         xs = x.coords24()
         for col in range(24):
-            acc = ComplexQuad(0)
+            acc = Ref()
             for row in range(24):
                 if m[row][col]:
-                    acc = acc + xs[row] * m[row][col]
+                    acc = acc + Ref.of(xs[row]) * m[row][col]
             assert acc == moved.coords24()[col]
 
 
@@ -259,7 +273,7 @@ def test_support_rank2_family():
 
 def test_support_sqrt2_case():
     h = deg2_vector({0: 1, 1: 1})
-    omega = tuple(SQRT2 * v for v in h)
+    omega = tuple(QuadScalar(0, v, 2) for v in h)
     g = check_gcy(exponential_class([0] * 22, omega))
     sup = support_lattice(g)
     assert len(sup.basis) == 2
@@ -270,8 +284,8 @@ def test_support_rank3_expansion():
     # (1, 0, 0) - sqrt(2) (0, 0, 1) + i sqrt(2) (0, H, 0) spans three
     # rational components even though no exact e^{i eps H} exists
     h = deg2_vector({0: 1, 1: 1})
-    deg2 = tuple(ComplexQuad(as_quad(0), SQRT2 * v) for v in h)
-    psi = CohClass(ComplexQuad(1), deg2, ComplexQuad(-SQRT2))
+    deg2 = tuple(ComplexQuad(as_quad(0), QuadScalar(0, v, 2)) for v in h)
+    psi = CohClass(ComplexQuad(1), deg2, ComplexQuad(QuadScalar(0, -1, 2)))
     assert len(support_lattice(psi).basis) == 3
 
 
@@ -390,19 +404,38 @@ def test_rank2_support_complement_and_saturation_carry_no_ambient_transform(hnf_
     assert hnf_passes == [(20, 2), (2, MUKAI_RANK)]
 
 
+def test_support_of_echelon_rows_runs_two_hermite_passes(hnf_passes):
+    """Echelon component rows are independent and go to the saturation as
+    they are (2 passes); rows that share a leading column take a Hermite
+    pass first.  Both give the same support."""
+    echelon = exponential_class(deg2_vector({2: 1}), deg2_vector({0: 1, 1: 1}))
+    mixed = echelon.scale(ComplexQuad(1, 1))  # Re and Im both lead at degree 0
+    hnf_passes.clear()
+    want = support_in(echelon).basis
+    assert len(hnf_passes) == 2
+    hnf_passes.clear()
+    assert support_in(mixed).basis == want
+    assert len(hnf_passes) == 3
+
+
 def test_member_helpers_on_explicit_classes():
     g = check_gcy(exponential_class([0] * 22, deg2_vector({0: 1, 1: 1})))
     assert g.type_tag == "A"
     assert g.support.basis == support_lattice(g).basis
 
 
-# --- the row form against the per-coordinate ComplexQuad algorithm ---------
+# --- the row form against a per-coordinate reference algorithm -------------
 
 
-def _ref_pairing(xs, ys) -> ComplexQuad:
-    """Mukai pairing of two 24-coordinate vectors, one ComplexQuad term per
+def _refs(xs) -> list[Ref]:
+    return [Ref.of(x) for x in xs]
+
+
+def _ref_pairing(xs, ys) -> Ref:
+    """Mukai pairing of two 24-coordinate vectors, one reference term per
     nonzero Gram entry."""
-    acc = ComplexQuad(0)
+    xs, ys = _refs(xs), _refs(ys)
+    acc = Ref()
     for i, row in enumerate(MUKAI_GRAM):
         for j, g in enumerate(row):
             if g and not xs[i].is_zero and not ys[j].is_zero:
@@ -410,18 +443,19 @@ def _ref_pairing(xs, ys) -> ComplexQuad:
     return acc
 
 
-def _ref_bfield(b, xs) -> list:
+def _ref_bfield(b, xs) -> list[Ref]:
     """exp(B): (r, D, s) -> (r, D + rB, s + <B,D> + r B^2/2) on coordinates."""
-    bvec = [ComplexQuad(0), ComplexQuad(0)] + [ComplexQuad(v) for v in b]
+    bvec, xs = [Ref(), Ref()] + _refs(b), _refs(xs)
     r = xs[0]
     deg4 = xs[1] + _ref_pairing(bvec, xs) + r * _ref_pairing(bvec, bvec) * Fraction(1, 2)
     return [r, deg4] + [x + r * v for x, v in zip(xs[2:], bvec[2:])]
 
 
-def _ref_exponential(b, w) -> list:
+def _ref_exponential(b, w) -> list[Ref]:
     """exp(B + i omega) = (1, B + i omega, (B + i omega)^2 / 2) on coordinates."""
-    z = [ComplexQuad(0), ComplexQuad(0)] + [ComplexQuad(u, v) for u, v in zip(b, w)]
-    return [ComplexQuad(1), _ref_pairing(z, z) * Fraction(1, 2)] + z[2:]
+    i = Ref((0, 0, 1, 0))
+    z = [Ref(), Ref()] + [Ref.of(u) + i * Ref.of(v) for u, v in zip(b, w)]
+    return [Ref.of(1), _ref_pairing(z, z) * Fraction(1, 2)] + z[2:]
 
 
 def _ref_support_basis(xs) -> tuple:
@@ -443,13 +477,15 @@ def _ref_check(xs):
     self_pairing = _ref_pairing(xs, xs)
     if not self_pairing.is_zero:
         return f"not isotropic: <phi,phi> = {self_pairing}"
-    norm = _ref_pairing(xs, [c.conjugate() for c in xs]).re
-    if norm.sign() <= 0:
+    norm = _ref_pairing(xs, [Ref.of(c).conj() for c in xs]).re
+    if norm.quad().sign() <= 0:
         return f"not positive: <phi,conj phi> = {norm}"
     return ("A" if not xs[0].is_zero else "B", norm)
 
 
 def _class_of(xs) -> CohClass:
+    """The class of 24 coordinates, library scalars or references."""
+    xs = [x.cplx() if isinstance(x, Ref) else x for x in xs]
     return CohClass(xs[0], xs[2:], xs[1])
 
 
@@ -460,14 +496,6 @@ def _scalars(draw, d, real=False):
     rb, ib = (draw(st.integers(-2, 2)), 0 if real else draw(st.integers(-2, 2))) if d else (0, 0)
     re = QuadScalar(Fraction(ra, den), Fraction(rb, den), d)
     return re if real else ComplexQuad(re, QuadScalar(Fraction(ia, den), Fraction(ib, den), d))
-
-
-def _inverse(k: ComplexQuad) -> ComplexQuad:
-    """1/k = conj(k) (p - q sqrt d) / (p^2 - d q^2) for |k|^2 = p + q sqrt d,
-    built from the Fraction parts."""
-    n = k.re * k.re + k.im * k.im
-    m = n.a * n.a - (n.d or 0) * n.b * n.b
-    return k.conjugate() * QuadScalar.tagged(n.a / m, -n.b / m, n.d)
 
 
 @st.composite
@@ -489,6 +517,25 @@ def _class_cases(draw):
     return xs, ys, b, k
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((None, 2, 3)),
+    st.booleans(),
+    st.lists(st.lists(st.integers(-3, 3) | st.just(0), min_size=4, max_size=4), min_size=1, max_size=4),
+)
+def test_numerators_sum_the_unit_products(d, conj, block):
+    """sum p_jk c_j c_k (c_k conjugated when conj) for c = 1, sqrt d, i,
+    i sqrt d, in the reference field; sqrt(d) rows are zero when d is None."""
+    if d is None:
+        block = [[0 if (j | k) & 1 else p for k, p in enumerate(row)] for j, row in enumerate(block)]
+    units = [Ref((int(t == 0), int(t == 1), int(t == 2), int(t == 3)), d or 2) for t in range(4)]
+    want = Ref()
+    for j, row in enumerate(block):
+        for k, p in enumerate(row):
+            want = want + units[j] * (units[k].conj() if conj else units[k]) * p
+    assert Ref(gk3.mukai._numerators(block, d, conj), d or 2) == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(_class_cases())
 def test_row_form_matches_the_per_coordinate_algorithm(case):
@@ -497,8 +544,8 @@ def test_row_form_matches_the_per_coordinate_algorithm(case):
     assert x.coords24() == tuple(xs)
     assert mukai_pairing(x, y) == _ref_pairing(xs, ys)
     assert bfield_transform(b, x) == _class_of(_ref_bfield(b, xs))
-    assert x.conjugate() == _class_of([c.conjugate() for c in xs])
-    assert x.scale(k) == _class_of([c * k for c in xs])
+    assert x.conjugate() == _class_of([Ref.of(c).conj() for c in xs])
+    assert x.scale(k) == _class_of([Ref.of(c) * k for c in xs])
     assert support_in(x).basis == _ref_support_basis(xs)
     w = [c.re for c in ys[2:]]
     assert exponential_class(b, w) == _class_of(_ref_exponential(b, w))
@@ -519,18 +566,19 @@ def test_row_form_is_a_normal_form(case):
     x = _class_of(xs)
     if not k.is_zero:
         # the same value through a common factor and back
-        assert k * _inverse(k) == ComplexQuad(1)
-        again = x.scale(k).scale(_inverse(k))
+        inverse = Ref.of(k).inverse()
+        assert inverse * k == 1
+        again = x.scale(k).scale(inverse.cplx())
         assert again == x and hash(again) == hash(x)
         assert (again.den, again.d, again.rows) == (x.den, x.d, x.rows)
-    shifted = bfield_transform([-v for v in b], bfield_transform(b, x))
+    shifted = bfield_transform([(-Ref.of(v)).quad() for v in b], bfield_transform(b, x))
     assert shifted == x and hash(shifted) == hash(x)
     assert math.gcd(x.den, *(v for row in x.rows for v in row)) == 1
     assert (x.d is None) == (not any(x.rows[1]) and not any(x.rows[3]))
 
 
 def test_normal_form_of_a_cancelled_class():
-    x = CohClass(Fraction(2, 4), [Fraction(6, 4)] + [0] * 21, QuadScalar(Fraction(0), Fraction(1), 2) * 0)
+    x = CohClass(Fraction(2, 4), [Fraction(6, 4)] + [0] * 21, QuadScalar(0, 0, 2))
     assert (x.den, x.d) == (2, None)
     assert x.rows[0][:3] == (1, 0, 3)
     assert x == CohClass(Fraction(1, 2), [Fraction(3, 2)] + [0] * 21, 0)
@@ -552,7 +600,8 @@ def _type_a_cases(draw):
     s = [draw(_scalars(d, real=True)) for _ in range(3)]
     if all(c.is_zero for c in s):
         s[0] = as_quad(1)
-    omega = [c0 * s[0] + c1 * s[1] + c2 * s[2] for c0, c1, c2 in zip(_h(0), _h(1), _h(2))]
+    s = _refs(s)
+    omega = [(c0 * s[0] + c1 * s[1] + c2 * s[2]).quad() for c0, c1, c2 in zip(_h(0), _h(1), _h(2))]
     return lam, tuple(b), tuple(omega)
 
 
@@ -575,9 +624,10 @@ def test_period_plane_gram_is_half_the_norm(case, type_b):
         # turn w' = -s1 h0 + s0 h1: w^2 = w'^2 and w.w' = 0
         s0, s1 = omega[0] or as_quad(1), omega[2]
         zeros = (as_quad(0),) * 18
-        w, turned = (s0, s0, s1, s1) + zeros, (-s1, -s1, s0, s0) + zeros
+        minus_s1 = (-Ref.of(s1)).quad()
+        w, turned = (s0, s0, s1, s1) + zeros, (minus_s1, minus_s1, s0, s0) + zeros
         g = GCYClass(two_form_class(w, turned).scale(lam))
     else:
         g = GCYClass(exponential_class(b, omega).scale(lam))
-    half = g.norm * Fraction(1, 2)
+    half = Ref.of(g.norm) * Fraction(1, 2)
     assert period_plane(g).gram == ((half, as_quad(0)), (as_quad(0), half))

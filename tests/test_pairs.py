@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gk3.errors import ValidationError
 from gk3.lattices import discriminant
 from gk3.mukai import (
+    K3_GRAM,
     GenericClass,
     bfield_transform,
     check_gcy,
@@ -28,7 +29,9 @@ from gk3.pairs import (
     transform_pair,
     validate_gk3,
 )
-from gk3.scalars import ComplexQuad, QuadScalar, as_quad
+from gk3.scalars import QuadScalar, as_quad
+
+from fieldref import Ref
 
 
 def _kahler_class(n: int = 1):
@@ -219,6 +222,11 @@ def _quad(draw, d, nonzero=False):
     return QuadScalar(Fraction(a, draw(st.integers(1, 3))), b, d)
 
 
+def _complex(draw, d) -> Ref:
+    """A nonzero complex value over Q(sqrt d)."""
+    return Ref.of(_quad(draw, d, nonzero=True)) + Ref((0, 0, 1, 0)) * _quad(draw, d)
+
+
 @st.composite
 def _explicit_pairs(draw):
     """(case, phi_A, phi_B): a B-with-A or A-with-A pair over Q(sqrt d),
@@ -228,23 +236,27 @@ def _explicit_pairs(draw):
     or with exp(s (e2 + 2 f2) + i s h1), where B_rel^2 = omega^2 + omega'^2."""
     d = draw(st.sampled_from((None, 2, 3)))
     case = draw(st.sampled_from(("B-with-A", "A-with-A")))
-    s = _quad(draw, d, nonzero=True)
-    lam = ComplexQuad(_quad(draw, d, nonzero=True), _quad(draw, d))
+    s = Ref.of(_quad(draw, d, nonzero=True))
+    lam = _complex(draw, d)
     r, t = Fraction(draw(st.integers(-4, 4)), 3), Fraction(draw(st.integers(-4, 4)), 3)
-    u = ComplexQuad((1 - r * r) / (1 + r * r), 2 * r / (1 + r * r))
+    u = Ref(((1 - r * r) / (1 + r * r), 0, 2 * r / (1 + r * r), 0))
     p, q = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
     h = [deg2_vector({2 * i: 1, 2 * i + 1: 1}) for i in range(3)]
-    phi_a = exponential_class([0] * 22, [s * v for v in h[0]])
+
+    def times_s(vector):
+        return [(s * v).quad() for v in vector]
+
+    phi_a = exponential_class([0] * 22, times_s(h[0]))
     if case == "B-with-A":
         phi_b = two_form_class(
-            [s * (p * v + q * w) for v, w in zip(h[1], h[2])],
-            [s * (p * w - q * v) for v, w in zip(h[1], h[2])],
+            times_s(p * v + q * w for v, w in zip(h[1], h[2])),
+            times_s(p * w - q * v for v, w in zip(h[1], h[2])),
         )
     else:
-        b_rel = [s * v for v in deg2_vector({4: 1, 5: 2})]
-        phi_b = exponential_class(b_rel, [s * v for v in h[1]])
+        phi_b = exponential_class(times_s(deg2_vector({4: 1, 5: 2})), times_s(h[1]))
     b = [_quad(draw, draw(st.sampled_from((None, d)))) for _ in range(22)]
-    phi_a, phi_b = (bfield_transform(b, x.scale(k)) for x, k in ((phi_a, lam), (phi_b, lam * u)))
+    scaled = ((phi_a, lam), (phi_b, lam * u))
+    phi_a, phi_b = (bfield_transform(b, x.scale(k.cplx())) for x, k in scaled)
     return case, phi_a, phi_b
 
 
@@ -253,7 +265,7 @@ def _explicit_pairs(draw):
 def test_pi_gram_is_half_the_norm(case):
     name, phi_a, phi_b = case
     x = validate_gk3(phi_a, phi_b)
-    half = x.phi_a.norm * Fraction(1, 2)
+    half = Ref.of(x.phi_a.norm) * Fraction(1, 2)
     zero = as_quad(0)
     assert x.pi.gram == tuple(tuple(half if i == j else zero for j in range(4)) for i in range(4))
     for member in (x.phi_a, x.phi_b):
@@ -261,3 +273,50 @@ def test_pi_gram_is_half_the_norm(case):
     out = classify_hk_pair(x.phi_a, x.phi_b)
     assert out.case == name and out.orthogonal and out.norms_match
     assert all(i.holds for i in out.identities)
+
+
+def _k3_pairing(x, y) -> Ref:
+    """x.y in the K3 lattice, one reference term per nonzero Gram entry."""
+    terms = (Ref.of(u) * g * v for u, row in zip(x, K3_GRAM) for g, v in zip(row, y) if g)
+    return sum(terms, Ref())
+
+
+@st.composite
+def _type_a_members(draw, d):
+    """(lambda, B, omega) for lambda exp(B + i omega): B sparse over Q(sqrt d),
+    omega = s0 h0 + s1 h1 + s2 h2 in the positive 3-space of three U copies."""
+    lam = _complex(draw, d)
+    b = [Fraction(0)] * 22
+    for i in draw(st.sets(st.integers(0, 21), max_size=6)):
+        b[i] = _quad(draw, draw(st.sampled_from((None, d))))
+    s = [Ref.of(_quad(draw, d, nonzero=i == 0)) for i in range(3)]
+    hs = zip(*(deg2_vector({2 * i: 1, 2 * i + 1: 1}) for i in range(3)))
+    omega = [(s[0] * c0 + s[1] * c1 + s[2] * c2).quad() for c0, c1, c2 in hs]
+    return lam, b, omega
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from((None, 2, 3)))
+def test_a_with_a_identity_values_match_the_reference(data, d):
+    """phi_A = lambda' exp(B' + i omega') and phi_B = lambda exp(B + i omega),
+    not partners in general: each printed value against the K3 pairings."""
+    lam_a, b_a, w_a = data.draw(_type_a_members(d))
+    lam_b, b_b, w_b = data.draw(_type_a_members(d))
+    phi_a = check_gcy(exponential_class(b_a, w_a).scale(lam_a.cplx()))
+    phi_b = check_gcy(exponential_class(b_b, w_b).scale(lam_b.cplx()))
+    out = classify_hk_pair(phi_a, phi_b)
+    assert out.case == "A-with-A"
+    b_rel = [Ref.of(u) - v for u, v in zip(b_a, b_b)]
+    sq_a, sq_b = _k3_pairing(w_a, w_a), _k3_pairing(w_b, w_b)
+    # <phi, conj phi> = 2 |lambda|^2 omega^2
+    norm_a, norm_b = ((lam * lam.conj()).re * sq * 2 for lam, sq in ((lam_a, sq_a), (lam_b, sq_b)))
+    want = [
+        _k3_pairing(w_b, w_a),
+        _k3_pairing(w_b, b_rel),
+        _k3_pairing(w_a, b_rel),
+        _k3_pairing(b_rel, b_rel) - sq_b - sq_a,
+        norm_a - norm_b,
+    ]
+    assert [i.value for i in out.identities] == want
+    assert [i.holds for i in out.identities] == [w.is_zero for w in want]
+    assert all(isinstance(i.value, QuadScalar) for i in out.identities)

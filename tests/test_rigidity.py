@@ -40,6 +40,8 @@ from gk3.rigidity import (
 )
 from gk3.scalars import ComplexQuad, QuadScalar, as_quad
 
+from fieldref import Ref
+
 SQRT2 = QuadScalar(Fraction(0), Fraction(1), 2)
 
 
@@ -99,10 +101,8 @@ def test_complex_rigid_wrong_type():
 def test_complex_rigid_rank_gate():
     # both components of sigma pick up an E8 generator under sqrt(2), so
     # the support has rank 4 and the Neron-Severi complement only rank 20
-    re = tuple(as_quad(a) + SQRT2 * as_quad(b)
-               for a, b in zip(deg2_vector({2: 2, 3: 2}), deg2_vector({6: 1})))
-    im = tuple(as_quad(a) + SQRT2 * as_quad(b)
-               for a, b in zip(deg2_vector({4: 2, 5: 2}), deg2_vector({14: 1})))
+    re = tuple(QuadScalar(a, b, 2) for a, b in zip(deg2_vector({2: 2, 3: 2}), deg2_vector({6: 1})))
+    im = tuple(QuadScalar(a, b, 2) for a, b in zip(deg2_vector({4: 2, 5: 2}), deg2_vector({14: 1})))
     wide = check_gcy(two_form_class(re, im))
     assert len(support_lattice(wide).basis) == 4
     x = validate_gk3(check_gcy(exponential_class([0] * 22, deg2_vector({0: 1, 1: 2}))), wide)
@@ -122,7 +122,7 @@ def test_tail_b_rationality():
     # projection of B is Re(conj(t) sigma) / 4 = sqrt2 (Re t (e2 + f2) +
     # Im t (e3 + f3)) / 4, rational exactly when Re t and Im t lie in sqrt2 Q
     h1, h2 = deg2_vector({2: 1, 3: 1}), deg2_vector({4: 1, 5: 1})
-    deg2 = [ComplexQuad(SQRT2 * u, SQRT2 * v) for u, v in zip(h1, h2)]
+    deg2 = [ComplexQuad(QuadScalar(0, u, 2), QuadScalar(0, v, 2)) for u, v in zip(h1, h2)]
     cases = (
         (0, True),
         (SQRT2, True),
@@ -145,7 +145,7 @@ def test_tail_b_rational_needs_a_rational_period_plane():
     # projection test still refuses it.
     h1, h2 = deg2_vector({0: 1, 1: 1}), deg2_vector({2: 1, 3: 1})
     im = deg2_vector({4: 1, 5: 3})
-    deg2 = [ComplexQuad(u + SQRT2 * v, w) for u, v, w in zip(h1, h2, im)]
+    deg2 = [ComplexQuad(QuadScalar(u, v, 2), w) for u, v, w in zip(h1, h2, im)]
     sigma = GCYClass(CohClass(0, deg2, SQRT2))
     assert (sigma.type_tag, sigma.norm) == ("B", as_quad(12))
     assert support_in(sigma.coh.deg2_part()).rank == 3
@@ -184,13 +184,15 @@ def _type_b_classes(draw):
 
     p, q, mu = quad(nonzero=True), quad(), ComplexQuad(quad(nonzero=True), quad())
     h1, h2 = deg2_vector({2: 1, 3: 1}), deg2_vector({4: 1, 5: 1})
+    p, q = Ref.of(p), Ref.of(q)
     sigma = two_form_class(
-        [p * v + q * w for v, w in zip(h1, h2)], [p * w - q * v for v, w in zip(h1, h2)]
+        [(p * v + q * w).quad() for v, w in zip(h1, h2)],
+        [(p * w - q * v).quad() for v, w in zip(h1, h2)],
     ).scale(mu)
     b = [Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))) for _ in range(22)]
     moved = bfield_transform(b, sigma)  # (0, sigma, <B, sigma>)
     tail = ComplexQuad(quad(), quad()) if draw(st.booleans()) else 0
-    return GCYClass(CohClass(0, moved.deg2, moved.deg4 + tail))
+    return GCYClass(CohClass(0, moved.deg2, (Ref.of(moved.deg4) + tail).cplx()))
 
 
 @settings(max_examples=30, deadline=None)
@@ -211,7 +213,7 @@ def test_kahler_rigid_on_shioda_inose_member():
 
 
 def test_kahler_rigid_quadratic_field_case():
-    omega = tuple(SQRT2 * as_quad(v) for v in deg2_vector({0: 1, 1: 1}))
+    omega = tuple(QuadScalar(0, v, 2) for v in deg2_vector({0: 1, 1: 1}))
     cls = check_gcy(exponential_class([0] * 22, omega))
     out = is_kahler_rigid(validate_gk3(cls, _generic_partner(cls)))
     assert out.kind == "KahlerRigid"
@@ -228,7 +230,7 @@ def test_kahler_rigid_wrong_type():
 
 def test_kahler_rigid_rejects_irrational_bfield_by_rank():
     # an irrational b-field inflates the support past rank 2
-    b_irr = tuple(SQRT2 * as_quad(v) for v in deg2_vector({0: 1, 1: 1}))
+    b_irr = tuple(QuadScalar(0, v, 2) for v in deg2_vector({0: 1, 1: 1}))
     cls = check_gcy(exponential_class(b_irr, deg2_vector({2: 1, 3: 1})))
     out = is_kahler_rigid(validate_gk3(cls, _generic_partner(cls)))
     assert out.kind == "NotRigid"
@@ -320,7 +322,7 @@ def _rank22_cases():
 def _rank22_case(bfield, omega0, kappa):
     """omega = kappa omega0, exp(B + i omega), its support and a generic
     partner on the complement, the pair and its Kaehler verdict."""
-    omega = tuple(kappa * as_quad(v) for v in omega0)
+    omega = tuple((Ref.of(kappa) * v).quad() for v in omega0)
     cls = check_gcy(exponential_class(bfield, omega))
     support = support_lattice(cls)
     pair = validate_gk3(cls, GenericClass(ortho_complement(support), "B"))

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import random
 import sys
 from decimal import Decimal, localcontext
@@ -59,28 +58,27 @@ def test_rational_values_drop_the_tag():
     assert x == _q(3)
 
 
-def test_field_arithmetic():
-    x = _q(1, 1, 2)  # 1 + sqrt(2)
-    y = _q(2, -1, 2)  # 2 - sqrt(2)
-    assert x + y == _q(3)
-    assert x * y == _q(0, 1, 2)  # (1+s)(2-s) = 2 - s + 2s - 2 = sqrt(2)
-    assert x - x == _q(0)
-    assert -x == _q(-1, -1, 2)
-    assert x * 0 == _q(0)
-    assert 1 + x == x + 1 == _q(2, 1, 2)
-    assert 2 * x == x * 2 == _q(2, 2, 2)
-    assert 1 - x == _q(0, -1, 2)
-
-
 def test_mixing_field_tags_is_an_error():
     x, y = _q(1, 1, 2), _q(1, -2, 3)
-    for op in (operator.add, operator.sub, operator.mul):
-        for u, v in ((x, y), (y, x)):
-            with pytest.raises(ValidationError, match="cannot mix"):
-                op(u, v)
+    for u, v in ((x, y), (y, x)):
+        with pytest.raises(ValidationError, match="cannot mix"):
+            u * v
     with pytest.raises(ValidationError):
         _q(0, 1, 2) * _q(0, 1, 5)
-    assert x != y and x * 0 + y == y  # a rational zero joins any field
+    assert x != y and x * 0 * y == 0  # a rational zero joins any field
+
+
+# field arithmetic runs on the integer rows of classes, and in the test
+# oracles on ``fieldref.Ref``; none of it belongs on the scalar types
+REMOVED = {
+    QuadScalar: ("_sum", "__add__", "__radd__", "__neg__", "__sub__", "__rsub__", "__rmul__", "tagged"),
+    ComplexQuad: ("__add__", "__mul__", "conjugate"),
+}
+
+
+@pytest.mark.parametrize("cls", REMOVED, ids=lambda c: c.__name__)
+def test_scalar_types_define_no_field_arithmetic(cls):
+    assert [name for name in REMOVED[cls] if name in vars(cls)] == []
 
 
 def test_sign_exact_cases():
@@ -118,17 +116,9 @@ def test_str_forms():
     assert str(_q(1, -2, 3)) == "1 - 2*sqrt(3)"
 
 
-def test_complex_arithmetic():
-    i2 = ComplexQuad(_q(0), _q(0, 1, 2))  # i*sqrt(2)
-    assert (i2 * i2) == ComplexQuad(_q(-2))
-    z = ComplexQuad(_q(1), _q(1))
-    assert z * z.conjugate() == ComplexQuad(_q(2))
-    assert z + z.conjugate() == ComplexQuad(_q(2))
-    assert z.is_real is False
-    assert ComplexQuad(5).is_real
-
-
 def test_coercions():
+    assert ComplexQuad(_q(1), _q(1)).is_real is False
+    assert ComplexQuad(5).is_real
     assert as_quad(3) == _q(3)
     assert as_quad(Fraction(1, 3)) == _q(Fraction(1, 3))
     assert as_quad(_q(1, 1, 2)) == _q(1, 1, 2)
@@ -164,11 +154,11 @@ def test_field_tag_is_checked_once_at_the_boundary(monkeypatch):
     from gk3.serialize import parse_document
 
     x, y = _q(1, 2, 999983), _q(Fraction(1, 3), -1, 999983)
-    want = _q(Fraction(4, 3) - 2 * 999983, Fraction(5, 3), 999983)
+    want = _q(Fraction(1, 3) - 2 * 999983, Fraction(-1, 3), 999983)
     calls = []
     squarefree = gk3.scalars.is_squarefree
     monkeypatch.setattr(gk3.scalars, "is_squarefree", lambda n: calls.append(n) or squarefree(n))
-    assert x * y + x == want
+    assert x * y == want
     assert calls == []
     root = {"a": "0", "b": "1"}
     doc = {
@@ -182,11 +172,19 @@ def test_field_tag_is_checked_once_at_the_boundary(monkeypatch):
         QuadScalar(0, 1, 4)
 
 
-@pytest.mark.parametrize("args", [(0.1,), ("1/2",), (1, 0.5, 2), (Fraction(1, 2), "1", 2), (None,)])
+@pytest.mark.parametrize(
+    "args", [(0.1,), ("1/2",), (1, 0.5, 2), (Fraction(1, 2), "1", 2), (None,), (True,), (1, False, 2)]
+)
 def test_quad_scalar_refuses_inexact_parts(args):
-    """A float or a string never becomes a value, as ``as_quad`` refuses it."""
+    """A float, a string or a bool never becomes a value, as ``as_quad`` and
+    ``ComplexQuad`` refuse it."""
     with pytest.raises(ValidationError, match="cannot interpret .* as an exact scalar"):
         QuadScalar(*args)
+    bad = args[1] if len(args) == 3 else args[0]
+    with pytest.raises(ValidationError, match="cannot interpret .* as an exact scalar"):
+        as_quad(bad)
+    with pytest.raises(ValidationError, match="cannot interpret .* as an exact scalar"):
+        ComplexQuad(1, bad)
 
 
 # --- the integer normal form against a Fraction-pair reference --------------
@@ -253,14 +251,9 @@ def test_integer_form_matches_a_fraction_pair_reference(data, d):
     y = data.draw(_operands(d))  # any operand type, on either side
     (a1, b1), (a2, b2) = _ref(x, d), _ref(y, d)
     _assert_matches(x, a1, b1, d)
-    _assert_matches(-x, -a1, -b1, d)
-    for got, want in (
-        ((x + y, y + x), (a1 + a2, b1 + b2)),
-        ((x - y,), (a1 - a2, b1 - b2)),
-        ((y - x,), (a2 - a1, b2 - b1)),
-        ((x * y, y * x), (a1 * a2 + (d or 0) * b1 * b2, a1 * b2 + b1 * a2)),
-    ):
-        for z in got:
-            assert isinstance(z, QuadScalar)
-            _assert_matches(z, *want, d)
+    # integer numerators with a common factor come back in normal form
+    _assert_matches(QuadScalar.from_ints(-3 * x.p, -3 * x.q, 3 * x.n, d), -a1, -b1, d)
+    z = x * y  # the one product, kept for the rank22 benchmark op
+    assert isinstance(z, QuadScalar)
+    _assert_matches(z, a1 * a2 + (d or 0) * b1 * b2, a1 * b2 + b1 * a2, d)
     assert (x == y) == ((a1, b1) == (a2, b2))

@@ -109,8 +109,7 @@ def test_class_document_roundtrip():
 
 
 def test_class_document_roundtrip_with_header():
-    s2 = QuadScalar(Fraction(0), Fraction(1), 2)
-    omega = tuple(s2 * v for v in deg2_vector({0: 1, 1: 1}))
+    omega = tuple(QuadScalar(0, v, 2) for v in deg2_vector({0: 1, 1: 1}))
     g = check_gcy(exponential_class([0] * 22, omega))
     text = dumps_canonical({"sqrt_d": 2, "class": class_json(g)})
     assert parse_document(text).value == g.coh

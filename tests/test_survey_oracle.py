@@ -35,6 +35,8 @@ from gk3.rigidity import (
 )
 from gk3.scalars import ComplexQuad, QuadScalar, as_quad
 
+from fieldref import Ref
+
 PLANES = {
     "primitive": (deg2_vector({0: 1, 1: 1}), deg2_vector({2: 1, 3: 1})),
     "bench-shape": (deg2_vector({2: 1, 3: 3}), deg2_vector({4: 1, 5: 2})),
@@ -47,19 +49,14 @@ PLANES = {
 }
 
 
-def _quads(h):
-    return tuple(as_quad(v) for v in h)
-
-
 def _kappa(d: int) -> QuadScalar:
     return as_quad(1) if d == 1 else QuadScalar(0, 1, d)
 
 
 def _classes(h1, h2, kappa, a, b, p, q, denom):
     """B and omega of a grid point as 22 exact scalars each."""
-    h1q, h2q = _quads(h1), _quads(h2)
-    bfield = tuple(Fraction(p, denom) * u + Fraction(q, denom) * v for u, v in zip(h1q, h2q))
-    omega = tuple(kappa * (a * u + b * v) for u, v in zip(h1q, h2q))
+    bfield = tuple(QuadScalar(Fraction(p * u + q * v, denom)) for u, v in zip(h1, h2))
+    omega = tuple((Ref.of(kappa) * (a * u + b * v)).quad() for u, v in zip(h1, h2))
     return bfield, omega
 
 
@@ -175,16 +172,15 @@ def _gcy_error(cls) -> str:
 def test_integer_gcy_check_reports_as_check_gcy():
     h1, h2 = PLANES["indefinite"]
     sc = _sat_coords(h1, h2)
-    kappa = _kappa(2)
     # Re = (1, H1/2, -1), Im = sqrt(2) (0, H1, 0): not isotropic
     r1, r2 = (2, -2, 1, 0), (0, 0, 1, 0)
-    cls = CohClass(1, [ComplexQuad(Fraction(v, 2), kappa * v) for v in h1], -1)
+    cls = CohClass(1, [ComplexQuad(Fraction(v, 2), QuadScalar(0, v, 2)) for v in h1], -1)
     with pytest.raises(ValidationError) as e:
         gcy_norm(sc.entries_p, 2, 2, _exp_rows(r1, r2, 2, 1))
     assert str(e.value) == _gcy_error(cls)
     # omega_0 = H2 of square -2: isotropic but not positive
     r1, r2 = (2, 4, 0, 0), (0, 0, 0, 1)
-    cls = CohClass(1, [ComplexQuad(0, kappa * v) for v in _quads(h2)], 2)
+    cls = CohClass(1, [ComplexQuad(0, QuadScalar(0, v, 2)) for v in h2], 2)
     with pytest.raises(ValidationError) as e:
         gcy_norm(sc.entries_p, 2, 2, _exp_rows(r1, r2, 2, 1))
     assert str(e.value) == _gcy_error(cls)
