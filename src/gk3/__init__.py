@@ -35,7 +35,7 @@ _HOME = {
             " mukai_pairing period_plane support_lattice two_form_class"
         ),
         "pairs": (
-            "GeneralizedK3 HKClassification PiSpace SignatureProfile classify_hk_pair"
+            "GeneralizedK3 HKClassification SignatureProfile classify_hk_pair"
             " cross_pairings neron_severi signature_profile transcendental transform_pair"
             " validate_gk3"
         ),

@@ -208,7 +208,7 @@ def _(doc, args):
     return {
         "status": pair.status,
         "types": {"phiA": pair.phi_a.type_tag, "phiB": pair.phi_b.type_tag},
-        "pi_gram": None if pair.pi is None else pair.pi.gram,
+        "pi_gram": pair.pi_gram,
     }
 
 

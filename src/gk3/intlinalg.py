@@ -389,10 +389,6 @@ class SymDiagResult:
     n_minus: int
     n_zero: int
 
-    @property
-    def rank(self) -> int:
-        return self.n_plus + self.n_minus
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.n_plus, self.n_minus, self.n_zero)
 

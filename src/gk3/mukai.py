@@ -209,16 +209,6 @@ def mukai_pairing(x: CohClass, y: CohClass) -> ComplexQuad:
     return _complex(_numerators(pairing_block(MUKAI.entries, x.rows, y.rows), d), x.den * y.den, d)
 
 
-def real_gram(vectors) -> tuple[tuple[QuadScalar, ...], ...]:
-    """Gram matrix of real classes, one pairing per upper-triangle entry."""
-    n = len(vectors)
-    gram = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            gram[i][j] = gram[j][i] = mukai_pairing(vectors[i], vectors[j]).re
-    return tuple(map(tuple, gram))
-
-
 def _real_deg2(vec) -> CohClass:
     """A real degree-2 vector (a b-field or a Kaehler class) as the class (0, vec, 0)."""
     vec = tuple(vec)
@@ -306,6 +296,13 @@ def gcy_norm(entries, den: int, d: int | None, rows) -> tuple[int, int]:
     if quad_sign(a, b, d) <= 0:
         raise ValidationError(f"not positive: <phi,conj phi> = {shown(_quad(a, b, den * den, d))}")
     return a, b
+
+
+def half_norm_gram(norm: QuadScalar, r: int) -> tuple[tuple[QuadScalar, ...], ...]:
+    """(N/2) I of size r for a norm N: the Gram of r real vectors that are
+    pairwise orthogonal with square N/2, as Re and Im of a checked class are."""
+    half, zero = _quad(norm.p, norm.q, 2 * norm.n, norm.d), _quad(0, 0, 1, None)
+    return tuple(tuple(half if i == j else zero for j in range(r)) for i in range(r))
 
 
 @record
@@ -400,12 +397,13 @@ class PeriodPlane:
 
 def period_plane(g: GCYClass) -> PeriodPlane:
     """Real and imaginary parts of a generalized Calabi-Yau class with
-    their 2x2 Gram matrix.  <phi, phi> = 0 gives Re^2 = Im^2 and
-    Re.Im = 0, so the Gram is (N/2) I for the norm N = <phi, conj phi> > 0:
+    their 2x2 Gram matrix, read off the norm without a pairing.  Building
+    the class checked <phi, phi> = 0, which gives Re^2 = Im^2 and Re.Im = 0,
+    and N = <phi, conj phi> = Re^2 + Im^2 > 0, so the Gram is (N/2) I:
     positive definite for every ``GCYClass``."""
     re, im = g.coh.real_part(), g.coh.imag_part()
-    gram = real_gram((re, im))
-    return PeriodPlane(*(tuple(c.re for c in v.coords24()) for v in (re, im)), gram)
+    coords = (tuple(c.re for c in v.coords24()) for v in (re, im))
+    return PeriodPlane(*coords, half_norm_gram(g.norm, 2))
 
 
 def exponential_class(b, omega) -> CohClass:

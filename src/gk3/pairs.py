@@ -4,9 +4,10 @@ A pair (phi_A, phi_B) is a generalized K3 surface when the period planes
 of the two classes are pointwise orthogonal (four vanishing cross
 pairings, stronger than <phi_A, phi_B> = 0) and the two norms
 <phi, conj phi> agree.  The four real vectors then span a positive
-definite 4-space Pi: isotropy of each class gives Re^2 = Im^2 = N/2 and
-Re.Im = 0, the cross pairings vanish and the norms N agree, so the Gram
-of Pi is (N/2) I with N > 0.
+definite 4-space Pi with Gram (N/2) I, read off the norm N, not paired
+out.  Building each class checked <phi, phi> = 0 and N > 0, which give
+Re^2 = Im^2 = N/2 and Re.Im = 0; ``validate_gk3`` checks that the four
+cross pairings vanish and that the norms agree.
 
 From a pair the module computes the generalized Neron-Severi lattice
 (the orthogonal complement of the support of phi_B), the generalized
@@ -32,8 +33,8 @@ from .mukai import (
     bfield_matrix,
     bfield_transform,
     check_gcy,
+    half_norm_gram,
     mukai_pairing,
-    real_gram,
     type_a_parts,
 )
 from .records import record
@@ -49,20 +50,6 @@ def _coerce_member(x) -> Member:
 
 
 @record
-class PiSpace:
-    """The positive 4-space spanned by Re/Im of both classes, with Gram."""
-
-    vectors: tuple[CohClass, ...]  # Re A, Im A, Re B, Im B as real classes
-    gram: tuple[tuple[QuadScalar, ...], ...]
-
-    @property
-    def cross_pairings(self) -> tuple[QuadScalar, ...]:
-        """The off-diagonal block: Re/Im of phi_A against Re/Im of phi_B."""
-        g = self.gram
-        return (g[0][2], g[0][3], g[1][2], g[1][3])
-
-
-@record
 class GeneralizedK3:
     """A validated pair; phi_A is a hyperKaehler partner of phi_B.
 
@@ -75,7 +62,12 @@ class GeneralizedK3:
     phi_a: Member
     phi_b: Member
     status: str  # "Verified" | "FormalGeneric"
-    pi: PiSpace | None
+
+    @property
+    def pi_gram(self) -> tuple[tuple[QuadScalar, ...], ...] | None:
+        """The Gram of Pi, spanned by Re A, Im A, Re B, Im B: (N/2) I for a
+        Verified pair (module docstring), None for a FormalGeneric one."""
+        return half_norm_gram(self.phi_a.norm, 4) if self.status == "Verified" else None
 
 
 _CROSS_NAMES = (
@@ -86,14 +78,9 @@ _CROSS_NAMES = (
 )
 
 
-def _pi_space(a: GCYClass, b: GCYClass) -> PiSpace:
-    vectors = (a.coh.real_part(), a.coh.imag_part(), b.coh.real_part(), b.coh.imag_part())
-    return PiSpace(vectors, real_gram(vectors))
-
-
 def cross_pairings(a: GCYClass, b: GCYClass) -> tuple[QuadScalar, ...]:
     """The four pairings between Re/Im of phi_A and Re/Im of phi_B, in the
-    order of ``PiSpace.cross_pairings``."""
+    order of ``_CROSS_NAMES``: the one routine for these four numbers."""
     b_parts = (b.coh.real_part(), b.coh.imag_part())
     return tuple(
         mukai_pairing(u, v).re for u in (a.coh.real_part(), a.coh.imag_part()) for v in b_parts
@@ -104,22 +91,22 @@ def validate_gk3(phi_a, phi_b) -> GeneralizedK3:
     """Validate a pair of classes as a generalized K3 surface.
 
     Explicit/explicit pairs are checked exactly: the four cross pairings
-    must vanish and the norms N must agree.  The 4x4 Gram of Pi, whose
-    off-diagonal block holds the cross pairings, is built once; once both
-    checks pass it is (N/2) I, positive definite.  A pair with a generic
+    must vanish and the norms N must agree.  These are the only pairings
+    formed: each class proved <phi, phi> = 0 and N > 0 when it was built,
+    so once both checks pass the Gram of Pi is (N/2) I, positive definite,
+    and ``GeneralizedK3.pi_gram`` reads it off N.  A pair with a generic
     member only gets support-level checks and is marked FormalGeneric.
     """
     a = _coerce_member(phi_a)
     b = _coerce_member(phi_b)
     if isinstance(a, GenericClass) or isinstance(b, GenericClass):
-        return GeneralizedK3(a, b, "FormalGeneric", None)
-    pi = _pi_space(a, b)
-    for (name_u, name_v), value in zip(_CROSS_NAMES, pi.cross_pairings):
+        return GeneralizedK3(a, b, "FormalGeneric")
+    for (name_u, name_v), value in zip(_CROSS_NAMES, cross_pairings(a, b)):
         if not value.is_zero:
             raise ValidationError(f"planes not orthogonal: <{name_u}, {name_v}> = {shown(value)}")
     if a.norm != b.norm:
         raise ValidationError(f"norm mismatch: {shown(a.norm)} vs {shown(b.norm)}")
-    return GeneralizedK3(a, b, "Verified", pi)
+    return GeneralizedK3(a, b, "Verified")
 
 
 def neron_severi(x: GeneralizedK3) -> Sublattice:

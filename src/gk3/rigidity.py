@@ -104,14 +104,11 @@ def is_complex_rigid(x: GeneralizedK3) -> RigidityReport:
     if verdict is not None:
         return verdict
     # degree 2 is an orthogonal summand of the Mukai lattice isometric to
-    # K3, so this support carries the K3 Gram of sigma's support
-    sigma_support = support_in(b.coh.deg2_part())
-    if sigma_support.rank != 2:
-        return RigidityReport(
-            "NotRigid",
-            reason=f"degree-2 period support has rank {sigma_support.rank}, needs 2",
-        )
-    reduced = gauss_reduce2(sigma_support)
+    # K3, so this support carries the K3 Gram of sigma's support.  It has
+    # rank 2: it is the projection of phi_B's support, of rank 24 - 22 by
+    # the gate above, and its real span holds Re sigma and Im sigma,
+    # orthogonal with square N/2 > 0
+    reduced = gauss_reduce2(support_in(b.coh.deg2_part()))
     return RigidityReport(
         "ComplexRigid",
         invariant=reduced.lattice.gram,
@@ -122,9 +119,10 @@ def is_complex_rigid(x: GeneralizedK3) -> RigidityReport:
 
 def _tail_b_rational(b: GCYClass) -> bool:
     """Whether a B with rational projection to the period plane solves deg4 =
-    <B, sigma>.  Only for a rank-2 degree-2 support of sigma, as checked in
-    ``is_complex_rigid``, is the plane defined over Q and this the question
-    whether a rational B solves it; elsewhere it can refuse a rational B.
+    <B, sigma>.  Only for a rank-2 degree-2 support of sigma, which the NS
+    rank gate of ``is_complex_rigid`` ensures, is the plane defined over Q
+    and this the question whether a rational B solves it; elsewhere it can
+    refuse a rational B.
 
     Only the projection of B to the period plane acts.  sigma is isotropic,
     so the plane's Gram is (N/2) I for the class's norm N = <sigma, conj

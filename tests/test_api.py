@@ -41,9 +41,9 @@ def test_each_export_is_its_home_module_object():
 
 
 def test_an_unknown_name_is_an_attribute_error():
-    # induced_lattice and the second names of CohClass, type_a_parts and
-    # ComplexQuad were removed
-    for name in ("induced_lattice", "coh_class", "decompose_type_a", "as_complex"):
+    # induced_lattice, PiSpace and the second names of CohClass,
+    # type_a_parts and ComplexQuad were removed
+    for name in ("induced_lattice", "coh_class", "decompose_type_a", "as_complex", "PiSpace"):
         with pytest.raises(AttributeError, match=f"module 'gk3' has no attribute '{name}'"):
             getattr(gk3, name)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -483,3 +484,27 @@ def test_split_of_rank_21_example():
     assert pair == ((0, 1), (1, 0))
     cross = matmul(matmul(out.complement.basis, g), transpose((out.e, out.f)))
     assert all(all(v == 0 for v in row) for row in cross)
+
+
+def test_split_whose_pairing_needs_bezout_steps():
+    # e = (1, 0, 0, 0) pairs to (0, 6, 10, 15), whose entries are pairwise
+    # not coprime, so a partner f takes two extended-gcd steps
+    amb = IntegralLattice(((0, 6, 10, 15), (6, 2, 0, 0), (10, 0, 2, 0), (15, 0, 0, 2)))
+    out = find_hyperbolic_split(amb)
+    assert isinstance(out, HyperbolicSplit)
+    pair = matmul(matmul((out.e, out.f), amb.gram), transpose((out.e, out.f)))
+    assert pair == ((0, 1), (1, 0))
+    assert (out.e, out.f) == ((1, 0, 0, 0), (-246, -14, 7, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@example([0, 6, 10, 15])
+@example([4, 6])
+@example([])
+@given(st.lists(st.integers(-40, 40), max_size=6))
+def test_solve_pairing_one_exactly_when_gcd_is_one(w):
+    x = gk3.lattices._solve_pairing_one(w)
+    if math.gcd(*w) == 1:
+        assert len(x) == len(w) and sum(u * v for u, v in zip(w, x)) == 1
+    else:
+        assert x is None

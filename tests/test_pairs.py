@@ -29,7 +29,7 @@ from gk3.pairs import (
     transform_pair,
     validate_gk3,
 )
-from gk3.scalars import QuadScalar, as_quad
+from gk3.scalars import QuadScalar
 
 from fieldref import Ref
 
@@ -47,9 +47,9 @@ def _holomorphic_form(n: int = 1):
 def test_validate_standard_pair():
     x = validate_gk3(_kahler_class(), _holomorphic_form())
     assert x.status == "Verified"
-    diag = [str(x.pi.gram[i][i]) for i in range(4)]
+    diag = [str(x.pi_gram[i][i]) for i in range(4)]
     assert diag == ["2", "2", "2", "2"]
-    off = [x.pi.gram[i][j] for i in range(4) for j in range(4) if i != j]
+    off = [x.pi_gram[i][j] for i in range(4) for j in range(4) if i != j]
     assert all(v.is_zero for v in off)
 
 
@@ -79,12 +79,23 @@ def _count_pairings(monkeypatch) -> list:
     return calls
 
 
-def test_validate_makes_one_pairing_per_pi_gram_entry(monkeypatch):
+def test_validate_makes_only_the_four_cross_pairings(monkeypatch):
     a, b = _kahler_class(), _holomorphic_form()
     calls = _count_pairings(monkeypatch)
     x = validate_gk3(a, b)
     assert x.status == "Verified"
-    assert len(calls) <= 10  # the upper triangle of the 4x4 Pi Gram
+    # the cross pairings; the rest of the Pi Gram is read off the norm
+    assert len(calls) == 4
+    calls.clear()
+    assert [str(v) for v in x.pi_gram[0]] == ["2", "0", "0", "0"]
+    assert calls == []
+
+
+def test_period_plane_forms_no_pairing(monkeypatch):
+    g = _kahler_class()
+    calls = _count_pairings(monkeypatch)
+    assert [[str(v) for v in row] for row in period_plane(g).gram] == [["2", "0"], ["0", "2"]]
+    assert calls == []  # the Gram (N/2) I is read off the class's norm
 
 
 def test_classify_makes_only_the_four_cross_pairings(monkeypatch):
@@ -109,7 +120,7 @@ def test_generic_member_gives_formal_status():
     ns_prime = neron_severi(validate_gk3(_kahler_class(), sigma))
     x = validate_gk3(GenericClass(ns_prime, "A"), sigma)
     assert x.status == "FormalGeneric"
-    assert x.pi is None
+    assert x.pi_gram is None
 
 
 def test_cross_pairings_of_orthogonal_pair_vanish():
@@ -265,11 +276,19 @@ def _explicit_pairs(draw):
 def test_pi_gram_is_half_the_norm(case):
     name, phi_a, phi_b = case
     x = validate_gk3(phi_a, phi_b)
+    # the reference Gram of Re A, Im A, Re B, Im B is (N/2) I, and the
+    # library's Gram, read off the norm, equals it
+    planes = [_ref_plane(member) for member in (x.phi_a, x.phi_b)]
+    vectors = planes[0] + planes[1]
+    gram = tuple(tuple(_ref_mukai(u, v) for v in vectors) for u in vectors)
     half = Ref.of(x.phi_a.norm) * Fraction(1, 2)
-    zero = as_quad(0)
-    assert x.pi.gram == tuple(tuple(half if i == j else zero for j in range(4)) for i in range(4))
-    for member in (x.phi_a, x.phi_b):
-        assert period_plane(member).gram == ((half, zero), (zero, half))
+    assert gram == tuple(tuple(half if i == j else 0 for j in range(4)) for i in range(4))
+    assert x.pi_gram == gram
+    for member, (re, im) in zip((x.phi_a, x.phi_b), planes):
+        assert period_plane(member).gram == ((half, 0), (0, half))
+        assert period_plane(member).gram == tuple(
+            tuple(_ref_mukai(u, v) for v in (re, im)) for u in (re, im)
+        )
     out = classify_hk_pair(x.phi_a, x.phi_b)
     assert out.case == name and out.orthogonal and out.norms_match
     assert all(i.holds for i in out.identities)
@@ -279,6 +298,19 @@ def _k3_pairing(x, y) -> Ref:
     """x.y in the K3 lattice, one reference term per nonzero Gram entry."""
     terms = (Ref.of(u) * g * v for u, row in zip(x, K3_GRAM) for g, v in zip(row, y) if g)
     return sum(terms, Ref())
+
+
+def _ref_plane(member) -> tuple[list[Ref], list[Ref]]:
+    """Re and Im of a class as 24 real reference coordinates each."""
+    coords = [Ref.of(c) for c in member.coh.coords24()]
+    return [c.re for c in coords], [c.im for c in coords]
+
+
+def _ref_mukai(x, y) -> Ref:
+    """<(r, D, s), (r', D', s')> = D.D' - r s' - s r' on 24 reference
+    coordinates in the Mukai layout (degree 0, degree 4, degree 2)."""
+    (r, s, *dx), (r2, s2, *dy) = x, y
+    return _k3_pairing(dx, dy) - r * s2 - s * r2
 
 
 @st.composite

@@ -222,3 +222,109 @@ def test_non_mukai_generic_support_is_rejected():
     }
     with pytest.raises(SchemaError, match=r"at document\.pair\.phiA"):
         parse_document(_doc(body))
+
+
+_GENERIC_C = {"generic": {"basis": [[1] + [0] * 23]}, "type": "C"}
+
+# hostile documents, each with the exact text of its refusal
+_REFUSALS = [
+    ({"lattice": {"gram": 5}}, "document.lattice.gram", "expected an array of rows"),
+    ({"lattice": {"gram": [5]}}, "document.lattice.gram[0]", "expected an array"),
+    ({"class": {"deg0": 1, "deg2": 5, "deg4": 0}}, "document.class.deg2", "expected an array"),
+    (
+        {"sublattice": {"basis": [[1, 2]]}},
+        "document.sublattice.basis[0]",
+        "expected 24 entries, got 2",
+    ),
+    (
+        {"class": {"deg0": 1, "deg2": [0], "deg4": 0}},
+        "document.class.deg2",
+        "expected 22 entries, got 1",
+    ),
+    ({"lattice": {"gram": [[1, 2]]}}, "document.lattice.gram", "Gram matrix must be square"),
+    ({"lattice": {}}, "document.lattice", 'lattice needs exactly one of "gram" or "named"'),
+    (
+        {"lattice": {"gram": [[1]], "named": "U"}},
+        "document.lattice",
+        'lattice needs exactly one of "gram" or "named"',
+    ),
+    (
+        {"lattice": {"named": 5}},
+        "document.lattice.named",
+        "expected a name or a constructor object",
+    ),
+    (
+        {"lattice": {"named": {}}},
+        "document.lattice.named",
+        "constructor needs exactly one of diag / sum / rescale",
+    ),
+    (
+        {"lattice": {"named": {"diag": [1], "sum": ["U"]}}},
+        "document.lattice.named",
+        "constructor needs exactly one of diag / sum / rescale",
+    ),
+    (
+        {"lattice": {"named": {"diag": []}}},
+        "document.lattice.named.diag",
+        "expected a nonempty array of integers",
+    ),
+    (
+        {"lattice": {"named": {"sum": []}}},
+        "document.lattice.named.sum",
+        "expected a nonempty array of lattice specs",
+    ),
+    (
+        {"lattice": {"named": {"rescale": {"of": "U"}}}},
+        "document.lattice.named.rescale",
+        "missing key 'by'",
+    ),
+    ({"class": {"deg0": 1, "deg2": [0] * 22}}, "document.class", "missing key 'deg4'"),
+    ({"lattice": 5}, "document.lattice", "expected an object, got int"),
+    ([], "document", "expected an object, got list"),
+    (
+        {"lattice": {"gram": [["1/2"]]}},
+        "document.lattice.gram[0][0]",
+        "expected an integer, got '1/2'",
+    ),
+    (
+        {"pair": {"phiA": _GENERIC_C, "phiB": _GENERIC_C}},
+        "document.pair.phiA.type",
+        "expected \"A\" or \"B\", got 'C'",
+    ),
+    # a ValidationError of the lattice layer, reported at the document path
+    (
+        {"lattice": {"gram": [[0, 1], [2, 0]]}},
+        "document.lattice.gram",
+        "Gram matrix must be symmetric",
+    ),
+    ({"lattice": {"named": "Foo"}}, "document.lattice.named", "unknown named lattice 'Foo'"),
+    (
+        {"lattice": {"named": {"rescale": {"of": "U", "by": 0}}}},
+        "document.lattice.named.rescale.by",
+        "rescaling by zero is not a lattice",
+    ),
+    (
+        {"sublattice": {"ambient": {"named": "U"}, "basis": [[1, 0], [2, 0]]}},
+        "document.sublattice.basis",
+        "dependent basis",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "body, path, message", _REFUSALS, ids=[f"{p}: {m}" for _, p, m in _REFUSALS]
+)
+def test_a_hostile_document_is_refused_at_its_path(body, path, message):
+    with pytest.raises(SchemaError) as info:
+        parse_document(_doc(body))
+    assert str(info.value) == f"at {path}: {message}"
+
+
+def test_a_refusal_reaches_the_cli_as_exit_2(tmp_path, capsys):
+    from gk3.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(_doc({"lattice": {"gram": [[1, 2]]}}), encoding="utf-8")
+    assert main(["lattice", "info", str(path)]) == 2
+    expected = {"error": "at document.lattice.gram: Gram matrix must be square"}
+    assert capsys.readouterr().out == dumps_canonical(expected)
