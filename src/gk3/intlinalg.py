@@ -41,8 +41,10 @@ Conventions:
   ``saturate2(x, y)`` gives a basis of the same lattice for k = 2 in
   closed form, with no elimination.
 * ``pairing_block(gram_entries(g), xs, ys)`` is ``xs @ g @ ys^T`` and
-  ``gram_rows(gram_entries(g), ys)`` holds ``g @ y`` for each row ``y``:
-  the one sparse routine through which every Gram form is applied.
+  ``gram_rows(gram_entries(g), ys)`` holds ``y @ g`` for each row ``y``, for
+  any square g (``g @ y`` when g is symmetric): the one sparse routine
+  through which every Gram form and every integral isometry is applied.
+  ``eichler(entries, e, a)`` is the matrix of an Eichler transvection.
 * ``snf_divisors(m)`` returns the ``min(rows, cols)`` Smith divisors
   ``d_1 | d_2 | ...``, positive, zeros last; they come from the same
   elimination, applied alternately to the rows and the columns.
@@ -89,13 +91,15 @@ def matmul(a, b) -> IntMat:
 
 
 def gram_entries(gram) -> tuple:
-    """The nonzero entries (j, g) of each row of a symmetric Gram matrix."""
+    """The nonzero entries (j, g) of each row of a matrix.  For a square G
+    (a Gram matrix or an isometry) they are what ``gram_rows`` takes to give
+    y G for any square G, G y when G is symmetric."""
     return tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in gram)
 
 
 def gram_rows(entries, ys) -> list[list[int]]:
-    """G y for each row y, with the symmetric G given by its ``gram_entries``;
-    zero coordinates of y cost nothing."""
+    """y G for each row y, with the square G given by its ``gram_entries``
+    (G y when G is symmetric); zero coordinates of y cost nothing."""
     out = []
     for y in ys:
         w = [0] * len(entries)
@@ -122,6 +126,31 @@ def pairing_block(entries, xs, ys) -> IntMat:
             out.append(tuple(row))
         else:
             out.append(zero)
+    return tuple(out)
+
+
+def eichler(entries, e, a) -> IntMat:
+    """The row-action matrix of the Eichler transvection E(e, a)x = x - <a,x>e
+    + <e,x>a - (<a,a>/2)<e,x>e, an integral isometry for an isotropic e and an
+    a orthogonal to e under the Gram with these ``gram_entries`` (Gritsenko,
+    Hulek and Sankaran, J. Algebra 322, 2009, section 3).  Row i is
+    b_i + <e,b_i>(a - (<a,a>/2)e) - <a,b_i>e, so only the rows and columns
+    that e and a touch are written."""
+    ge, ga = gram_rows(entries, (e, a))
+    aa = sum(map(mul, a, ga))
+    if sum(map(mul, e, ge)) or sum(map(mul, a, ge)) or aa % 2:
+        raise ValidationError("E(e, a) needs <e,e> = <e,a> = 0 and <a,a> even")
+    half = aa // 2
+    v, ve = gram_entries(([x - half * y for x, y in zip(a, e)], e))  # nonzero entries
+    out = []
+    for i, (s, t) in enumerate(zip(ge, ga)):
+        row = [0] * len(e)
+        row[i] = 1
+        for j, x in v if s else ():
+            row[j] += s * x
+        for j, x in ve if t else ():
+            row[j] -= t * x
+        out.append(tuple(row))
     return tuple(out)
 
 

@@ -232,7 +232,10 @@ class Sublattice(Lattice):
     def contains(self, other: "Sublattice") -> bool:
         """Whether every basis row of ``other`` lies in this lattice, read by
         ``hnf_coords`` in this basis (put in HNF first unless echelon).  For the
-        Q-span ask ``saturation(self)``: it is the Q-span's integer points."""
+        Q-span ask ``saturation(self)``: it is the Q-span's integer points.  A
+        sublattice contains itself with no elimination."""
+        if other is self:
+            return True
         if other.ambient.gram != self.ambient.gram:
             raise ValidationError("containment needs a common ambient lattice")
         basis = self.basis if _is_echelon(self.basis, self.ambient.rank) else hnf_basis(self.basis)
@@ -486,7 +489,8 @@ def _candidate_vectors(rank: int, radius: int):
 
 # Largest accepted search radius.  The search grows with the cube of the
 # radius: on U(2) + E8(-2)^2 + U(2), which has no split, radius 8 took
-# 7.0 to 8.9 s through the CLI in three runs (2-CPU VM, Python 3.11.7).
+# 6.8 to 7.5 s through the CLI in three runs (2-CPU Intel Xeon VM, Python
+# 3.11.7).
 MAX_SPLIT_RADIUS = 8
 
 

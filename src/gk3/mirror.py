@@ -27,7 +27,7 @@ from functools import cached_property
 from math import prod
 
 from .errors import ValidationError
-from .intlinalg import IntMat, hnf_basis, matmul, pairing_block
+from .intlinalg import IntMat, gram_entries, gram_rows, hnf_basis, matmul, pairing_block
 from .lattices import (
     MatchResult,
     Sublattice,
@@ -113,68 +113,33 @@ def check_polarization(p: PolarizationData, x: GeneralizedK3) -> PolarizationRep
     The joint saturation index and the K-L pairing matrix are attached
     rather than judged.
     """
-    clauses: list[Clause] = []
-    sig_k = p.k_emb.signature()
-    sig_l = p.l_emb.signature()
-    clauses.append(
-        Clause(
-            "K signature (2, rank-2)",
-            sig_k.n_plus == 2 and sig_k.n_zero == 0,
-            f"got {sig_k.as_tuple()}",
-        )
-    )
-    clauses.append(
-        Clause(
-            "L signature (2, rank-2)",
-            sig_l.n_plus == 2 and sig_l.n_zero == 0,
-            f"got {sig_l.as_tuple()}",
-        )
+    signatures = (
+        Clause(f"{n} signature (2, rank-2)", s.n_plus == 2 and s.n_zero == 0, f"got {s.as_tuple()}")
+        for n, s in (("K", p.k_emb.signature()), ("L", p.l_emb.signature()))
     )
     rank_sum = p.k_emb.rank + p.l_emb.rank
-    clauses.append(Clause("ranks sum to 24", rank_sum == 24, f"got {rank_sum}"))
-    clauses.append(Clause("K embedding primitive", is_primitive(p.k_emb)))
-    clauses.append(Clause("L embedding primitive", is_primitive(p.l_emb)))
     stack = hnf_basis(p.k_emb.basis + p.l_emb.basis)
     independent = len(stack) == rank_sum
-    clauses.append(Clause("K and L spans independent", independent))
-    clauses.append(
-        Clause(
-            "witness A has type A",
-            p.witness_a.type_tag == "A",
-            f"got {p.witness_a.type_tag}",
-        )
-    )
-    clauses.append(
-        Clause(
-            "witness A lies in the K span",
-            saturation(p.k_emb).contains(p.witness_a.support),
-        )
-    )
-    clauses.append(
-        Clause(
-            "witness B has type B",
-            p.witness_b.type_tag == "B",
-            f"got {p.witness_b.type_tag}",
-        )
-    )
-    clauses.append(
-        Clause(
-            "witness B lies in the L span",
-            saturation(p.l_emb).contains(p.witness_b.support),
-        )
-    )
-    clauses.append(
-        Clause("K inside the Neron-Severi lattice", neron_severi(x).contains(p.k_emb))
-    )
-    clauses.append(
-        Clause("L inside the transcendental lattice", transcendental(x).contains(p.l_emb))
+    type_a, type_b = p.witness_a.type_tag, p.witness_b.type_tag
+    clauses = (
+        *signatures,
+        Clause("ranks sum to 24", rank_sum == 24, f"got {rank_sum}"),
+        Clause("K embedding primitive", is_primitive(p.k_emb)),
+        Clause("L embedding primitive", is_primitive(p.l_emb)),
+        Clause("K and L spans independent", independent),
+        Clause("witness A has type A", type_a == "A", f"got {type_a}"),
+        Clause("witness A lies in the K span", saturation(p.k_emb).contains(p.witness_a.support)),
+        Clause("witness B has type B", type_b == "B", f"got {type_b}"),
+        Clause("witness B lies in the L span", saturation(p.l_emb).contains(p.witness_b.support)),
+        Clause("K inside the Neron-Severi lattice", neron_severi(x).contains(p.k_emb)),
+        Clause("L inside the transcendental lattice", transcendental(x).contains(p.l_emb)),
     )
     # a nonsingular square HNF is upper triangular, so |det| is its pivot product
     joint_index = (
         prod(row[i] for i, row in enumerate(stack)) if (independent and rank_sum == 24) else None
     )
     kl = pairing_block(MUKAI.entries, p.k_emb.basis, p.l_emb.basis)
-    return PolarizationReport(tuple(clauses), joint_index, kl)
+    return PolarizationReport(clauses, joint_index, kl)
 
 
 def moduli_dims(p: PolarizationData) -> tuple[int, int]:
@@ -343,8 +308,9 @@ def _assert_si_shape(fam1: FamilySpec, fam2: FamilySpec, n: int) -> None:
     g = SI_MIRROR_ISOMETRY
     if pairing_block(MUKAI.entries, g, g) != MUKAI_GRAM:
         raise ValidationError("mirror certificate is not an isometry of the Mukai lattice")
+    ge = gram_entries(g)
     for a, b in ((neron_severi(x1), transcendental(x2)), (t1, neron_severi(x2))):
-        if hnf_basis(matmul(a.basis, g)) != b.basis:
+        if hnf_basis(gram_rows(ge, a.basis)) != b.basis:
             raise ValidationError("mirror certificate does not swap NS and T")
     for fam in (fam1, fam2):
         if not fam.report.passed:

@@ -26,10 +26,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
 
 from .errors import ValidationError
-from .intlinalg import IntMat, freeze, gram_rows, hnf_basis, pairing_block
+from .intlinalg import IntMat, eichler, freeze, hnf_basis, pairing_block
 from .lattices import Sublattice, _is_echelon, named_lattice, saturation
 from .records import derived, record
 from .scalars import ComplexQuad, QuadScalar, as_quad, join_tags, quad_sign, shown
@@ -47,6 +46,7 @@ MUKAI = named_lattice("Mukai")
 MUKAI_GRAM = MUKAI.gram
 
 _ZERO_ROW = (0,) * MUKAI_RANK
+_DEG4_UNIT = tuple(int(i == DEG4) for i in range(MUKAI_RANK))
 
 
 # Component t of a class is the coefficient row of the unit c_t, for
@@ -257,27 +257,14 @@ def bfield_matrix(b_int) -> IntMat:
     """The 24x24 integer matrix of exp(B) for an integral B (row-vector action).
 
     Row i is the image of the i-th Mukai basis vector, so a class with
-    integer coordinate row x maps to x @ M.  For integral B on an even
-    lattice the matrix is unimodular.  Coordinates must be ints.
+    integer coordinate row x maps to x @ M.  exp(B) is the Eichler
+    transvection E(deg4, -B): the degree-4 unit is isotropic and orthogonal
+    to degree 2, so the matrix is unimodular.  Coordinates must be ints.
     """
     (b,) = freeze((b_int,))
     if len(b) != DEG2_RANK:
         raise ValidationError(f"b-field must have {DEG2_RANK} integer coordinates")
-    (bk,) = gram_rows(K3.entries, (b,))  # <B, v> for each generator v
-    bsq = sum(map(mul, b, bk))
-    m = [[0] * MUKAI_RANK for _ in range(MUKAI_RANK)]
-    # degree-0 unit -> (1, B, B^2/2)
-    m[DEG0][DEG0] = 1
-    m[DEG0][DEG4] = bsq // 2
-    for j in range(DEG2_RANK):
-        m[DEG0][DEG2_START + j] = b[j]
-    # degree-4 unit is fixed
-    m[DEG4][DEG4] = 1
-    # degree-2 generator v -> (0, v, <B, v>)
-    for i in range(DEG2_RANK):
-        m[DEG2_START + i][DEG2_START + i] = 1
-        m[DEG2_START + i][DEG4] = bk[i]
-    return freeze(m)
+    return eichler(MUKAI.entries, _DEG4_UNIT, (0, 0) + tuple(-v for v in b))
 
 
 def gcy_norm(entries, den: int, d: int | None, rows) -> tuple[int, int]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import ValidationError
-from .intlinalg import freeze, hnf_basis, matmul, pairing_block
+from .intlinalg import gram_entries, gram_rows, hnf_basis, pairing_block
 from .lattices import Sublattice, ortho_complement
 from .mukai import (
     MUKAI,
@@ -31,10 +31,8 @@ from .mukai import (
     CohClass,
     _numerators,
     bfield_matrix,
-    bfield_transform,
     check_gcy,
     half_norm_gram,
-    mukai_pairing,
     type_a_parts,
 )
 from .records import record
@@ -70,20 +68,21 @@ class GeneralizedK3:
         return half_norm_gram(self.phi_a.norm, 4) if self.status == "Verified" else None
 
 
-_CROSS_NAMES = (
-    ("Re phiA", "Re phiB"),
-    ("Re phiA", "Im phiB"),
-    ("Im phiA", "Re phiB"),
-    ("Im phiA", "Im phiB"),
-)
+_CROSS_NAMES = tuple((f"{u} phiA", f"{v} phiB") for u in ("Re", "Im") for v in ("Re", "Im"))
 
 
 def cross_pairings(a: GCYClass, b: GCYClass) -> tuple[QuadScalar, ...]:
     """The four pairings between Re/Im of phi_A and Re/Im of phi_B, in the
-    order of ``_CROSS_NAMES``: the one routine for these four numbers."""
-    b_parts = (b.coh.real_part(), b.coh.imag_part())
+    order of ``_CROSS_NAMES``: the one routine for these four numbers.  Each
+    is a 2x2 sub-block of one ``pairing_block`` of the component rows, in
+    the units 1 and sqrt(d) over den_A den_B."""
+    x, y = a.coh, b.coh
+    d, den = join_tags(x.d, y.d), x.den * y.den
+    block = pairing_block(MUKAI.entries, x.rows, y.rows)
     return tuple(
-        mukai_pairing(u, v).re for u in (a.coh.real_part(), a.coh.imag_part()) for v in b_parts
+        QuadScalar.from_ints(*_numerators([r[k : k + 2] for r in block[j : j + 2]], d)[:2], den, d)
+        for j in (0, 2)
+        for k in (0, 2)
     )
 
 
@@ -216,16 +215,17 @@ def classify_hk_pair(phi_a, phi_b) -> HKClassification:
 def transform_pair(b_int, x: GeneralizedK3) -> GeneralizedK3:
     """Apply an integral B-field transform to both members of a pair.
 
-    Explicit members transform as classes; a generic member transforms by
-    mapping its support through the (unimodular) matrix of exp(B).
+    Both kinds of member move by the one unimodular matrix of exp(B) through
+    ``gram_rows``: a generic member's support basis, and an explicit member's
+    four component rows, which keep their denominator and field tag.
     """
-    (b,) = freeze((b_int,))
-    m = bfield_matrix(b)
+    m = gram_entries(bfield_matrix(b_int))
 
     def move(member: Member) -> Member:
         if isinstance(member, GenericClass):
-            new_basis = matmul(member.support.basis, m)
-            return GenericClass(Sublattice(MUKAI, new_basis), member.type_tag)
-        return check_gcy(bfield_transform(b, member.coh))
+            basis = gram_rows(m, member.support.basis)
+            return GenericClass(Sublattice(MUKAI, basis), member.type_tag)
+        c = member.coh
+        return check_gcy(CohClass.from_rows(c.den, c.d, gram_rows(m, c.rows)))
 
     return validate_gk3(move(x.phi_a), move(x.phi_b))

@@ -63,3 +63,19 @@ def snf_sizes(monkeypatch) -> list:
         gk3.lattices, "snf_divisors", lambda g: sizes.append(len(g)) or snf_divisors(g)
     )
     return sizes
+
+
+@pytest.fixture
+def hnf_coords_reads(monkeypatch) -> list:
+    """Record each coordinate read behind a containment: wraps the binding of
+    ``intlinalg.hnf_coords`` in ``lattices``, through which
+    ``Sublattice.contains`` reads every row it tests; the returned list grows
+    by the rank of the basis read in, once per row."""
+    hnf_coords = gk3.lattices.hnf_coords
+    ranks = []
+    monkeypatch.setattr(
+        gk3.lattices,
+        "hnf_coords",
+        lambda basis, x: ranks.append(len(basis)) or hnf_coords(basis, x),
+    )
+    return ranks

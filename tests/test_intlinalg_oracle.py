@@ -262,6 +262,23 @@ def test_pairing_block_and_gram_rows_match_sympy(case):
 
 
 @st.composite
+def squares_with_rows(draw):
+    """A square integer matrix, symmetric or not, with rows of its size."""
+    g = draw(int_matrices(square=True))
+    return g, draw(st.lists(st.lists(ENTRY, min_size=len(g), max_size=len(g)), max_size=4))
+
+
+@SETTINGS
+@given(squares_with_rows())
+@example((((0, 1), (0, 0)), [[1, 2]]))  # y G = (0, 1), where G y = (2, 0)
+def test_gram_rows_is_the_row_action_of_any_square_matrix(case):
+    """y G for every row y, symmetric G or not: the contract by which one
+    sparse routine applies an isometry as well as a Gram form."""
+    g, ys = case
+    assert [tuple(r) for r in gram_rows(gram_entries(g), ys)] == list(matmul(ys, g))
+
+
+@st.composite
 def row_bases(draw):
     """k <= n rows of width n <= 24, sparse or dense, often with a hidden
     common factor or a non-primitive combination, and sometimes dependent."""

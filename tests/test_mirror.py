@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 import gk3.mirror
@@ -30,7 +32,7 @@ from gk3.mirror import (
     moduli_dims,
 )
 from gk3.mukai import CohClass, GenericClass, check_gcy, deg2_vector, exponential_class
-from gk3.pairs import neron_severi, transcendental, validate_gk3
+from gk3.pairs import neron_severi, transcendental, transform_pair, validate_gk3
 from gk3.serialize import dumps_canonical, parse_document
 
 EXPECTED_CLAUSES = (
@@ -216,6 +218,34 @@ def test_si_builder_checks_one_isometry_and_no_rank22_genus(monkeypatch, signatu
     # saturations, so primitivity runs no pass, and every containment
     # reads coordinates in an echelon basis without elimination
     assert len(hnf_passes) == 2
+
+
+def test_si_polarization_reads_no_coordinates_for_a_lattice_in_itself(hnf_coords_reads):
+    for n in (1, 2, 5):
+        for fam in build_si_mirror(n):
+            hnf_coords_reads.clear()
+            assert check_polarization(fam.polarization, fam.member).passed
+            # K and L are the member's NS and T, each its own saturation, and
+            # the small slot is a witness's support: primitivity, "K inside
+            # NS", "L inside T" and that witness read nothing, and the other
+            # witness reads its 2 support rows in the rank-22 slot
+            assert hnf_coords_reads == [22, 22]
+
+
+def test_si_builder_and_transform_pair_make_no_dense_product(monkeypatch):
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "gk3" and hasattr(module, "matmul"):
+            f = module.matmul
+            monkeypatch.setattr(module, "matmul", lambda a, b, f=f: calls.append(1) or f(a, b))
+    fam1, _ = build_si_mirror(2)
+    p = fam1.polarization
+    b = [1, 0, 2] + [0] * 18 + [-1]
+    for x in (fam1.member, validate_gk3(p.witness_a, p.witness_b)):
+        transform_pair(b, x)
+    assert calls == []  # isometries act through gram_rows
+    dolgachev_mirror(Sublattice(k3_lattice(), ((1, 1) + (0,) * 20,)))
+    assert calls  # its coordinate maps are the dense products left
 
 
 def test_parsed_family_primitivity_reads_the_kept_saturations(hnf_passes):

@@ -12,10 +12,11 @@ from sympy import Matrix
 import gk3.lattices
 import gk3.mukai
 from gk3.errors import ValidationError
-from gk3.intlinalg import matmul, saturate
+from gk3.intlinalg import eichler, gram_rows, matmul, pairing_block, saturate
 from gk3.lattices import IntegralLattice, Sublattice, gauss_reduce2, ortho_complement
 from gk3.mukai import (
     DEG2_RANK,
+    K3,
     MUKAI,
     MUKAI_GRAM,
     MUKAI_RANK,
@@ -209,6 +210,62 @@ def test_bfield_matrix_is_unimodular_and_matches_transform():
                 if m[row][col]:
                     acc = acc + Ref.of(xs[row]) * m[row][col]
             assert acc == moved.coords24()[col]
+
+
+def _written_out_bfield_matrix(b) -> tuple:
+    """exp(B) written out row by row, independently of ``eichler``: the
+    degree-0 unit goes to (1, B, B^2/2), the degree-4 unit is fixed and a
+    degree-2 generator v goes to (0, v, <B, v>)."""
+    (bk,) = gram_rows(K3.entries, (b,))
+    m = [[int(i == j) for j in range(24)] for i in range(24)]
+    m[0][1] = sum(x * y for x, y in zip(b, bk)) // 2
+    m[0][2:] = b
+    for i in range(22):
+        m[2 + i][1] = bk[i]
+    return tuple(map(tuple, m))
+
+
+def test_bfield_matrix_is_the_written_out_exponential():
+    rng = random.Random(53)
+    for _ in range(300):
+        b = [rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(22)]
+        assert bfield_matrix(b) == _written_out_bfield_matrix(b)
+
+
+def _integer_pairing(x, y) -> int:
+    return sum(u * g * v for u, row in zip(x, MUKAI_GRAM) for g, v in zip(row, y))
+
+
+def _dense_eichler(e, a) -> tuple:
+    """E(e, a) b_i = b_i - <a,b_i> e + <e,b_i> a - (<a,a>/2) <e,b_i> e for each
+    basis vector b_i, every pairing summed over the dense Gram."""
+    half = _integer_pairing(a, a) // 2
+    rows = []
+    for i in range(24):
+        b = [int(j == i) for j in range(24)]
+        pa, pe = _integer_pairing(a, b), _integer_pairing(e, b)
+        rows.append(tuple(x - pa * u + pe * v - half * pe * u for x, u, v in zip(b, e, a)))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("e_index, partner", [(1, 0), (5, 4)], ids=["deg4", "f2"])
+def test_eichler_matches_the_dense_transvection_and_is_an_isometry(e_index, partner):
+    rng = random.Random(59 + e_index)
+    e = tuple(int(i == e_index) for i in range(24))
+    for _ in range(30):
+        a = [rng.randint(-4, 4) if rng.random() < 0.5 else 0 for _ in range(24)]
+        a[partner] = 0  # the one coordinate that pairs with e
+        assert _integer_pairing(e, e) == _integer_pairing(e, a) == 0
+        m = eichler(MUKAI.entries, e, a)
+        assert m == _dense_eichler(e, a)
+        assert pairing_block(MUKAI.entries, m, m) == MUKAI_GRAM
+
+
+def test_eichler_refuses_what_is_no_transvection():
+    e = tuple(int(i == 1) for i in range(24))
+    for e_bad, a in ((e, (1,) + (0,) * 23), ((1, 1) + (0,) * 22, (0,) * 24)):
+        with pytest.raises(ValidationError, match="E\\(e, a\\) needs"):
+            eichler(MUKAI.entries, e_bad, a)
 
 
 def test_bfield_transports_support():

@@ -16,6 +16,7 @@ from gk3.mukai import (
     check_gcy,
     deg2_vector,
     exponential_class,
+    mukai_pairing,
     period_plane,
     support_lattice,
     two_form_class,
@@ -79,16 +80,35 @@ def _count_pairings(monkeypatch) -> list:
     return calls
 
 
+def _count_blocks(monkeypatch) -> list:
+    """Record the shape of each ``pairing_block`` call made through any
+    binding of it."""
+    import gk3.intlinalg
+    import gk3.mukai
+    import gk3.pairs
+
+    shapes = []
+    block = gk3.intlinalg.pairing_block
+    for module in (gk3.intlinalg, gk3.mukai, gk3.pairs):
+        monkeypatch.setattr(
+            module,
+            "pairing_block",
+            lambda e, xs, ys: shapes.append((len(xs), len(ys))) or block(e, xs, ys),
+        )
+    return shapes
+
+
 def test_validate_makes_only_the_four_cross_pairings(monkeypatch):
     a, b = _kahler_class(), _holomorphic_form()
-    calls = _count_pairings(monkeypatch)
+    calls, blocks = _count_pairings(monkeypatch), _count_blocks(monkeypatch)
     x = validate_gk3(a, b)
     assert x.status == "Verified"
-    # the cross pairings; the rest of the Pi Gram is read off the norm
-    assert len(calls) == 4
-    calls.clear()
+    # the four cross pairings are one 4x4 block of component rows; the rest
+    # of the Pi Gram is read off the norm
+    assert (calls, blocks) == ([], [(4, 4)])
+    blocks.clear()
     assert [str(v) for v in x.pi_gram[0]] == ["2", "0", "0", "0"]
-    assert calls == []
+    assert blocks == []
 
 
 def test_period_plane_forms_no_pairing(monkeypatch):
@@ -100,10 +120,11 @@ def test_period_plane_forms_no_pairing(monkeypatch):
 
 def test_classify_makes_only_the_four_cross_pairings(monkeypatch):
     a, b = _kahler_class(), _holomorphic_form()
-    calls = _count_pairings(monkeypatch)
+    calls, blocks = _count_pairings(monkeypatch), _count_blocks(monkeypatch)
     c = classify_hk_pair(a, b)
     assert c.case == "B-with-A" and c.orthogonal and c.norms_match
-    assert len(calls) == 4  # Re/Im of phi_A against Re/Im of phi_B
+    # Re/Im of phi_A against Re/Im of phi_B, from one block of component rows
+    assert (calls, blocks) == ([], [(4, 4)])
 
 
 def test_validate_rejects_crossing_planes():
@@ -224,6 +245,40 @@ def test_transform_pair_moves_generic_supports():
     assert moved.status == "FormalGeneric"
     assert isinstance(moved.phi_a, GenericClass)
     assert len(moved.phi_a.support.basis) == 22
+
+
+def test_transform_pair_moves_explicit_members_as_bfield_transform_does():
+    rng = random.Random(61)
+    lam = QuadScalar(Fraction(1, 3), Fraction(1, 2), 2)  # denominators and sqrt(2) rows
+    pairs = [validate_gk3(_kahler_class(n), _holomorphic_form(n)) for n in (1, 2)]
+    pairs.append(validate_gk3(*(m.coh.scale(lam) for m in (pairs[0].phi_a, pairs[0].phi_b))))
+    for i in range(100):
+        x = pairs[i % 3]
+        b = [rng.randint(-5, 5) if rng.random() < 0.5 else 0 for _ in range(22)]
+        moved = transform_pair(b, x)
+        assert moved.status == "Verified"
+        assert moved.phi_a.coh == bfield_transform(b, x.phi_a.coh)
+        assert moved.phi_b.coh == bfield_transform(b, x.phi_b.coh)
+
+
+def test_cross_pairings_are_the_pairings_of_the_parts():
+    rng = random.Random(67)
+    lam = QuadScalar(Fraction(2, 5), Fraction(1, 3), 2)
+    # a partner whose plane crosses phi_A's (nonzero values) and one orthogonal to it
+    partners = (
+        two_form_class(deg2_vector({0: 1, 1: 1}), deg2_vector({4: 1, 5: 1})),
+        _holomorphic_form().coh,
+    )
+    for i in range(20):
+        b = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(22)]
+        a, c = (
+            check_gcy(bfield_transform(b, x.scale(lam)))
+            for x in (_kahler_class().coh, partners[i % 2])
+        )
+        parts = [(x.coh.real_part(), x.coh.imag_part()) for x in (a, c)]
+        expected = tuple(mukai_pairing(u, v).re for u in parts[0] for v in parts[1])
+        assert cross_pairings(a, c) == expected
+        assert any(not v.is_zero for v in expected) == (i % 2 == 0)
 
 
 def _quad(draw, d, nonzero=False):
