@@ -431,11 +431,14 @@ def _sym_zero_pivot(t: list[list[int]]) -> bool:
     m = len(t)
     swap = next((j for j in range(1, m) if t[j][0]), None)
     if swap is not None:
-        a = [[t[min(j, l)][abs(l - j)] for l in range(m)] for j in range(m)]
-        a[0], a[swap] = a[swap], a[0]
-        for row in a:
-            row[0], row[swap] = row[swap], row[0]
-        t[:] = [row[j:] for j, row in enumerate(a)]
+        # swap rows and columns 0 and `swap` in place on the triangle: only
+        # entries in row 0, column `swap` and row `swap` move; (0, swap) stays
+        t0, ts = t[0], t[swap]
+        t0[0], ts[0] = ts[0], t0[0]
+        for j in range(1, swap):
+            t0[j], t[j][swap - j] = t[j][swap - j], t0[j]
+        for l in range(swap + 1, m):
+            t0[l], ts[l - swap] = ts[l - swap], t0[l]
         return True
     off = next((l for l in range(1, m) if t[0][l]), None)
     if off is None:

@@ -229,6 +229,14 @@ class Sublattice(Lattice):
         comp.__dict__["_saturation"] = comp  # a kernel is saturated
         return comp
 
+    def image(self, basis) -> "Sublattice":
+        """The sublattice on ``basis``, the rows of this one moved by an
+        isometry of the ambient.  An isometry keeps the induced Gram, so the
+        image takes this lattice's signature and eliminates nothing for it."""
+        moved = Sublattice(self.ambient, basis)
+        moved.__dict__["_signature"] = self.signature()  # where cached_property keeps it
+        return moved
+
     def contains(self, other: "Sublattice") -> bool:
         """Whether every basis row of ``other`` lies in this lattice, read by
         ``hnf_coords`` in this basis (put in HNF first unless echelon).  For the

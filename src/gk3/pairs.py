@@ -217,14 +217,16 @@ def transform_pair(b_int, x: GeneralizedK3) -> GeneralizedK3:
 
     Both kinds of member move by the one unimodular matrix of exp(B) through
     ``gram_rows``: a generic member's support basis, and an explicit member's
-    four component rows, which keep their denominator and field tag.
+    four component rows, which keep their denominator and field tag.  A moved
+    support is the ``Sublattice.image`` of the one it came from, whose
+    signature it keeps.
     """
     m = gram_entries(bfield_matrix(b_int))
 
     def move(member: Member) -> Member:
         if isinstance(member, GenericClass):
-            basis = gram_rows(m, member.support.basis)
-            return GenericClass(Sublattice(MUKAI, basis), member.type_tag)
+            support = member.support
+            return GenericClass(support.image(gram_rows(m, support.basis)), member.type_tag)
         c = member.coh
         return check_gcy(CohClass.from_rows(c.den, c.d, gram_rows(m, c.rows)))
 

@@ -322,9 +322,16 @@ def kahler_rigid_survey(config: SurveyConfig) -> SurveyReport:
     its three integers, with no lattice built and no signature
     elimination: a > 0 and ac - b^2 > 0 is the rank-2 positivity test.
 
-    ``samples`` counts the grid points covered.  A point with
-    gcd(p, q, D) > 1 repeats a B of smaller D already visited with the
-    same omega, so it is counted but its invariant is not recomputed.
+    ``samples`` counts every grid point covered, but two kinds are not
+    recomputed.  A point with gcd(p, q, D) > 1 repeats a B of smaller D
+    already visited with the same omega.  A point whose mirror
+    (-p mod D, -q mod D) comes first in the (p, q) loop has its invariant:
+    iota (-1 on H^2, identity on H^0 + H^4) maps exp(B + i omega) to
+    exp(-B - i omega), conjugation (which keeps the span of the Im rows)
+    to exp(-B + i omega), and the integral transvection exp(m1 H1 + m2 H2)
+    moves -B onto the mirror's B.  Integral isometries keep saturation,
+    support Grams, isotropy and positivity, and the first witness of each
+    form is always computed, so the report is that of every point.
     Calls above MAX_FORMS_DET or MAX_SURVEY_SAMPLES are refused before
     any enumeration.
     """
@@ -346,7 +353,7 @@ def kahler_rigid_survey(config: SurveyConfig) -> SurveyReport:
             for denom in range(1, config.denominator_bound + 1):
                 for p in range(denom):
                     for q in range(denom):
-                        if gcd(p, q, denom) > 1:
+                        if gcd(p, q, denom) > 1 or (-p % denom, -q % denom) < (p, q):
                             continue
                         gram = _grid_invariant(sc, k, a, b, p, q, denom)
                         if gram in target_set and gram not in found:

@@ -4,6 +4,7 @@ import pytest
 
 import gk3.intlinalg
 import gk3.lattices
+import gk3.rigidity
 from gk3.lattices import Sublattice
 
 
@@ -36,6 +37,23 @@ def hnf_passes(monkeypatch) -> list:
 
     monkeypatch.setattr(gk3.intlinalg, "_hermite", record)
     return shapes
+
+
+@pytest.fixture
+def grid_invariants(monkeypatch) -> list:
+    """Record each invariant a survey computes: wraps
+    ``rigidity._grid_invariant``, which ``kahler_rigid_survey`` calls once
+    per grid point it does not skip; the returned list grows by
+    ``(k, a, b, p, q, denom)`` per call."""
+    grid_invariant = gk3.rigidity._grid_invariant
+    points = []
+
+    def record(sc, *point):
+        points.append(point)
+        return grid_invariant(sc, *point)
+
+    monkeypatch.setattr(gk3.rigidity, "_grid_invariant", record)
+    return points
 
 
 @pytest.fixture

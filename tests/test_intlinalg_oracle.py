@@ -234,6 +234,30 @@ def test_signature_matches_descartes_count(g):
     assert sym_signature(g).as_tuple() == expected
 
 
+@SETTINGS
+@given(symmetric_grams())
+@example(((0, 1, 2, 3, 4), (1, 0, 5, 6, 7), (2, 5, 0, 8, 9), (3, 6, 8, 2, 1), (4, 7, 9, 1, 0)))
+@example(((0, 2, 3), (2, 0, 1), (3, 1, 0)))
+def test_zero_pivot_is_the_congruence_on_the_full_matrix(g):
+    """On a zero leading entry, ``_sym_zero_pivot`` leaves the upper triangle
+    of C g C^T: C swaps 0 with the first s of nonzero g[s][s], else adds the
+    first row `off` with nonzero g[0][off] to row 0; no C when row 0 is zero."""
+    n = len(g)
+    g = [list(row) for row in g]
+    g[0][0] = 0  # the pivot runs only on a zero leading entry
+    t = [row[i:] for i, row in enumerate(g)]
+    c = [list(row) for row in identity(n)]
+    s = next((j for j in range(1, n) if g[j][j]), None)
+    off = next((l for l in range(1, n) if g[0][l]), None)
+    if s is not None:
+        c[0], c[s] = c[s], c[0]
+    elif off is not None:
+        c[0][off] = 1
+    assert gk3.intlinalg._sym_zero_pivot(t) == (s is not None or off is not None)
+    want = matmul(matmul(c, g), transpose(c))
+    assert t == [list(row[i:]) for i, row in enumerate(want)]
+
+
 @st.composite
 def grams_with_rows(draw):
     """A symmetric Gram with two lists of rows of its size, each possibly

@@ -6,7 +6,7 @@ import pytest
 
 import gk3.mirror
 from gk3.errors import ValidationError
-from gk3.intlinalg import identity, matmul, transpose
+from gk3.intlinalg import _sym_signature, identity, matmul, transpose
 from gk3.lattices import (
     Sublattice,
     diag_lattice,
@@ -230,6 +230,18 @@ def test_si_polarization_reads_no_coordinates_for_a_lattice_in_itself(hnf_coords
             # NS", "L inside T" and that witness read nothing, and the other
             # witness reads its 2 support rows in the rank-22 slot
             assert hnf_coords_reads == [22, 22]
+
+
+def test_transform_pair_moves_a_generic_support_with_its_signature(signature_sizes):
+    # an isometry keeps the induced Gram: the moved rank-22 support takes the
+    # signature of the support it came from and eliminates nothing
+    x = build_si_mirror(1)[0].member
+    signature_sizes.clear()
+    moved = transform_pair([1, 0, 2] + [0] * 18 + [-1], x)
+    assert 22 not in signature_sizes
+    support = moved.phi_a.support
+    assert support.signature() == x.phi_a.support.signature()
+    assert support.signature() == _sym_signature(support.gram)[0]
 
 
 def test_si_builder_and_transform_pair_make_no_dense_product(monkeypatch):

@@ -10,7 +10,7 @@ non-primitive, dependent and indefinite.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +107,48 @@ def test_grid_invariant_sweep(plane):
                     got = _grid_invariant(sc, d, a, b, p, q, denom)
                     want = _wide_invariant(*_classes(h1, h2, kappa, a, b, p, q, denom))
                     assert got == want, (d, a, b, p, q, denom)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    plane=st.sampled_from(sorted(PLANES)),
+    d=st.sampled_from((1, 2, 3)),
+    a=st.integers(0, 4),
+    b=st.integers(0, 4),
+    denom=st.integers(1, 8),
+    data=st.data(),
+)
+def test_grid_invariant_is_equal_at_minus_b(plane, d, a, b, denom, data):
+    """(p, q) and (-p mod D, -q mod D) have isometric supports: iota (-1 on
+    H^2), complex conjugation and an integral transvection carry one class
+    to the other, so the survey computes one of the two."""
+    h1, h2 = PLANES[plane]
+    if _omega_sq(h1, h2, a, b) <= 0:
+        return
+    p = data.draw(st.integers(0, denom - 1), label="p")
+    q = data.draw(st.integers(0, denom - 1), label="q")
+    sc = _sat_coords(h1, h2)
+    got = _grid_invariant(sc, d, a, b, p, q, denom)
+    assert got == _grid_invariant(sc, d, a, b, -p % denom, -q % denom, denom)
+
+
+def test_survey_computes_one_invariant_per_minus_b_orbit(grid_invariants):
+    config = SurveyConfig(16, 4, sqrt_d=(2,))
+    report = kahler_rigid_survey(config)
+    assert report.samples == survey_samples(config) == 1440
+    # per (kappa, omega): 1 + 3 + 8/2 + 12/2 of the 1 + 3 + 8 + 12 primitive
+    # points, the first of each {(p, q), (-p, -q) mod D} in loop order
+    reps = [
+        (p, q, denom)
+        for denom in range(1, 5)
+        for p in range(denom)
+        for q in range(denom)
+        if gcd(p, q, denom) == 1 and (p, q) <= (-p % denom, -q % denom)
+    ]
+    assert len(reps) == 14
+    heads = sorted({point[:3] for point in grid_invariants})
+    assert len(heads) == 2 * 24
+    assert grid_invariants == [head + rep for head in heads for rep in reps]
 
 
 def _reference_survey(config: SurveyConfig) -> SurveyReport:
