@@ -502,8 +502,10 @@ def hnf_coords(basis_hnf, x) -> IntVec | None:
     columns, as in an HNF basis), or None when x is outside their row lattice."""
     rem = list(freeze((x,))[0])
     coords = []
+    piv = 0
     for row in basis_hnf:
-        piv = next(j for j, v in enumerate(row) if v)
+        while not row[piv]:  # leading columns increase: scan on from the last one
+            piv += 1
         q, r = divmod(rem[piv], row[piv])
         if r:
             return None

@@ -229,11 +229,11 @@ class Sublattice(Lattice):
         comp.__dict__["_saturation"] = comp  # a kernel is saturated
         return comp
 
-    def image(self, basis) -> "Sublattice":
-        """The sublattice on ``basis``, the rows of this one moved by an
-        isometry of the ambient.  An isometry keeps the induced Gram, so the
-        image takes this lattice's signature and eliminates nothing for it."""
-        moved = Sublattice(self.ambient, basis)
+    def image(self, entries) -> "Sublattice":
+        """The image under an ambient isometry with these ``gram_entries``, its
+        rows moved by ``gram_rows``.  An isometry keeps the induced Gram, so
+        the image takes this lattice's signature and eliminates nothing."""
+        moved = Sublattice(self.ambient, gram_rows(entries, self.basis))
         moved.__dict__["_signature"] = self.signature()  # where cached_property keeps it
         return moved
 

@@ -18,7 +18,7 @@ rank-20 attractive surfaces.  The second construction sidesteps that
 obstruction by pairing the rank-22 complement of a degree-2 period with
 the rank-2 support of a pure Kaehler class, giving a mirror family for
 every n at moduli dimensions (20, 0) and (0, 20), certified by one
-signed permutation of the Mukai lattice.
+signed permutation of the Mukai lattice that swaps the two members.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cached_property
 from math import prod
 
 from .errors import ValidationError
-from .intlinalg import IntMat, gram_entries, gram_rows, hnf_basis, matmul, pairing_block
+from .intlinalg import IntMat, hnf_basis, matmul, pairing_block
 from .lattices import (
     MatchResult,
     Sublattice,
@@ -54,7 +54,7 @@ from .mukai import (
     exponential_class,
     two_form_class,
 )
-from .pairs import GeneralizedK3, neron_severi, transcendental, validate_gk3
+from .pairs import GeneralizedK3, move_pair, neron_severi, transcendental, validate_gk3
 from .records import derived, record
 
 
@@ -279,8 +279,8 @@ def build_si_mirror(n: int) -> tuple[FamilySpec, FamilySpec]:
     The moduli dimensions are (20, 0) and (0, 20).
 
     The pair is certified by one integer isometry, ``SI_MIRROR_ISOMETRY``:
-    it preserves the Mukai pairing and carries NS(X) onto T(X') and T(X)
-    onto NS(X') as equal HNF bases, or the builder raises ValidationError.
+    it preserves the Mukai pairing and moves the first member onto the second
+    with phi_A and phi_B swapped, or the builder raises ValidationError.
     """
     if type(n) is not int or n < 1:  # a float or a bool is refused, not truncated
         raise ValidationError("n must be a positive integer")
@@ -300,18 +300,19 @@ def build_si_mirror(n: int) -> tuple[FamilySpec, FamilySpec]:
 
 
 def _assert_si_shape(fam1: FamilySpec, fam2: FamilySpec, n: int) -> None:
-    """The builder output, checked by integer products with g."""
+    """The builder output, checked by integer products: g is an isometry and
+    ``move_pair(g, x1)`` is x2 with its members swapped (saturated supports of
+    equal rank are equal when one holds the other), so g swaps NS and T too."""
     x1, x2 = fam1.member, fam2.member
-    t1 = transcendental(x1)
-    if gauss_reduce2(t1).lattice.gram != ((2 * n, 0), (0, 2 * n)):
+    if gauss_reduce2(transcendental(x1)).lattice.gram != ((2 * n, 0), (0, 2 * n)):
         raise ValidationError("transcendental lattice of X is not diag(2n, 2n)")
     g = SI_MIRROR_ISOMETRY
     if pairing_block(MUKAI.entries, g, g) != MUKAI_GRAM:
         raise ValidationError("mirror certificate is not an isometry of the Mukai lattice")
-    ge = gram_entries(g)
-    for a, b in ((neron_severi(x1), transcendental(x2)), (t1, neron_severi(x2))):
-        if hnf_basis(gram_rows(ge, a.basis)) != b.basis:
-            raise ValidationError("mirror certificate does not swap NS and T")
+    y = move_pair(g, x1)
+    generic, support = y.phi_a.support, x2.phi_b.support
+    if y.phi_b.coh != x2.phi_a.coh or generic.rank != support.rank or not support.contains(generic):
+        raise ValidationError("mirror certificate does not swap the members")
     for fam in (fam1, fam2):
         if not fam.report.passed:
             raise ValidationError(f"polarization clauses failed: {fam.report.failed_names()}")

@@ -212,22 +212,22 @@ def classify_hk_pair(phi_a, phi_b) -> HKClassification:
     return HKClassification(case, orthogonal, norms_match, tuple(identities))
 
 
-def transform_pair(b_int, x: GeneralizedK3) -> GeneralizedK3:
-    """Apply an integral B-field transform to both members of a pair.
-
-    Both kinds of member move by the one unimodular matrix of exp(B) through
-    ``gram_rows``: a generic member's support basis, and an explicit member's
-    four component rows, which keep their denominator and field tag.  A moved
-    support is the ``Sublattice.image`` of the one it came from, whose
-    signature it keeps.
-    """
-    m = gram_entries(bfield_matrix(b_int))
+def move_pair(g, x: GeneralizedK3) -> GeneralizedK3:
+    """Move both members of a pair by an integral isometry g of the Mukai
+    lattice, rows acting as x -> x g; g is not checked, so it must be one.
+    A generic member's support moves as its ``Sublattice.image``, an explicit
+    member's four component rows by ``gram_rows`` over their denominator."""
+    m = gram_entries(g)
 
     def move(member: Member) -> Member:
         if isinstance(member, GenericClass):
-            support = member.support
-            return GenericClass(support.image(gram_rows(m, support.basis)), member.type_tag)
+            return GenericClass(member.support.image(m), member.type_tag)
         c = member.coh
         return check_gcy(CohClass.from_rows(c.den, c.d, gram_rows(m, c.rows)))
 
     return validate_gk3(move(x.phi_a), move(x.phi_b))
+
+
+def transform_pair(b_int, x: GeneralizedK3) -> GeneralizedK3:
+    """``move_pair`` by exp(B) for an integral B, an Eichler transvection."""
+    return move_pair(bfield_matrix(b_int), x)

@@ -6,7 +6,7 @@ import pytest
 
 import gk3.mirror
 from gk3.errors import ValidationError
-from gk3.intlinalg import _sym_signature, identity, matmul, transpose
+from gk3.intlinalg import _sym_signature, hnf_basis, identity, matmul, transpose
 from gk3.lattices import (
     Sublattice,
     diag_lattice,
@@ -286,6 +286,22 @@ def test_si_builder_refuses_a_certificate_wrong_in_one_sign(monkeypatch, flip):
     g[i][j] = g[j][i] = sign
     monkeypatch.setattr(gk3.mirror, "SI_MIRROR_ISOMETRY", tuple(map(tuple, g)))
     with pytest.raises(ValidationError, match="mirror certificate"):
+        build_si_mirror(1)
+
+
+def test_si_builder_refuses_an_isometry_that_maps_sigma_to_exp_minus_ih(monkeypatch):
+    # -1 on U3 (Mukai indices 6, 7) first, then g: an isometry that keeps NS
+    # and T, as the NS/T swap check asked, but sends sigma to exp(-i H)
+    flip = [[(-1 if i in (6, 7) else 1) * (i == j) for j in range(24)] for i in range(24)]
+    g = matmul(flip, SI_MIRROR_ISOMETRY)
+    x1, x2 = (fam.member for fam in build_si_mirror(1))
+    for a, b in ((neron_severi(x1), transcendental(x2)), (transcendental(x1), neron_severi(x2))):
+        assert hnf_basis(matmul(a.basis, g), 24) == b.basis
+    sigma = x1.phi_b.coh
+    moved = CohClass.from_rows(sigma.den, sigma.d, matmul(sigma.rows, g))
+    assert moved == x2.phi_a.coh.conjugate()
+    monkeypatch.setattr(gk3.mirror, "SI_MIRROR_ISOMETRY", g)
+    with pytest.raises(ValidationError, match="mirror certificate does not swap the members"):
         build_si_mirror(1)
 
 

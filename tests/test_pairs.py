@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +34,7 @@ from gk3.pairs import (
 )
 from gk3.scalars import QuadScalar
 
-from fieldref import Ref
+from fieldref import Ref, _join
 
 
 def _kahler_class(n: int = 1):
@@ -350,9 +352,31 @@ def test_pi_gram_is_half_the_norm(case):
 
 
 def _k3_pairing(x, y) -> Ref:
-    """x.y in the K3 lattice, one reference term per nonzero Gram entry."""
-    terms = (Ref.of(u) * g * v for u, row in zip(x, K3_GRAM) for g, v in zip(row, y) if g)
-    return sum(terms, Ref())
+    """x.y in the K3 lattice: each side's Fraction coefficients of 1, sqrt(d),
+    i and i sqrt(d) over one common denominator, g u v summed per unit over
+    the nonzero Gram entries g in integers, and one Ref made."""
+    xs, ys = [Ref.of(u) for u in x], [Ref.of(v) for v in y]
+    d = reduce(_join, (r.d for r in xs + ys), None)
+    k = d or 0
+
+    def numerators(refs):
+        den = lcm(*(c.denominator for r in refs for c in r.c))
+        return den, [[c.numerator * (den // c.denominator) for c in r.c] for r in refs]
+
+    (dx, nx), (dy, ny) = numerators(xs), numerators(ys)
+    c0 = c1 = c2 = c3 = 0
+    for u, row in zip(nx, K3_GRAM):
+        if not any(u):
+            continue
+        u0, u1, u2, u3 = u
+        for g, v in zip(row, ny):
+            if g and any(v):
+                v0, v1, v2, v3 = v
+                c0 += g * (u0 * v0 + k * u1 * v1 - u2 * v2 - k * u3 * v3)
+                c1 += g * (u0 * v1 + u1 * v0 - u2 * v3 - u3 * v2)
+                c2 += g * (u0 * v2 + u2 * v0 + k * (u1 * v3 + u3 * v1))
+                c3 += g * (u0 * v3 + u1 * v2 + u2 * v1 + u3 * v0)
+    return Ref([Fraction(c, dx * dy) for c in (c0, c1, c2, c3)], d)
 
 
 def _ref_plane(member) -> tuple[list[Ref], list[Ref]]:

@@ -181,6 +181,7 @@ def _reference_survey(config: SurveyConfig) -> SurveyReport:
         ("primitive", 8, 3, (2,)),
         ("bench-shape", 16, 2, (3,)),
         ("non-primitive", 9, 2, (2,)),
+        ("non-primitive", 16, 4, ()),
         ("both-non-primitive", 24, 2, ()),
         ("dependent", 9, 3, (3,)),
         ("dependent-multiple", 4, 3, (2,)),
