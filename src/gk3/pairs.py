@@ -229,5 +229,5 @@ def move_pair(g, x: GeneralizedK3) -> GeneralizedK3:
 
 
 def transform_pair(b_int, x: GeneralizedK3) -> GeneralizedK3:
-    """``move_pair`` by exp(B) for an integral B, an Eichler transvection."""
+    """exp(B) on both members of a pair for an integral B: ``move_pair`` by ``bfield_matrix``."""
     return move_pair(bfield_matrix(b_int), x)

@@ -290,8 +290,8 @@ def test_si_builder_refuses_a_certificate_wrong_in_one_sign(monkeypatch, flip):
 
 
 def test_si_builder_refuses_an_isometry_that_maps_sigma_to_exp_minus_ih(monkeypatch):
-    # -1 on U3 (Mukai indices 6, 7) first, then g: an isometry that keeps NS
-    # and T, as the NS/T swap check asked, but sends sigma to exp(-i H)
+    # -1 on U3 (Mukai indices 6, 7) first, then g: an isometry that carries NS
+    # onto T and T onto NS but sends sigma to exp(-i H), so it swaps no members
     flip = [[(-1 if i in (6, 7) else 1) * (i == j) for j in range(24)] for i in range(24)]
     g = matmul(flip, SI_MIRROR_ISOMETRY)
     x1, x2 = (fam.member for fam in build_si_mirror(1))
