@@ -181,12 +181,12 @@ def _reference_survey(config: SurveyConfig) -> SurveyReport:
         ("primitive", 8, 3, (2,)),
         ("bench-shape", 16, 2, (3,)),
         ("non-primitive", 9, 2, (2,)),
-        ("non-primitive", 16, 4, ()),
         ("both-non-primitive", 24, 2, ()),
         ("dependent", 9, 3, (3,)),
         ("dependent-multiple", 4, 3, (2,)),
         ("indefinite", 9, 2, (2, 3)),
         ("e8", 16, 2, ()),
+        ("non-primitive", 16, 4, ()),
     ],
 )
 def test_survey_report_matches_reference_loop(plane, max_det, denom, sqrt_d):
