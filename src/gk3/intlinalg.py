@@ -39,7 +39,8 @@ Conventions:
   in Z^k.  So with C the HNF of the nonzero columns, z = C^-T m comes by
   forward substitution with exact division, and the HNF of z closes.
   ``saturate2(x, y)`` gives a basis of the same lattice for k = 2 in
-  closed form, with no elimination.
+  closed form, with no elimination; ``minors_gcd(x, y)`` is the index of
+  the span in it.
 * ``pairing_block(gram_entries(g), xs, ys)`` is ``xs @ g @ ys^T`` and
   ``gram_rows(gram_entries(g), ys)`` holds ``y @ g`` for each row ``y``, for
   any square g (``g @ y`` when g is symmetric): the one sparse routine
@@ -53,7 +54,7 @@ Conventions:
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import chain
+from itertools import chain, combinations
 from math import gcd, lcm
 from operator import mul
 
@@ -359,15 +360,18 @@ def saturate(m, ncols: int | None = None) -> IntMat:
     return tuple(map(tuple, _hermite(z, n)[0]))
 
 
+def minors_gcd(x, y) -> int:
+    """The gcd of the 2x2 minors of (x, y): the index of span(x, y) in its
+    saturation for an independent pair, 0 exactly for a dependent one."""
+    return gcd(*[a * d - b * c for (a, c), (b, d) in combinations(zip(x, y), 2)])
+
+
 def saturate2(x, y) -> IntMat:
     """A basis (v1, v2) of the saturation of two independent integer vectors,
     in closed form, not in HNF.  v1 = x / content(x) is primitive; with m the
-    gcd of the 2x2 minors of (v1, y), which is 0 exactly for a dependent pair,
-    and c a Bezout vector of v1 (c.v1 = 1), v2 = (y - (c.y) v1) / m."""
-    m = 0
-    for i, (xi, yi) in enumerate(zip(x, y)):
-        for xj, yj in zip(x[i + 1 :], y[i + 1 :]):
-            m = gcd(m, xi * yj - xj * yi)
+    ``minors_gcd`` of (v1, y) and c a Bezout vector of v1 (c.v1 = 1),
+    v2 = (y - (c.y) v1) / m."""
+    m = minors_gcd(x, y)
     if not m:
         raise ValidationError("dependent basis")
     # c, one coordinate at a time: c.x = g = content(x) on the coordinates

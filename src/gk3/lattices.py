@@ -231,9 +231,13 @@ class Sublattice(Lattice):
 
     def image(self, entries) -> "Sublattice":
         """The image under an ambient isometry with these ``gram_entries``, its
-        rows moved by ``gram_rows``.  An isometry keeps the induced Gram, so
-        the image takes this lattice's signature and eliminates nothing."""
-        moved = Sublattice(self.ambient, gram_rows(entries, self.basis))
+        rows moved by ``gram_rows``.  An isometry is invertible and keeps the
+        induced Gram, so the moved rows stay independent and the image takes
+        this lattice's signature: it eliminates nothing, and its rows are not
+        checked again."""
+        moved = object.__new__(Sublattice)  # the fields, without __post_init__'s rank check
+        object.__setattr__(moved, "ambient", self.ambient)
+        object.__setattr__(moved, "basis", tuple(map(tuple, gram_rows(entries, self.basis))))
         moved.__dict__["_signature"] = self.signature()  # where cached_property keeps it
         return moved
 

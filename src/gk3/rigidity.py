@@ -17,9 +17,19 @@ is an open question; the survey reports, it never asserts completeness.
 from __future__ import annotations
 
 from math import gcd, isqrt
+from operator import mul
 
 from .errors import ValidationError
-from .intlinalg import IntMat, freeze, gram_entries, hnf_basis, hnf_coords, pairing_block, saturate2
+from .intlinalg import (
+    IntMat,
+    freeze,
+    gram_entries,
+    hnf_basis,
+    hnf_coords,
+    minors_gcd,
+    pairing_block,
+    saturate2,
+)
 from .lattices import (
     MAX_FORMS_DET,  # re-exported: the survey's determinant bound too
     Sublattice,
@@ -250,12 +260,13 @@ def survey_samples(config: SurveyConfig) -> int:
 @record
 class _SatCoords:
     """S = Sat(P) for P = <deg0, deg4, H1, H2>: the generators' Gram (with its
-    ``gram_entries``), their integer coordinates in S's HNF basis, and the
+    ``gram_entries``), the columns of the matrix whose rows are the
+    generators' integer coordinates in S's HNF basis, and the
     ``gram_entries`` of S's Gram."""
 
     gram_p: IntMat
     entries_p: tuple
-    to_s: IntMat
+    cols_s: IntMat  # cols_s[j][t]: coordinate j of generator t
     entries_s: tuple
 
 
@@ -265,8 +276,8 @@ def _sat_coords(h1, h2) -> _SatCoords:
     zeros = (0,) * DEG2_RANK
     gens = ((1, 0) + zeros, (0, 1) + zeros, (0, 0) + tuple(h1), (0, 0) + tuple(h2))
     sat = saturation(Sublattice(MUKAI, hnf_basis(gens, MUKAI_RANK)))
-    to_s = tuple(hnf_coords(sat.basis, g) for g in gens)  # gens lie in their saturation
-    return _SatCoords(gram_p, gram_entries(gram_p), to_s, sat.entries)
+    to_s = [hnf_coords(sat.basis, g) for g in gens]  # gens lie in their saturation
+    return _SatCoords(gram_p, gram_entries(gram_p), tuple(zip(*to_s)), sat.entries)
 
 
 def _exp_rows(r1, r2, k: int, denom: int) -> tuple:
@@ -277,9 +288,10 @@ def _exp_rows(r1, r2, k: int, denom: int) -> tuple:
     return (r1, zero, im, zero) if k == 1 else (r1, zero, zero, im)
 
 
-def _grid_invariant(sc: _SatCoords, k: int, a, b, p, q, denom) -> IntMat:
+def _grid_invariant(sc: _SatCoords, k: int, a, b, p, q, denom, max_det=None) -> IntMat | None:
     """Reduced Gram of the support of exp(B + i omega) for
-    B = (p/D) H1 + (q/D) H2 and omega = kappa (a H1 + b H2), kappa^2 = k."""
+    B = (p/D) H1 + (q/D) H2 and omega = kappa (a H1 + b H2), kappa^2 = k;
+    None, with no basis built, when its determinant is above max_det."""
     (g11, g12), (_, g22) = sc.gram_p[2][2:], sc.gram_p[3][2:]
     d2 = denom * denom
     w2 = a * a * g11 + 2 * a * b * g12 + b * b * g22  # omega_0^2
@@ -287,11 +299,11 @@ def _grid_invariant(sc: _SatCoords, k: int, a, b, p, q, denom) -> IntMat:
     bw = p * (a * g11 + b * g12) + q * (a * g12 + b * g22)  # D B.omega_0
     r1 = (2 * d2, b2 - k * w2 * d2, 2 * p * denom, 2 * q * denom)
     r2 = (0, bw, a * denom, b * denom)
-    gcy_norm(sc.entries_p, 2 * d2, None if k == 1 else k, _exp_rows(r1, r2, k, denom))
-    rank = len(sc.entries_s)
-    rows = tuple(
-        tuple(sum(x * c[j] for x, c in zip(r, sc.to_s)) for j in range(rank)) for r in (r1, r2)
-    )
+    n0 = gcy_norm(sc.entries_p, 2 * d2, None if k == 1 else k, _exp_rows(r1, r2, k, denom))[0]
+    rows = tuple(tuple(sum(map(mul, r, col)) for col in sc.cols_s) for r in (r1, r2))
+    # det = n0^2 / (16 k D^2 m^2), m = [support : span(r1, r2)] (kahler_rigid_survey)
+    if max_det is not None and n0 * n0 > 16 * k * d2 * max_det * minors_gcd(*rows) ** 2:
+        return None
     support = saturate2(*rows)
     (s11, s12), (_, s22) = pairing_block(sc.entries_s, support, support)
     return reduce_form2(s11, s12, s22)[0]
@@ -321,6 +333,20 @@ def kahler_rigid_survey(config: SurveyConfig) -> SurveyReport:
     lattice.  Its Gram [[a, b], [b, c]] is reduced by ``reduce_form2`` on
     its three integers, with no lattice built and no signature
     elimination: a > 0 and ac - b^2 > 0 is the rank-2 positivity test.
+
+    Only a point whose support has determinant <= max_det can give a
+    target, since the targets are every reduced even positive form up to
+    that bound; the others are not reduced.  The determinant is read
+    before any basis is built.  The routine's isotropy check gives
+    r1.r2 = 0 and r1^2 = 4 kappa^2 D^2 r2^2 for the two rows r1, r2, and it
+    returns the norm numerator n0 = r1^2 + 4 kappa^2 D^2 r2^2 = 2 r1^2.  So
+    span(r1, r2) has Gram diag(r1^2, r2^2) and determinant
+    r1^4 / (4 kappa^2 D^2) = n0^2 / (16 kappa^2 D^2).  The support is the
+    saturation of that span, of index m, the gcd of the 2x2 minors of the
+    two rows in S-coordinates (m > 0: Re and Im of a positive class are
+    independent).  So its determinant is n0^2 / (16 kappa^2 D^2 m^2), and a
+    point with n0^2 > 16 kappa^2 D^2 m^2 max_det is skipped.  Its class is
+    still checked isotropic and positive.
 
     ``samples`` counts every grid point covered, but two kinds are not
     recomputed.  A point with gcd(p, q, D) > 1 repeats a B of smaller D
@@ -355,7 +381,7 @@ def kahler_rigid_survey(config: SurveyConfig) -> SurveyReport:
                     for q in range(denom):
                         if gcd(p, q, denom) > 1 or (-p % denom, -q % denom) < (p, q):
                             continue
-                        gram = _grid_invariant(sc, k, a, b, p, q, denom)
+                        gram = _grid_invariant(sc, k, a, b, p, q, denom, max_det=config.max_det)
                         if gram in target_set and gram not in found:
                             found[gram] = _witness(config, k, a, b, p, q, denom)
     achieved = tuple(g for g in targets if g in found)

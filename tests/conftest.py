@@ -44,13 +44,14 @@ def grid_invariants(monkeypatch) -> list:
     """Record each invariant a survey computes: wraps
     ``rigidity._grid_invariant``, which ``kahler_rigid_survey`` calls once
     per grid point it does not skip; the returned list grows by
-    ``(k, a, b, p, q, denom)`` per call."""
+    ``(k, a, b, p, q, denom)`` per call, and keyword arguments such as
+    ``max_det`` are passed through unrecorded."""
     grid_invariant = gk3.rigidity._grid_invariant
     points = []
 
-    def record(sc, *point):
+    def record(sc, *point, **kw):
         points.append(point)
-        return grid_invariant(sc, *point)
+        return grid_invariant(sc, *point, **kw)
 
     monkeypatch.setattr(gk3.rigidity, "_grid_invariant", record)
     return points

@@ -6,7 +6,7 @@ import pytest
 
 import gk3.mirror
 from gk3.errors import ValidationError
-from gk3.intlinalg import _sym_signature, hnf_basis, identity, matmul, transpose
+from gk3.intlinalg import _sym_signature, gram_entries, hnf_basis, identity, matmul, q_rank, transpose
 from gk3.lattices import (
     Sublattice,
     diag_lattice,
@@ -242,6 +242,16 @@ def test_transform_pair_moves_a_generic_support_with_its_signature(signature_siz
     support = moved.phi_a.support
     assert support.signature() == x.phi_a.support.signature()
     assert support.signature() == _sym_signature(support.gram)[0]
+
+
+def test_image_of_a_rank22_support_runs_no_hnf_pass(hnf_passes):
+    # rows moved by an isometry stay independent, so the image checks no rank
+    support = build_si_mirror(1)[0].member.phi_a.support
+    hnf_passes.clear()
+    moved = support.image(gram_entries(SI_MIRROR_ISOMETRY))
+    assert hnf_passes == []
+    assert moved == Sublattice(support.ambient, moved.basis)
+    assert q_rank(moved.basis) == moved.rank == 22
 
 
 def test_si_builder_and_transform_pair_make_no_dense_product(monkeypatch):

@@ -92,6 +92,20 @@ def test_rank22_case_eliminates_no_signature_above_2x2(signature_sizes):
     assert "gram" not in t.__dict__
 
 
+def test_complex_rigid_invariant_is_the_degree2_support():
+    # exp(B) sigma for B = f2 / 2 has degree-4 part <B, sigma> = 1/2, so its
+    # full support is <(0, 2e2 + 2f2, 1), e3 + f3> of Gram diag(8, 2); the
+    # invariant is the support of the degree-2 part, of Gram diag(2, 2)
+    bfield = [0] * 22
+    bfield[3] = Fraction(1, 2)
+    moved = check_gcy(bfield_transform(bfield, _sigma().coh))
+    x = validate_gk3(GenericClass(ortho_complement(moved.support), "A"), moved)
+    assert gauss_reduce2(moved.support).lattice.gram == ((2, 0), (0, 8))
+    out = is_complex_rigid(x)
+    assert out.kind == "ComplexRigid"
+    assert out.invariant == ((2, 0), (0, 2))
+
+
 def test_complex_rigid_wrong_type():
     out = is_complex_rigid(validate_gk3(_sigma(), _kahler()))
     assert out.kind == "NotRigid"

@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gk3.rigidity
 from gk3.lattices import enumerate_reduced_forms, gauss_reduce2
 from gk3.errors import ValidationError
-from gk3.intlinalg import gram_entries, pairing_block
+from gk3.intlinalg import gram_entries, minors_gcd, pairing_block
 from gk3.mukai import K3_GRAM, CohClass, check_gcy, deg2_vector, exponential_class, gcy_norm, support_lattice
 from gk3.rigidity import (
     MAX_FORMS_DET,
@@ -149,6 +150,61 @@ def test_survey_computes_one_invariant_per_minus_b_orbit(grid_invariants):
     heads = sorted({point[:3] for point in grid_invariants})
     assert len(heads) == 2 * 24
     assert grid_invariants == [head + rep for head in heads for rep in reps]
+
+
+def _det(gram) -> int:
+    (a, b), (_, c) = gram
+    return a * c - b * b
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    plane=st.sampled_from(sorted(PLANES)),
+    d=st.sampled_from((1, 2, 3)),
+    a=st.integers(0, 4),
+    b=st.integers(0, 4),
+    denom=st.integers(1, 6),
+    max_det=st.integers(1, 400),
+    data=st.data(),
+)
+def test_grid_invariant_reads_its_determinant_before_the_basis(
+    plane, d, a, b, denom, max_det, data
+):
+    """det = n0^2 / (16 kappa^2 D^2 m^2), read off the 24-wide class: n0 from
+    its norm <phi, conj phi> = n0 / (2 D^2)^2, m the index of the span of
+    r1 = 2 D^2 Re(phi) and r2 = D Im(phi) / kappa in its saturation.  Above
+    max_det the point gives None, at or below it the full invariant."""
+    h1, h2 = PLANES[plane]
+    if _omega_sq(h1, h2, a, b) <= 0:
+        return
+    p = data.draw(st.integers(0, denom - 1), label="p")
+    q = data.draw(st.integers(0, denom - 1), label="q")
+    cls = check_gcy(exponential_class(*_classes(h1, h2, _kappa(d), a, b, p, q, denom)))
+    n0 = cls.norm.a * 4 * denom**4
+    assert cls.norm.b == 0 and n0.denominator == 1
+    rows = cls.coh.rows
+    re, im = rows[0], rows[2] if d == 1 else rows[3]
+    r1 = [Fraction(2 * denom * denom * v, cls.coh.den) for v in re]
+    r2 = [Fraction(denom * v, cls.coh.den) for v in im]
+    assert all(v.denominator == 1 for v in r1 + r2)
+    m = minors_gcd([int(v) for v in r1], [int(v) for v in r2])
+    det = Fraction(int(n0) ** 2, 16 * d * denom**2 * m**2)
+    sc = _sat_coords(h1, h2)
+    full = _grid_invariant(sc, d, a, b, p, q, denom)
+    assert det == _det(full)
+    bounded = _grid_invariant(sc, d, a, b, p, q, denom, max_det=max_det)
+    assert bounded == (None if det > max_det else full)
+
+
+def test_criterion7_survey_saturates_only_points_under_the_bound(grid_invariants, monkeypatch):
+    """Of the 672 representatives the criterion-7 survey visits, 9 have a
+    support of determinant <= 16, and only those build a basis."""
+    saturate2 = gk3.rigidity.saturate2
+    calls = []
+    monkeypatch.setattr(gk3.rigidity, "saturate2", lambda x, y: calls.append(1) or saturate2(x, y))
+    kahler_rigid_survey(SurveyConfig(16, 4, sqrt_d=(2,)))
+    assert len(grid_invariants) == 672
+    assert len(calls) == 9
 
 
 def _reference_survey(config: SurveyConfig) -> SurveyReport:
