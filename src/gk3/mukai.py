@@ -269,20 +269,21 @@ def bfield_matrix(b_int) -> IntMat:
 
 def gcy_norm(entries, den: int, d: int | None, rows) -> tuple[int, int]:
     """Numerators (a, b) of <phi, conj phi> = (a + b sqrt d) / den^2 for
-    phi = sum_t rows[t] c_t / den, after checking <phi, phi> = 0 and
-    <phi, conj phi> > 0 as integer identities.
-
-    The Gram matrix is given by its ``gram_entries``; the imaginary part of
-    <phi, conj phi> vanishes because the Gram matrix is symmetric.
-    """
+    phi = sum_t rows[t] c_t / den, after ``gcy_verdict`` on the rows'
+    ``pairing_block`` under a Gram given by its ``gram_entries`` (symmetric,
+    so the imaginary part of <phi, conj phi> vanishes)."""
     block = pairing_block(entries, rows, rows)
-    iso = _numerators(block, d)
+    return gcy_verdict(_numerators(block, d), _numerators(block, d, conj=True)[:2], den, d)
+
+
+def gcy_verdict(iso, norm, den: int, d: int | None) -> tuple[int, int]:
+    """``check_gcy``'s verdict on numerators over den^2: iso, the four of
+    <phi, phi>, must vanish, and norm = (a, b) of <phi, conj phi> be > 0."""
     if any(iso):
         raise ValidationError(f"not isotropic: <phi,phi> = {shown(_complex(iso, den * den, d))}")
-    a, b = _numerators(block, d, conj=True)[:2]
-    if quad_sign(a, b, d) <= 0:
-        raise ValidationError(f"not positive: <phi,conj phi> = {shown(_quad(a, b, den * den, d))}")
-    return a, b
+    if quad_sign(*norm, d) <= 0:
+        raise ValidationError(f"not positive: <phi,conj phi> = {shown(_quad(*norm, den * den, d))}")
+    return tuple(norm)
 
 
 def half_norm_gram(norm: QuadScalar, r: int) -> tuple[tuple[QuadScalar, ...], ...]:

@@ -17,13 +17,11 @@ is an open question; the survey reports, it never asserts completeness.
 from __future__ import annotations
 
 from math import gcd, isqrt
-from operator import mul
 
 from .errors import ValidationError
 from .intlinalg import (
     IntMat,
     freeze,
-    gram_entries,
     hnf_basis,
     hnf_coords,
     minors_gcd,
@@ -50,7 +48,7 @@ from .mukai import (
     GenericClass,
     _times,
     deg2_vector,
-    gcy_norm,
+    gcy_verdict,
     mukai_pairing,
     support_in,
     type_a_parts,
@@ -259,52 +257,54 @@ def survey_samples(config: SurveyConfig) -> int:
 
 @record
 class _SatCoords:
-    """S = Sat(P) for P = <deg0, deg4, H1, H2>: the generators' Gram (with its
-    ``gram_entries``), the columns of the matrix whose rows are the
-    generators' integer coordinates in S's HNF basis, and the
+    """S = Sat(P) for P = <deg0, deg4, H1, H2>: (H1^2, H1.H2, H2^2), the
+    generators' integer coordinates in S's HNF basis by columns, and the
     ``gram_entries`` of S's Gram."""
 
-    gram_p: IntMat
-    entries_p: tuple
+    plane: tuple[int, int, int]
     cols_s: IntMat  # cols_s[j][t]: coordinate j of generator t
     entries_s: tuple
 
 
 def _sat_coords(h1, h2) -> _SatCoords:
-    g11, g12, g22 = _plane_gram(h1, h2)
-    gram_p = ((0, -1, 0, 0), (-1, 0, 0, 0), (0, 0, g11, g12), (0, 0, g12, g22))
     zeros = (0,) * DEG2_RANK
     gens = ((1, 0) + zeros, (0, 1) + zeros, (0, 0) + tuple(h1), (0, 0) + tuple(h2))
     sat = saturation(Sublattice(MUKAI, hnf_basis(gens, MUKAI_RANK)))
     to_s = [hnf_coords(sat.basis, g) for g in gens]  # gens lie in their saturation
-    return _SatCoords(gram_p, gram_entries(gram_p), tuple(zip(*to_s)), sat.entries)
+    return _SatCoords(_plane_gram(h1, h2), tuple(zip(*to_s)), sat.entries)
 
 
-def _exp_rows(r1, r2, k: int, denom: int) -> tuple:
-    """Component rows of exp(B + i omega) = (r1 + i kappa 2D r2) / (2D^2),
-    kappa^2 = k: Im sits in the rational row for k = 1, else in the sqrt(k) row."""
-    im = tuple(2 * denom * v for v in r2)
-    zero = (0,) * len(r1)
-    return (r1, zero, im, zero) if k == 1 else (r1, zero, zero, im)
+def _gcy_n0(plane, k: int, denom: int, r1, r2) -> int:
+    """n0 = r1^2 + 4 k D^2 r2^2 of phi = (r1 + i kappa 2D r2) / (2D^2), kappa^2 = k,
+    for rows on (deg0, deg4, H1, H2), after ``check_gcy``'s checks on the
+    numerators over (2D^2)^2 of <phi, phi> = r1^2 - 4 k D^2 r2^2 + 4D r1.r2 kappa i."""
+    (g11, g12, g22), (x0, x1, x2, x3), (y0, y1, y2, y3) = plane, r1, r2
+    gy2, gy3 = g11 * y2 + g12 * y3, g12 * y2 + g22 * y3
+    r11 = x2 * (g11 * x2 + g12 * x3) + x3 * (g12 * x2 + g22 * x3) - 2 * x0 * x1
+    s = 4 * k * denom * denom * (y2 * gy2 + y3 * gy3 - 2 * y0 * y1)
+    im = 4 * denom * (x2 * gy2 + x3 * gy3 - x0 * y1 - x1 * y0)  # 4D r1.r2
+    iso = (r11 - s, 0, im, 0) if k == 1 else (r11 - s, 0, 0, im)
+    return gcy_verdict(iso, (r11 + s, 0), 2 * denom * denom, None if k == 1 else k)[0]
 
 
 def _grid_invariant(sc: _SatCoords, k: int, a, b, p, q, denom, max_det=None) -> IntMat | None:
     """Reduced Gram of the support of exp(B + i omega) for
     B = (p/D) H1 + (q/D) H2 and omega = kappa (a H1 + b H2), kappa^2 = k;
     None, with no basis built, when its determinant is above max_det."""
-    (g11, g12), (_, g22) = sc.gram_p[2][2:], sc.gram_p[3][2:]
+    g11, g12, g22 = sc.plane
     d2 = denom * denom
     w2 = a * a * g11 + 2 * a * b * g12 + b * b * g22  # omega_0^2
     b2 = p * p * g11 + 2 * p * q * g12 + q * q * g22  # D^2 B^2
     bw = p * (a * g11 + b * g12) + q * (a * g12 + b * g22)  # D B.omega_0
-    r1 = (2 * d2, b2 - k * w2 * d2, 2 * p * denom, 2 * q * denom)
-    r2 = (0, bw, a * denom, b * denom)
-    n0 = gcy_norm(sc.entries_p, 2 * d2, None if k == 1 else k, _exp_rows(r1, r2, k, denom))[0]
-    rows = tuple(tuple(sum(map(mul, r, col)) for col in sc.cols_s) for r in (r1, r2))
+    x0, x1, x2, x3 = r1 = (2 * d2, b2 - k * w2 * d2, 2 * p * denom, 2 * q * denom)
+    y1, y2, y3 = bw, a * denom, b * denom  # r2 = (0, y1, y2, y3)
+    n0 = _gcy_n0(sc.plane, k, denom, r1, (0, y1, y2, y3))
+    s1 = [x0 * c0 + x1 * c1 + x2 * c2 + x3 * c3 for c0, c1, c2, c3 in sc.cols_s]
+    s2 = [y1 * c1 + y2 * c2 + y3 * c3 for _, c1, c2, c3 in sc.cols_s]
     # det = n0^2 / (16 k D^2 m^2), m = [support : span(r1, r2)] (kahler_rigid_survey)
-    if max_det is not None and n0 * n0 > 16 * k * d2 * max_det * minors_gcd(*rows) ** 2:
+    if max_det is not None and n0 * n0 > 16 * k * d2 * max_det * minors_gcd(s1, s2) ** 2:
         return None
-    support = saturate2(*rows)
+    support = saturate2(s1, s2)
     (s11, s12), (_, s22) = pairing_block(sc.entries_s, support, support)
     return reduce_form2(s11, s12, s22)[0]
 
@@ -326,10 +326,11 @@ def kahler_rigid_survey(config: SurveyConfig) -> SurveyReport:
     2D^2 Re(exp(B + i omega)) and (D / kappa) Im(exp(B + i omega)) are the
     integer rows (2D^2, D^2 B^2 - kappa^2 omega_0^2 D^2, 2pD, 2qD) and
     (0, D B.omega_0, aD, bD) on the generators (deg0, deg4, H1, H2), with
-    omega_0 = a H1 + b H2.  They are checked isotropic and positive by
-    ``check_gcy``'s routine on the Gram of the generators, mapped to
-    S-coordinates and saturated there by ``saturate2``, in closed form;
-    since S is saturated, that is the class's support in the Mukai
+    omega_0 = a H1 + b H2.  They are checked isotropic and positive on
+    three integers, r1^2, r1.r2 and r2^2, with ``check_gcy``'s messages and
+    the norm numerator n0 = r1^2 + 4 kappa^2 D^2 r2^2 of ``gcy_norm``, then
+    mapped to S-coordinates and saturated there by ``saturate2``, in closed
+    form; since S is saturated, that is the class's support in the Mukai
     lattice.  Its Gram [[a, b], [b, c]] is reduced by ``reduce_form2`` on
     its three integers, with no lattice built and no signature
     elimination: a > 0 and ac - b^2 > 0 is the rank-2 positivity test.
@@ -337,16 +338,13 @@ def kahler_rigid_survey(config: SurveyConfig) -> SurveyReport:
     Only a point whose support has determinant <= max_det can give a
     target, since the targets are every reduced even positive form up to
     that bound; the others are not reduced.  The determinant is read
-    before any basis is built.  The routine's isotropy check gives
-    r1.r2 = 0 and r1^2 = 4 kappa^2 D^2 r2^2 for the two rows r1, r2, and it
-    returns the norm numerator n0 = r1^2 + 4 kappa^2 D^2 r2^2 = 2 r1^2.  So
-    span(r1, r2) has Gram diag(r1^2, r2^2) and determinant
-    r1^4 / (4 kappa^2 D^2) = n0^2 / (16 kappa^2 D^2).  The support is the
-    saturation of that span, of index m, the gcd of the 2x2 minors of the
-    two rows in S-coordinates (m > 0: Re and Im of a positive class are
-    independent).  So its determinant is n0^2 / (16 kappa^2 D^2 m^2), and a
-    point with n0^2 > 16 kappa^2 D^2 m^2 max_det is skipped.  Its class is
-    still checked isotropic and positive.
+    before any basis is built.  Isotropy gives r1.r2 = 0 and
+    r1^2 = 4 kappa^2 D^2 r2^2 = n0 / 2, so span(r1, r2) has determinant
+    r1^2 r2^2 = n0^2 / (16 kappa^2 D^2).  Its saturation, the support, has
+    index m, the gcd of the 2x2 minors of the two rows in S-coordinates
+    (m > 0: Re and Im of a positive class are independent), so determinant
+    n0^2 / (16 kappa^2 D^2 m^2); a point above max_det is skipped after its
+    isotropy and positivity check.
 
     ``samples`` counts every grid point covered, but two kinds are not
     recomputed.  A point with gcd(p, q, D) > 1 repeats a B of smaller D

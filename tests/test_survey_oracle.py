@@ -9,6 +9,8 @@ non-primitive, dependent and indefinite.
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -16,19 +18,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gk3.intlinalg
+import gk3.mukai
 import gk3.rigidity
 from gk3.lattices import enumerate_reduced_forms, gauss_reduce2
 from gk3.errors import ValidationError
 from gk3.intlinalg import gram_entries, minors_gcd, pairing_block
-from gk3.mukai import K3_GRAM, CohClass, check_gcy, deg2_vector, exponential_class, gcy_norm, support_lattice
+from gk3.mukai import (
+    K3_GRAM,
+    MUKAI,
+    CohClass,
+    check_gcy,
+    deg2_vector,
+    exponential_class,
+    gcy_norm,
+    support_lattice,
+)
 from gk3.rigidity import (
     MAX_FORMS_DET,
     MAX_SURVEY_SAMPLES,
     SurveyConfig,
     SurveyReport,
     SurveyWitness,
-    _exp_rows,
+    _gcy_n0,
     _grid_invariant,
+    _plane_gram,
     _sat_coords,
     _survey_kappas,
     kahler_rigid_survey,
@@ -270,16 +284,123 @@ def _gcy_error(cls) -> str:
 
 def test_integer_gcy_check_reports_as_check_gcy():
     h1, h2 = PLANES["indefinite"]
-    sc = _sat_coords(h1, h2)
+    plane = _plane_gram(h1, h2)
     # Re = (1, H1/2, -1), Im = sqrt(2) (0, H1, 0): not isotropic
     r1, r2 = (2, -2, 1, 0), (0, 0, 1, 0)
     cls = CohClass(1, [ComplexQuad(Fraction(v, 2), QuadScalar(0, v, 2)) for v in h1], -1)
     with pytest.raises(ValidationError) as e:
-        gcy_norm(sc.entries_p, 2, 2, _exp_rows(r1, r2, 2, 1))
+        _gcy_n0(plane, 2, 1, r1, r2)
     assert str(e.value) == _gcy_error(cls)
     # omega_0 = H2 of square -2: isotropic but not positive
     r1, r2 = (2, 4, 0, 0), (0, 0, 0, 1)
     cls = CohClass(1, [ComplexQuad(0, QuadScalar(0, v, 2)) for v in h2], 2)
     with pytest.raises(ValidationError) as e:
-        gcy_norm(sc.entries_p, 2, 2, _exp_rows(r1, r2, 2, 1))
+        _gcy_n0(plane, 2, 1, r1, r2)
     assert str(e.value) == _gcy_error(cls)
+    # kappa = 1, Re = (1, (H1 + H2)/2, -1/2), Im = (0, H1, 0) on the
+    # primitive plane: Re^2 = Im^2 = 2 but Re.Im = 1, so <phi,phi> = 2i
+    h1, h2 = PLANES["primitive"]
+    r1, r2 = (2, -1, 1, 1), (0, 0, 1, 0)
+    cls = CohClass(1, [ComplexQuad(Fraction(u + v, 2), u) for u, v in zip(h1, h2)], Fraction(-1, 2))
+    with pytest.raises(ValidationError) as e:
+        _gcy_n0(_plane_gram(h1, h2), 1, 1, r1, r2)
+    assert str(e.value) == _gcy_error(cls) == "not isotropic: <phi,phi> = (2)*i"
+
+
+def _wide_rows(h1, h2, k, denom, r1, r2):
+    """The component rows of phi = (r1 + i kappa 2D r2) / (2D^2), kappa^2 = k,
+    in the 24 Mukai coordinates, for rows r1, r2 on (deg0, deg4, H1, H2)."""
+    zeros = (0,) * 22
+    gens = ((1, 0) + zeros, (0, 1) + zeros, (0, 0) + tuple(h1), (0, 0) + tuple(h2))
+    re, im = ([sum(c * g[i] for c, g in zip(r, gens)) for i in range(24)] for r in (r1, r2))
+    im = [2 * denom * v for v in im]
+    zero = [0] * 24
+    return (re, zero, im, zero) if k == 1 else (re, zero, zero, im)
+
+
+def _verdict(check, *args):
+    try:
+        return check(*args)
+    except ValidationError as e:
+        return str(e)
+
+
+# half the draws leave a row as it is, so both checks also pass and n0 is compared
+row_shift = st.one_of(st.just([0] * 4), st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    plane=st.sampled_from(sorted(PLANES)),
+    k=st.sampled_from((1, 2, 3)),
+    a=st.integers(0, 4),
+    b=st.integers(0, 4),
+    denom=st.integers(1, 6),
+    shift1=row_shift,
+    shift2=row_shift,
+    data=st.data(),
+)
+def test_integer_gcy_check_matches_the_four_row_routine(
+    plane, k, a, b, denom, shift1, shift2, data
+):
+    """The survey's check on r1^2, r1.r2 and r2^2 against ``gcy_norm`` on the
+    four 24-wide component rows over 2D^2: the same n0, or the same error.
+    The rows are exp(B + i omega)'s, built here from K3 pairings, then
+    shifted off isotropy; omega_0 may have square <= 0."""
+    h1, h2 = PLANES[plane]
+    p = data.draw(st.integers(0, denom - 1), label="p")
+    q = data.draw(st.integers(0, denom - 1), label="q")
+    entries = gram_entries(K3_GRAM)
+    bd = tuple(p * u + q * v for u, v in zip(h1, h2))  # D B
+    w = tuple(a * u + b * v for u, v in zip(h1, h2))  # omega_0
+    (b2, bw), (_, w2) = pairing_block(entries, (bd, w), (bd, w))
+    r1 = [2 * denom**2, b2 - k * w2 * denom**2, 2 * p * denom, 2 * q * denom]
+    r2 = [0, bw, a * denom, b * denom]
+    tag = None if k == 1 else k
+    rows = _wide_rows(h1, h2, k, denom, r1, r2)
+    if a or b:
+        bfield, omega = _classes(h1, h2, _kappa(k), a, b, p, q, denom)
+        assert CohClass.from_rows(2 * denom**2, tag, rows) == exponential_class(bfield, omega)
+    r1 = [x + y for x, y in zip(r1, shift1)]
+    r2 = [x + y for x, y in zip(r2, shift2)]
+    rows = _wide_rows(h1, h2, k, denom, r1, r2)
+    want = _verdict(gcy_norm, MUKAI.entries, 2 * denom**2, tag, rows)
+    got = _verdict(_gcy_n0, _plane_gram(h1, h2), k, denom, r1, r2)
+    assert got == (want if isinstance(want, str) else want[0])
+    if not isinstance(want, str):
+        assert want[1] == 0
+
+
+def _callers(run, *fns) -> Counter:
+    """(function name, caller name) of each call of the fns' code while run()
+    runs, however a module binds the function."""
+    names = {fn.__code__: fn.__name__ for fn in fns}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            calls[names[frame.f_code], frame.f_back.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_criterion7_survey_checks_its_points_without_gcy_norm(grid_invariants):
+    """Each of the 672 representatives is checked on three integers: no
+    ``gcy_norm`` call, and ``pairing_block`` runs only in the set-up (the
+    plane's Gram, three times, and S's Gram) and for the 9 supports built."""
+    calls = _callers(
+        lambda: kahler_rigid_survey(SurveyConfig(16, 4, sqrt_d=(2,))),
+        gk3.mukai.gcy_norm,
+        gk3.intlinalg.pairing_block,
+    )
+    assert len(grid_invariants) == 672
+    assert calls == {
+        ("pairing_block", "_plane_gram"): 3,
+        ("pairing_block", "gram"): 1,
+        ("pairing_block", "_grid_invariant"): 9,
+    }
