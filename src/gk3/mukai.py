@@ -209,23 +209,23 @@ def mukai_pairing(x: CohClass, y: CohClass) -> ComplexQuad:
     return _complex(_numerators(pairing_block(MUKAI.entries, x.rows, y.rows), d), x.den * y.den, d)
 
 
-def _real_deg2(vec) -> CohClass:
-    """A real degree-2 vector (a b-field or a Kaehler class) as the class (0, vec, 0)."""
-    vec = tuple(vec)
-    den, d, rows = _rows_of((0, 0) + vec)
-    if any(rows[2]) or any(rows[3]):
-        raise ValidationError("b-field must be real")
-    if len(vec) != DEG2_RANK:
-        raise ValidationError(f"degree-2 vectors have {DEG2_RANK} coordinates, got {len(vec)}")
-    return CohClass.from_rows(den, d, rows)
-
-
-def _complexify(re: CohClass, im: CohClass) -> tuple[int, int | None, list[list[int]]]:
-    """(den, d, rows) of re + i im for real classes re and im."""
-    den = lcm(re.den, im.den)
-    fr, fi = den // re.den, den // im.den
-    rows = [[f * v for v in row] for f, row in zip((fr, fr, fi, fi), re.rows[:2] + im.rows[:2])]
-    return den, join_tags(re.d, im.d), rows
+def _real_deg2(*named) -> tuple[int, int | None, list[tuple[tuple[int, ...], ...]]]:
+    """Real degree-2 vectors, given as (name, vector) pairs, read by one
+    ``_rows_of`` over a common denominator: (den, d, parts), parts[j] the
+    rational and sqrt(d) rows of the j-th vector.  A vector with a nonzero
+    imaginary part, or of the wrong length, is refused under its own name."""
+    vecs = [tuple(v) for _, v in named]
+    den, d, rows = _rows_of([c for v in vecs for c in v])
+    parts, start = [], 0
+    for (name, _), v in zip(named, vecs):
+        at = slice(start, start + len(v))
+        start = at.stop
+        if any(rows[2][at]) or any(rows[3][at]):
+            raise ValidationError(f"{name} must be real")
+        if len(v) != DEG2_RANK:
+            raise ValidationError(f"degree-2 vectors have {DEG2_RANK} coordinates, got {len(v)}")
+        parts.append((rows[0][at], rows[1][at]))
+    return den, d, parts
 
 
 def bfield_transform(b, x: CohClass) -> CohClass:
@@ -235,14 +235,14 @@ def bfield_transform(b, x: CohClass) -> CohClass:
     and fixes the degree-0 component, and exp(B) exp(B') = exp(B + B').
     With B over the denominator e, the image is taken over 2 e^2 den.
     """
-    bc = _real_deg2(b)
-    d = join_tags(x.d, bc.d)
-    e = bc.den
+    e, bd, ((b0, b1),) = _real_deg2(("b-field", b))
+    d = join_tags(x.d, bd)
+    brows = ((0, 0) + b0, (0, 0) + b1, _ZERO_ROW, _ZERO_ROW)
     r = [row[DEG0] for row in x.rows]
-    rb = _times(bc.rows, r, d)
+    rb = _times(brows, r, d)
     # <x, B> and <B, B> share G B; the units commute, so <x, B> has the
     # numerators of <B, x>
-    block = pairing_block(MUKAI.entries, x.rows + bc.rows, bc.rows)
+    block = pairing_block(MUKAI.entries, x.rows + brows, brows)
     b_x, bsq = _numerators(block[:4], d), _numerators(block[4:], d)
     r_bsq = _times([[v] for v in bsq], r, d)
     rows = []
@@ -398,21 +398,24 @@ def exponential_class(b, omega) -> CohClass:
     """exp(B + i omega) = (1, B + i omega, ((B+i omega)^2)/2).
 
     B and omega are real degree-2 vectors; the result is a valid type A
-    generalized Calabi-Yau class exactly when omega^2 > 0.  With
-    B + i omega = rows / e, the class is (2e^2, 2e rows, <rows, rows>) / 2e^2.
+    generalized Calabi-Yau class exactly when omega^2 > 0.  One
+    ``_rows_of`` reads both as B + i omega = rows / e, degree-2 rows over a
+    common denominator; the class (2e^2, 2e rows, <rows, rows>) / 2e^2 is
+    built in one pass and normalized once.
     """
-    e, d, rows = _complexify(_real_deg2(b), _real_deg2(omega))
-    sq = _numerators(pairing_block(MUKAI.entries, rows, rows), d)
-    rows = [[2 * e * v for v in row] for row in rows]
-    rows[0][DEG0] = 2 * e * e
-    for row, v in zip(rows, sq):
-        row[DEG4] = v
-    return CohClass.from_rows(2 * e * e, d, rows)
+    e, d, ((b0, b1), (w0, w1)) = _real_deg2(("b-field", b), ("omega", omega))
+    rows = (b0, b1, w0, w1)
+    sq = _numerators(pairing_block(K3.entries, rows, rows), d)
+    f = 2 * e
+    out = [[0, v] + [f * c for c in row] for row, v in zip(rows, sq)]
+    out[0][DEG0] = f * e
+    return CohClass.from_rows(f * e, d, out)
 
 
 def two_form_class(re22, im22) -> CohClass:
     """A degree-2 period sigma = Re + i Im."""
-    return CohClass.from_rows(*_complexify(_real_deg2(re22), _real_deg2(im22)))
+    den, d, ((r0, r1), (i0, i1)) = _real_deg2(("Re sigma", re22), ("Im sigma", im22))
+    return CohClass.from_rows(den, d, [(0, 0) + row for row in (r0, r1, i0, i1)])
 
 
 def deg2_vector(assignments: dict[int, object]) -> tuple:
@@ -426,17 +429,28 @@ def deg2_vector(assignments: dict[int, object]) -> tuple:
     return tuple(out)
 
 
-def type_a_parts(g: GCYClass) -> tuple[CohClass, CohClass]:
-    """B and omega of a type A class lambda * exp(B + i omega), as real
-    degree-2 classes."""
-    if g.type_tag != "A":
-        raise ValidationError("decomposition needs a type A class")
-    # phi / z = phi conj(z) (n0 - n1 sqrt d) / (n0^2 - d n1^2) for the
-    # degree-0 numerators z, with z conj(z) = n0 + n1 sqrt d.  That is
-    # totally positive, so its field norm, the new denominator, is > 0.
-    x, d = g.coh, g.coh.d
+def _divide_by_lambda(x: CohClass) -> tuple[int, int, int, list[list[int]]]:
+    """(n0, n1, f, rows) of a class phi with nonzero degree-0 part lambda:
+    the degree-2 component rows of phi / lambda are rows / f.  For the
+    degree-0 numerators z, z conj(z) = n0 + n1 sqrt d, rows are phi's
+    degree-2 rows times conj(z) (n0 - n1 sqrt d), one product of integer
+    rows, and f = n0^2 - d n1^2 is the field norm of the totally positive
+    z conj(z), so f > 0."""
+    d = x.d
     z = [row[DEG0] for row in x.rows]
     n0, n1 = _numerators([[u * v for v in z] for u in z], d, conj=True)[:2]
-    rows = _times(_times(x.rows, (z[0], z[1], -z[2], -z[3]), d), (n0, -n1, 0, 0), d)
-    e = CohClass.from_rows(n0 * n0 - (d or 0) * n1 * n1, d, rows).deg2_part()
-    return e.real_part(), e.imag_part()
+    c = _times([[z[0]], [z[1]], [-z[2]], [-z[3]]], (n0, -n1, 0, 0), d)
+    rows = _times([row[DEG2_START:] for row in x.rows], [v for (v,) in c], d)
+    return n0, n1, n0 * n0 - (d or 0) * n1 * n1, rows
+
+
+def type_a_parts(g: GCYClass) -> tuple[CohClass, CohClass]:
+    """B and omega of a type A class lambda * exp(B + i omega), as real
+    degree-2 classes: Re and Im of the rows of ``_divide_by_lambda``, which
+    the Kaehler test (``rigidity._kahler_b_omega``) reads without them."""
+    if g.type_tag != "A":
+        raise ValidationError("decomposition needs a type A class")
+    x = g.coh
+    _, _, den, rows = _divide_by_lambda(x)
+    re, im = ([[0, 0] + row for row in rows[t : t + 2]] + [_ZERO_ROW] * 2 for t in (0, 2))
+    return CohClass.from_rows(den, x.d, re), CohClass.from_rows(den, x.d, im)

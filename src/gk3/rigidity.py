@@ -46,12 +46,11 @@ from .mukai import (
     MUKAI_RANK,
     GCYClass,
     GenericClass,
+    _divide_by_lambda,
     _times,
     deg2_vector,
     gcy_verdict,
-    mukai_pairing,
     support_in,
-    type_a_parts,
 )
 from .pairs import GeneralizedK3, neron_severi, transcendental
 from .records import record
@@ -66,10 +65,12 @@ class RigidityReport:
 
     The invariant is present exactly when the kind is rigid; it is the
     Gauss-reduced Gram, even and positive definite.  For a Kaehler test
-    b_rational and omega_sq describe the decomposition lambda e^{B+i omega};
-    for a complex test b_rational refers to the degree-4 tail divided out
-    by the period, which is only canonical up to classes orthogonal to the
-    period (hence b_canonical is False there).
+    b_rational and omega_sq describe the decomposition lambda e^{B+i omega},
+    omega_sq read off the class's proved norm by the identity
+    <phi, conj phi> = 2 |lambda|^2 omega^2.  For a complex test b_rational
+    refers to the degree-4 tail divided out by the period, which is only
+    canonical up to classes orthogonal to the period (hence b_canonical is
+    False there).
     """
 
     kind: str  # "ComplexRigid" | "KahlerRigid" | "NotRigid"
@@ -148,8 +149,10 @@ def is_kahler_rigid(x: GeneralizedK3) -> RigidityReport:
     """Test Kaehler rigidity of a pair and extract the rank-2 invariant.
 
     Requires phi_A of type A and generalized transcendental rank 22; the
-    invariant is the reduced Gram of the support of phi_A.  The theorem
-    shape is verified: the extracted B is rational and omega^2 rational.
+    invariant is the reduced Gram of the support of phi_A.  The report also
+    gives the theorem's shape, whether B is rational and omega^2, read off
+    phi_A's integer rows and its proved norm (``_kahler_b_omega``): no B or
+    omega is built as a class and no Mukai pairing is made.
     """
     a = x.phi_a
     if a.type_tag != "A":
@@ -158,14 +161,32 @@ def is_kahler_rigid(x: GeneralizedK3) -> RigidityReport:
     if verdict is not None:
         return verdict
     reduced = gauss_reduce2(a.support)
-    bfield, omega = type_a_parts(a)
+    b_rational, omega_sq = _kahler_b_omega(a)
     return RigidityReport(
         "KahlerRigid",
         invariant=reduced.lattice.gram,
-        b_rational=bfield.field_tag is None,
+        b_rational=b_rational,
         b_canonical=True,
-        omega_sq=mukai_pairing(omega, omega).re,
+        omega_sq=omega_sq,
     )
+
+
+def _kahler_b_omega(a: GCYClass) -> tuple[bool, QuadScalar]:
+    """Whether B is rational, and omega^2, for a type A class
+    phi = lambda e^{B + i omega}, read off its integer rows and its norm.
+
+    ``_divide_by_lambda`` gives B + i omega = rows / f, the degree-2 part of
+    phi / lambda, over the rational f > 0, so B is rational exactly when the
+    sqrt(d) row of Re vanishes.  Isotropy makes phi / lambda = e^{B + i omega},
+    and <e^{B + i omega}, e^{B - i omega}> = 2 omega^2, so the norm is
+    N = <phi, conj phi> = 2 |lambda|^2 omega^2, where |lambda|^2 =
+    (n0 + n1 sqrt d) / den^2: omega^2 = N den^2 (n0 - n1 sqrt d) / 2f.
+    """
+    x, n = a.coh, a.norm
+    n0, n1, f, rows = _divide_by_lambda(x)
+    den2 = x.den * x.den
+    p, q = den2 * (n.p * n0 - (x.d or 0) * n.q * n1), den2 * (n.q * n0 - n.p * n1)
+    return not any(rows[1]), QuadScalar.from_ints(p, q, 2 * n.n * f, x.d)
 
 
 DEFAULT_H1 = deg2_vector({0: 1, 1: 1})  # e1 + f1, square 2

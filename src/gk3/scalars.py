@@ -12,7 +12,10 @@ keep only construction in normal form, exact sign, equality and text,
 plus the one product QuadScalar * QuadScalar that a benchmark op forms.
 All field arithmetic runs on the integer rows of classes (``mukai``) and
 on integer numerators where a result is formed (``pairs``, ``rigidity``).
-A tag is validated once, where a value is built from outside.
+A tag is validated once, where a value is built from outside.  Values
+built from integers (``QuadScalar.from_ints``, ``as_quad`` of a plain
+int) skip every coercion and store the four slots of the normal form
+directly.
 
 The sign of p + q*sqrt(d) is decided exactly by case analysis on the
 signs of p and q, falling back to comparing p^2 against d*q^2 when they
@@ -189,19 +192,23 @@ class QuadScalar:
 
 
 # slot setters that pass the immutability guard, for values being built
-_SETTERS = tuple(vars(QuadScalar)[s].__set__ for s in QuadScalar.__slots__)
+_SET_P, _SET_Q, _SET_N, _SET_D = (vars(QuadScalar)[s].__set__ for s in QuadScalar.__slots__)
 
 
 def _fill(x: QuadScalar, p: int, q: int, n: int, d: int | None) -> QuadScalar:
     """Store (p + q*sqrt(d)) / n, n > 0, in x in normal form."""
     g = gcd(p, q, n)
-    for put, v in zip(_SETTERS, (p // g, q // g, n // g, d if q else None)):
-        put(x, v)
+    _SET_P(x, p // g)
+    _SET_Q(x, q // g)
+    _SET_N(x, n // g)
+    _SET_D(x, d if q else None)
     return x
 
 
 def as_quad(x) -> QuadScalar:
     """Coerce an int, Fraction or QuadScalar to a QuadScalar."""
+    if type(x) is int:  # the common case, in lowest terms as it is
+        return _fill(object.__new__(QuadScalar), x, 0, 1, None)
     o = _parts(x)
     if o is None:
         raise ValidationError(f"cannot interpret {x!r} as an exact scalar")

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 
@@ -35,6 +35,7 @@ from gk3.mukai import (
     two_form_class,
     type_a_parts,
 )
+from gk3.rigidity import _kahler_b_omega
 from gk3.scalars import ComplexQuad, QuadScalar, as_quad
 
 from fieldref import Ref
@@ -381,6 +382,19 @@ def test_period_plane_rejects_real_classes():
         GCYClass(real_only)
 
 
+def test_a_vector_that_is_not_real_is_refused_under_its_own_name():
+    bad, zero = [ComplexQuad(0, 1)] + [0] * 21, [0] * 22
+    for call, name in (
+        (lambda: exponential_class(bad, zero), "b-field"),
+        (lambda: exponential_class(zero, bad), "omega"),
+        (lambda: two_form_class(bad, zero), "Re sigma"),
+        (lambda: two_form_class(zero, bad), "Im sigma"),
+        (lambda: bfield_transform(bad, _unit(0)), "b-field"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{name} must be real$"):
+            call()
+
+
 def test_decompose_type_a_roundtrip():
     b = deg2_vector({2: Fraction(1, 2), 3: 1})
     w = deg2_vector({0: 1, 1: 2})
@@ -670,6 +684,32 @@ def test_decompose_type_a_recovers_lambda_b_omega(case):
     assert g.type_tag == "A"
     assert g.coh.deg0 == lam
     assert type_a_parts(g) == (CohClass(0, b, 0), CohClass(0, omega, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_type_a_cases())
+@example(  # lambda and B with sqrt(2) parts: B is not rational
+    (
+        ComplexQuad(QuadScalar(1, 1, 2), QuadScalar(Fraction(1, 2), 1, 2)),
+        (QuadScalar(0, Fraction(1, 3), 2),) + (0,) * 21,
+        deg2_vector({0: 1, 1: 1}),
+    )
+)
+@example(  # sqrt(2) only in lambda and omega: B is rational
+    (
+        ComplexQuad(QuadScalar(0, 1, 2), 3),
+        deg2_vector({2: Fraction(1, 3), 9: -2}),
+        (QuadScalar(0, 1, 2),) * 2 + (0,) * 20,
+    )
+)
+def test_kahler_reading_matches_the_decomposition(case):
+    """The Kaehler test reads B's rationality and omega^2 off phi's integer
+    rows and its proved norm; the decomposition into real classes followed
+    by the Mukai pairing gives the same two values."""
+    lam, b, omega = case
+    g = check_gcy(exponential_class(b, omega).scale(lam))
+    bfield, w = type_a_parts(g)
+    assert _kahler_b_omega(g) == (bfield.field_tag is None, mukai_pairing(w, w).re)
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+import gk3.mukai
 from gk3.errors import ValidationError
 from gk3.lattices import IntegralLattice, gauss_reduce2, ortho_complement, saturation
 from gk3.mirror import build_si_mirror
@@ -358,6 +359,31 @@ def test_rank22_op_sequence_on_fixed_cases():
         assert report.omega_sq == kappa_sq * _int_pair(K3_GRAM, omega0, omega0)
         assert all(_int_pair(MUKAI_GRAM, x, y) == 0 for x in t.basis for y in ns.basis)
         assert gauss_reduce2(ns).lattice.gram == report.invariant
+
+
+def test_kahler_test_builds_no_class_and_pairs_no_rows(monkeypatch):
+    """On a rank-22 case, exponential_class normalizes one class, and
+    is_kahler_rigid builds no CohClass and makes no Mukai pairing of class
+    rows (``mukai_pairing`` included): B's rationality and omega^2 come off
+    phi's rows and its proved norm.  Counted by wrapping
+    ``CohClass._normalize``, which every class construction runs, and the
+    ``pairing_block`` that every pairing in ``mukai`` calls."""
+    normalized, paired = [], []
+    normalize, pairing_block = CohClass._normalize, gk3.mukai.pairing_block
+    monkeypatch.setattr(CohClass, "_normalize", lambda x, *a: normalized.append(1) or normalize(x, *a))
+    monkeypatch.setattr(gk3.mukai, "pairing_block", lambda *a: paired.append(1) or pairing_block(*a))
+    bfield, omega0, kappa = next(case for case in _rank22_cases() if case[2] == SQRT2)
+    omega = tuple((Ref.of(kappa) * v).quad() for v in omega0)
+    cls = check_gcy(exponential_class(bfield, omega))
+    assert len(normalized) == 1
+    pair = validate_gk3(cls, GenericClass(ortho_complement(support_lattice(cls)), "B"))
+    transcendental(pair)  # the rank gate's lattice, kept by the pair
+    normalized.clear()
+    paired.clear()
+    report = is_kahler_rigid(pair)
+    assert (report.kind, report.b_rational) == ("KahlerRigid", True)
+    assert report.omega_sq == 2 * _int_pair(K3_GRAM, omega0, omega0)
+    assert normalized == [] and paired == []
 
 
 def test_neron_severi_of_a_rank22_pair_is_its_support(hnf_passes):

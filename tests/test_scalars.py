@@ -127,6 +127,33 @@ def test_coercions():
         as_quad(0.5)
 
 
+def test_as_quad_of_an_int_is_that_int():
+    v = as_quad(5)
+    assert type(v) is QuadScalar and v == QuadScalar(5) and hash(v) == hash(5)
+    assert (v.p, v.q, v.n, v.d) == (5, 0, 1, None)
+    assert as_quad(-7) == QuadScalar(-7) and as_quad(0).is_zero
+    for bad in (True, False, 0.5):
+        with pytest.raises(ValidationError, match="cannot interpret"):
+            as_quad(bad)
+
+
+@pytest.mark.parametrize(
+    "ints, normal",
+    [
+        ((-4, 6, 8, 2), (-2, 3, 4, 2)),
+        ((-6, 0, 4, 3), (-3, 0, 2, None)),  # q = 0 drops the tag
+        ((0, 0, 5, 3), (0, 0, 1, None)),
+        ((-9, -6, 3, 5), (-3, -2, 1, 5)),
+        ((7, -3, 1, 2), (7, -3, 1, 2)),
+    ],
+)
+def test_from_ints_keeps_the_normal_form(ints, normal):
+    x = QuadScalar.from_ints(*ints)
+    assert (x.p, x.q, x.n, x.d) == normal
+    p, q, n, d = ints
+    assert x == QuadScalar(Fraction(p, n), Fraction(q, n), d)
+
+
 def test_complex_quad_of_a_complex_value_is_that_value():
     z = ComplexQuad(_q(1), _q(0, 2, 3))
     for im in (0, Fraction(0), _q(0)):
